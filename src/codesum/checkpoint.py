@@ -12,6 +12,11 @@ Layout (all integers little-endian):
 Offsets are relative to the payload start, nondecreasing, and
 non-overlapping; dtype is "f32" or "f64".  Writes go to a temporary
 file followed by an atomic rename.
+
+Version 3 dropped the unused ``prelu_a2`` tensor.  Version 1 files still
+load: tensors that the model does not name are ignored.  No file was
+ever written as version 2, which is rejected like any unknown version.
+A tensor with NaN or Inf entries is rejected as bad input.
 """
 
 from __future__ import annotations
@@ -24,13 +29,20 @@ from pathlib import Path
 import numpy as np
 
 from .corpus.vocabulary import Vocabulary
-from .errors import BadMagic, CorruptManifest, TruncatedPayload, UnsupportedVersion
+from .errors import (
+    BadMagic,
+    CheckpointError,
+    CorruptManifest,
+    TruncatedPayload,
+    UnsupportedVersion,
+)
 from .model import ModelParams, SimpleStateParams
 from .tensorcore import GruParams, Tensor
 from .trainer import TrainConfig
 
 MAGIC = b"CODESUM1"
-VERSION = 1
+VERSION = 3
+READABLE_VERSIONS = (1, 3)
 
 _DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 _DTYPE_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
@@ -91,8 +103,9 @@ def load(path: str | Path) -> tuple[ModelParams, Vocabulary, TrainConfig]:
     if len(blob) < 20 or blob[:8] != MAGIC:
         raise BadMagic(f"{path}: not a checkpoint file")
     version = int.from_bytes(blob[8:12], "little")
-    if version != VERSION:
-        raise UnsupportedVersion(f"{path}: version {version}, expected {VERSION}")
+    if version not in READABLE_VERSIONS:
+        raise UnsupportedVersion(
+            f"{path}: version {version}, expected one of {READABLE_VERSIONS}")
     manifest_len = int.from_bytes(blob[12:20], "little")
     if len(blob) < 20 + manifest_len:
         raise _manifest_error("manifest extends past end of file")
@@ -125,6 +138,8 @@ def load(path: str | Path) -> tuple[ModelParams, Vocabulary, TrainConfig]:
                 f"{path}: tensor {entry['name']} needs bytes up to {end}, "
                 f"payload has {len(payload)}")
         arr = np.frombuffer(payload[start:end], dtype=dtype).reshape(shape)
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"{path}: tensor {entry['name']} holds NaN or Inf")
         tensors[entry["name"]] = np.array(arr, copy=True)
 
     try:
@@ -156,6 +171,5 @@ def _params_from_tensors(tensors: dict[str, np.ndarray]) -> ModelParams:
         E=leaf("E"), K_l1=leaf("K_l1"), K_l2=leaf("K_l2"),
         K_att=leaf("K_att"), K_copy=leaf("K_copy"), K_lambda=leaf("K_lambda"),
         gru=gru, b=leaf("b"), h_init=leaf("h_init"),
-        prelu_a1=leaf("prelu_a1"), prelu_a2=leaf("prelu_a2"),
-        simple_state=simple,
+        prelu_a1=leaf("prelu_a1"), simple_state=simple,
     )

@@ -91,7 +91,8 @@ def _cmd_train(args) -> int:
         if log_fh is not None:
             log_fh.close()
     checkpoint.save(result.params, result.vocab, result.config, args.out)
-    print(f"checkpoint: {args.out} (best epoch {result.best_epoch})")
+    print(f"checkpoint: {args.out} (best epoch {result.best_epoch}, "
+          f"skipped examples {result.skipped_examples})")
     return 0
 
 

@@ -38,7 +38,6 @@ class SearchLimits:
     heap_size: int = 256       # partials kept; overflow drops the worst
     successors: int = 50       # children pushed per expansion
     max_name_len: int = 10     # hard cap on subtokens per name
-    min_token_prob: float = 0.0
 
 
 @dataclass
@@ -103,7 +102,7 @@ def expand(partial: PartialSuggestion, out: StepOutput,
     children: list[PartialSuggestion] = []
     completed: list[Suggestion] = []
     for token, prob in ranked:
-        if prob <= limits.min_token_prob:
+        if prob <= 0.0:
             continue
         log_prob = partial.log_prob + math.log(max(prob, 1e-300))
         record = _record(out, token)

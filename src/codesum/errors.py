@@ -34,7 +34,7 @@ class VariantDisabled(CodesumError):
 # trainer
 
 class NonFiniteGradient(CodesumError):
-    """A gradient contained NaN or Inf; the example is skipped."""
+    """``sgd_update`` was handed a gradient containing NaN or Inf."""
 
 
 class EmptyTrainingSet(CodesumError):
@@ -58,7 +58,7 @@ class BadMagic(CheckpointError):
 
 
 class UnsupportedVersion(CheckpointError):
-    """The checkpoint version is newer than this code understands."""
+    """The checkpoint version is not one this code can read."""
 
 
 class CorruptManifest(CheckpointError):

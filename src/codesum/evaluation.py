@@ -8,9 +8,7 @@ the top k suggestions achieves.
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -148,24 +146,11 @@ def aggregate_report(per_example: Sequence[dict[str, float | None]]) -> EvalRepo
     return report
 
 
-def worker_count() -> int:
-    """Worker cap from the CODESUM_THREADS environment variable."""
-    raw = os.environ.get("CODESUM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def evaluate_suggester(suggester: Callable[[MethodExample], list[Sequence[str]]],
                        examples: Sequence[MethodExample],
                        train_vocab: Vocabulary,
                        ) -> tuple[EvalReport, list[dict]]:
-    """Score any ranked-name suggester over a split.
-
-    Examples are scored independently (optionally on several threads);
-    aggregation order is fixed, so reports are deterministic.
-    """
+    """Score any ranked-name suggester over a split, in split order."""
     def score_one(ex: MethodExample) -> dict:
         names = suggester(ex)
         row = score_suggestions(names, ex.name)
@@ -175,12 +160,7 @@ def evaluate_suggester(suggester: Callable[[MethodExample], list[Sequence[str]]]
         row["suggestions"] = [list(n) for n in names[:5]]
         return row
 
-    workers = worker_count()
-    if workers > 1 and len(examples) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(score_one, examples))
-    else:
-        rows = [score_one(ex) for ex in examples]
+    rows = [score_one(ex) for ex in examples]
     return aggregate_report(rows), rows
 
 

@@ -67,7 +67,6 @@ class ModelParams:
     b: Tensor          # (|V|,) output bias
     h_init: Tensor     # (k2,) first decoder state
     prelu_a1: Tensor   # scalar leak of the convolution nonlinearity
-    prelu_a2: Tensor   # scalar, reserved second leak (kept for layout stability)
     simple_state: SimpleStateParams | None = None
 
     def named_tensors(self) -> Iterator[tuple[str, Tensor]]:
@@ -82,7 +81,6 @@ class ModelParams:
         yield "b", self.b
         yield "h_init", self.h_init
         yield "prelu_a1", self.prelu_a1
-        yield "prelu_a2", self.prelu_a2
         if self.simple_state is not None:
             yield "simple.G", self.simple_state.G
             yield "simple.W", self.simple_state.W
@@ -158,21 +156,7 @@ def padding_split(w1: int, w2: int, w3: int) -> tuple[int, int]:
     return math.ceil(total / 2), total - math.ceil(total / 2)
 
 
-def _act_mask(t: Tensor, act_dropout) -> Tensor:
-    # act_dropout is (rate, generator) or None.  The default regularizer
-    # is parameter dropout, applied by the trainer; this is the fallback
-    # flavor that masks convolution activations instead.
-    if act_dropout is None:
-        return t
-    rate, rng = act_dropout
-    if rate <= 0.0:
-        return t
-    mask = (rng.random(t.shape) >= rate) / (1.0 - rate)
-    return t * constant(mask)
-
-
-def attention_features(snippet: EncodedSnippet, h_prev: Tensor, p: ModelParams,
-                       act_dropout=None) -> Tensor:
+def attention_features(snippet: EncodedSnippet, h_prev: Tensor, p: ModelParams) -> Tensor:
     """Per-position attention features.
 
     The padded embedding matrix goes through conv(K_l1) + PReLU, then
@@ -189,8 +173,8 @@ def attention_features(snippet: EncodedSnippet, h_prev: Tensor, p: ModelParams,
         np.full(right, snippet.pad_id, dtype=np.intp),
     ])
     c_emb = rows(p.E, padded)
-    l1 = _act_mask(prelu(conv1d_narrow(c_emb, p.K_l1), p.prelu_a1), act_dropout)
-    l2 = _act_mask(conv1d_narrow(l1, p.K_l2) * h_prev, act_dropout)
+    l1 = prelu(conv1d_narrow(c_emb, p.K_l1), p.prelu_a1)
+    l2 = conv1d_narrow(l1, p.K_l2) * h_prev
     return l2_normalize(l2)
 
 
@@ -207,19 +191,19 @@ def _predict(snippet: EncodedSnippet, alpha: Tensor, p: ModelParams) -> tuple[Te
     return nhat, vocab_dist
 
 
-def conv_attention_step(snippet: EncodedSnippet, h_prev: Tensor, p: ModelParams,
-                        act_dropout=None) -> StepOutput:
+def conv_attention_step(snippet: EncodedSnippet, h_prev: Tensor,
+                        p: ModelParams) -> StepOutput:
     """Vocabulary-only attention step."""
-    l_feat = attention_features(snippet, h_prev, p, act_dropout)
+    l_feat = attention_features(snippet, h_prev, p)
     alpha = attention_weights(l_feat, p.K_att)
     nhat, vocab_dist = _predict(snippet, alpha, p)
     return StepOutput(vocab_dist=vocab_dist, alpha=alpha, nhat=nhat)
 
 
-def copy_attention_step(snippet: EncodedSnippet, h_prev: Tensor, p: ModelParams,
-                        act_dropout=None) -> StepOutput:
+def copy_attention_step(snippet: EncodedSnippet, h_prev: Tensor,
+                        p: ModelParams) -> StepOutput:
     """Attention step with the copy head and its meta-attention gate."""
-    l_feat = attention_features(snippet, h_prev, p, act_dropout)
+    l_feat = attention_features(snippet, h_prev, p)
     alpha = attention_weights(l_feat, p.K_att)
     kappa = attention_weights(l_feat, p.K_copy)
     lam_logits = conv1d_narrow(l_feat, p.K_lambda)

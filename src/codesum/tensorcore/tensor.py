@@ -39,8 +39,6 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False,
                  _prev: tuple[Tensor, ...] = (), _backward=None):
         self.data = _as_float_array(data)
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("tensor holds non-finite values")
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in _prev)
         self._prev = _prev

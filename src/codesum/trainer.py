@@ -75,7 +75,6 @@ class TrainConfig:
     min_count: int = 2
     eval_every: int = 1
     stop_exact_at_1: float | None = None
-    dropout_kind: str = "params"  # or "activations" (see next_state for the state trick)
     state_kind: str = "gru"       # or "simple"
 
     def validate(self) -> None:
@@ -90,8 +89,6 @@ class TrainConfig:
             raise ValueError("clip_norm must be positive")
         if self.minibatch < 1 or self.epochs < 0 or self.patience < 1:
             raise ValueError("bad schedule values")
-        if self.dropout_kind not in ("params", "activations"):
-            raise ValueError("dropout_kind must be 'params' or 'activations'")
         if self.state_kind not in ("gru", "simple"):
             raise ValueError("state_kind must be 'gru' or 'simple'")
 
@@ -172,7 +169,6 @@ def init_params(cfg: TrainConfig, vocab: Vocabulary,
         b=Tensor(b, requires_grad=True),
         h_init=noise(k2),
         prelu_a1=Tensor(PRELU_INIT, requires_grad=True),
-        prelu_a2=Tensor(PRELU_INIT, requires_grad=True),
         simple_state=simple,
     )
     params.validate()
@@ -256,7 +252,7 @@ def masked_view(params: ModelParams, rate: float, rng: np.random.Generator) -> M
         K_att=drop(params.K_att), K_copy=drop(params.K_copy),
         K_lambda=drop(params.K_lambda), gru=gru, b=drop(params.b),
         h_init=drop(params.h_init), prelu_a1=drop(params.prelu_a1),
-        prelu_a2=drop(params.prelu_a2), simple_state=simple,
+        simple_state=simple,
     )
 
 
@@ -269,9 +265,6 @@ def example_loss(params: ModelParams, snippet: EncodedSnippet,
     """Sum of per-subtoken losses for one example, end marker included."""
     step = step_fn(cfg.model_kind)
     targets = [*name, NAME_END]
-    act_dropout = None
-    if rng is not None and cfg.dropout_kind == "activations" and cfg.dropout_rate > 0.0:
-        act_dropout = (cfg.dropout_rate, rng)
     total: Tensor | None = None
     if cfg.state_kind == "simple":
         prev1 = prev2 = vocab.name_start_id
@@ -279,7 +272,7 @@ def example_loss(params: ModelParams, snippet: EncodedSnippet,
     else:
         h = params.h_init
     for t, target in enumerate(targets):
-        out: StepOutput = step(snippet, h, params, act_dropout)
+        out: StepOutput = step(snippet, h, params)
         loss = step_loss(out, target, snippet, vocab)
         total = loss if total is None else total + loss
         if t + 1 < len(targets):
@@ -377,7 +370,7 @@ def train(train_examples: Sequence[MethodExample],
         for pos, idx in enumerate(order):
             snippet, name = encoded[idx]
             view = params
-            if cfg.dropout_rate > 0.0 and cfg.dropout_kind == "params":
+            if cfg.dropout_rate > 0.0:
                 view = masked_view(params, cfg.dropout_rate, rng)
             loss = example_loss(view, snippet, name, vocab, cfg, rng=rng)
             if not np.isfinite(float(loss.data)):

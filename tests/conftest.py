@@ -33,7 +33,6 @@ def make_params(vocab_size: int, d: int = 2, k1: int = 2, k2: int = 2,
         K_att=t(k2, w3, 1), K_copy=t(k2, w3, 1), K_lambda=t(k2, w3, 1),
         gru=gru, b=t(vocab_size), h_init=t(k2),
         prelu_a1=Tensor(0.25, requires_grad=True),
-        prelu_a2=Tensor(0.25, requires_grad=True),
         simple_state=SimpleStateParams(G=t(vocab_size, d), W=t(k2, d, 2)) if simple else None,
     )
     params.validate()

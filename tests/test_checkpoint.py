@@ -9,6 +9,7 @@ from conftest import make_params, make_vocab
 from codesum.checkpoint import MAGIC, VERSION, load, save
 from codesum.errors import (
     BadMagic,
+    CheckpointError,
     CorruptManifest,
     TruncatedPayload,
     UnsupportedVersion,
@@ -30,6 +31,20 @@ def write_checkpoint(tmp_path, dtype=np.float64, simple=False):
     path = tmp_path / "model.ckpt"
     save(params, vocab, cfg(), path)
     return params, vocab, path
+
+
+def read_parts(path):
+    """(version, manifest, payload) of a checkpoint file."""
+    blob = path.read_bytes()
+    manifest_len = int.from_bytes(blob[12:20], "little")
+    manifest = json.loads(blob[20:20 + manifest_len])
+    return int.from_bytes(blob[8:12], "little"), manifest, blob[20 + manifest_len:]
+
+
+def write_parts(path, version, manifest, payload):
+    raw = json.dumps(manifest).encode()
+    path.write_bytes(MAGIC + version.to_bytes(4, "little")
+                     + len(raw).to_bytes(8, "little") + raw + payload)
 
 
 class TestRoundTrip:
@@ -65,7 +80,7 @@ class TestRoundTrip:
         _, _, path = write_checkpoint(tmp_path)
         blob = path.read_bytes()
         assert blob[:8] == b"CODESUM1" == MAGIC
-        assert int.from_bytes(blob[8:12], "little") == VERSION == 1
+        assert int.from_bytes(blob[8:12], "little") == VERSION == 3
         manifest_len = int.from_bytes(blob[12:20], "little")
         manifest = json.loads(blob[20:20 + manifest_len])
         assert set(manifest) == {"config", "vocabulary", "tensors"}
@@ -75,6 +90,30 @@ class TestRoundTrip:
         assert len(names) == len(set(names))
         for entry in manifest["tensors"]:
             assert entry["dtype"] in ("f32", "f64")
+        assert "prelu_a2" not in names
+
+    def test_version_1_file_loads_without_prelu_a2(self, tmp_path):
+        # Version 1 files carry an unused scalar "prelu_a2" after prelu_a1.
+        params, vocab, path = write_checkpoint(tmp_path)
+        _, manifest, payload = read_parts(path)
+        entries = manifest["tensors"]
+        at = next(i for i, e in enumerate(entries) if e["name"] == "prelu_a1") + 1
+        start = entries[at]["byte_offset"] if at < len(entries) else len(payload)
+        extra = np.array(0.25).tobytes()
+        for e in entries[at:]:
+            e["byte_offset"] += len(extra)
+        entries.insert(at, {"name": "prelu_a2", "shape": [], "dtype": "f64",
+                            "byte_offset": start})
+        v1_path = tmp_path / "v1.ckpt"
+        write_parts(v1_path, 1, manifest, payload[:start] + extra + payload[start:])
+
+        v1, v1_vocab, v1_cfg = load(v1_path)
+        v2, v2_vocab, v2_cfg = load(path)
+        v1_tensors = dict(v1.named_tensors())
+        assert list(v1_tensors) == [name for name, _ in v2.named_tensors()]
+        for name, t in v2.named_tensors():
+            assert v1_tensors[name].data.tobytes() == t.data.tobytes()
+        assert (v1_vocab, v1_cfg) == (v2_vocab, v2_cfg) == (vocab, cfg())
 
 
 class TestCorruption:
@@ -119,6 +158,17 @@ class TestCorruption:
         path.write_bytes(blob[:12] + len(new_manifest).to_bytes(8, "little")
                          + new_manifest + blob[20 + manifest_len:])
         with pytest.raises(CorruptManifest):
+            load(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_tensor(self, tmp_path, bad):
+        _, _, path = write_checkpoint(tmp_path)
+        version, manifest, payload = read_parts(path)
+        entry = next(e for e in manifest["tensors"] if e["name"] == "E")
+        start = entry["byte_offset"]
+        payload = payload[:start] + np.array(bad).tobytes() + payload[start + 8:]
+        write_parts(path, version, manifest, payload)
+        with pytest.raises(CheckpointError, match="tensor E "):
             load(path)
 
     def test_empty_file(self, tmp_path):

@@ -3,8 +3,10 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
+from codesum import checkpoint
 from codesum.cli import main
 from codesum.corpus.dataset import load_jsonl
 
@@ -166,14 +168,17 @@ class TestTrainCommand:
 
         assert first_nll(first) == first_nll(second)
 
-    def test_writes_epoch_log(self, java_project, tmp_path):
+    def test_writes_epoch_log(self, java_project, tmp_path, capsys):
         data = build_dataset(java_project, tmp_path)
         log = tmp_path / "log.jsonl"
+        capsys.readouterr()
         train_tiny(data, tmp_path, extra=("--log", str(log)))
         lines = [json.loads(l) for l in log.read_text().splitlines()]
         assert len(lines) == 3
         assert set(lines[0]) == {"epoch", "train_nll", "valid_f1_at_5",
                                  "valid_exact_at_1", "seconds"}
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert re.fullmatch(r"checkpoint: \S+ \(best epoch \d+, skipped examples 0\)", last)
 
 
 class TestEvaluateCommand:
@@ -214,11 +219,24 @@ class TestEvaluateCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["exact_at_1"] >= 0.9  # distinct bodies retrieve themselves
 
-    def test_bad_checkpoint_exits_2(self, java_project, tmp_path):
+    def test_bad_checkpoint_exits_2(self, java_project, tmp_path, capsys):
         data = build_dataset(java_project, tmp_path)
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"NOTMAGIC" + b"\x00" * 40)
         assert main(["evaluate", "--ckpt", str(bad), "--data", str(data)]) == 2
+
+        # A well-formed file whose embedding table holds a NaN.
+        params, vocab, cfg = checkpoint.load(train_tiny(data, tmp_path))
+        params.E.data[0, 0] = np.nan
+        nan_ckpt = tmp_path / "nan.ckpt"
+        checkpoint.save(params, vocab, cfg, nan_ckpt)
+        snippet = tmp_path / "snippet.java"
+        snippet.write_text("{ return width; }")
+        capsys.readouterr()
+        assert main(["evaluate", "--ckpt", str(nan_ckpt), "--data", str(data)]) == 2
+        assert main(["suggest", "--ckpt", str(nan_ckpt), "--snippet", str(snippet)]) == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err and "tensor E " in err
 
     def test_per_example_csv(self, java_project, tmp_path, capsys):
         data = build_dataset(java_project, tmp_path)

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from conftest import make_vocab
@@ -301,23 +300,6 @@ class TestTfIdf:
         ranked = index.suggest(["x"], k=1)
         assert ranked[0][0] == ("a",)
         assert ranked[0][1] == pytest.approx(1.0)
-
-
-def test_thread_cap_env_var_keeps_reports_identical(rng, monkeypatch):
-    vocab = make_vocab(TOKENS)
-    examples = [MethodExample(name=random_name(rng), body=["x"],
-                              file_path=f"f{i}", project="p") for i in range(12)]
-    fixed = {e.file_path: [random_name(np.random.default_rng(i)) for _ in range(5)]
-             for i, e in enumerate(examples)}
-
-    def suggester(ex):
-        return fixed[ex.file_path]
-
-    monkeypatch.setenv("CODESUM_THREADS", "1")
-    serial, _ = evaluate_suggester(suggester, examples, vocab)
-    monkeypatch.setenv("CODESUM_THREADS", "4")
-    threaded, _ = evaluate_suggester(suggester, examples, vocab)
-    assert serial == threaded
 
 
 class TestShuffleAblation:

@@ -159,13 +159,3 @@ class TestGruStep:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             gru_step(Tensor(np.zeros(4)), Tensor(np.zeros(3)), zero_gru(2, 3))
-
-
-class TestFiniteness:
-    def test_nan_rejected_at_boundary(self):
-        with pytest.raises(ValueError):
-            Tensor(np.array([1.0, np.nan]))
-
-    def test_inf_rejected(self):
-        with pytest.raises(ValueError):
-            Tensor(np.array([np.inf]))
