@@ -13,10 +13,14 @@ Offsets are relative to the payload start, nondecreasing, and
 non-overlapping; dtype is "f32" or "f64".  Writes go to a temporary
 file followed by an atomic rename.
 
-Version 3 dropped the unused ``prelu_a2`` tensor.  Version 1 files still
-load: tensors that the model does not name are ignored.  No file was
-ever written as version 2, which is rejected like any unknown version.
-A tensor with NaN or Inf entries is rejected as bad input.
+Each model kind stores only the tensors it reads: the conv model has no
+copy head (``K_copy``, ``K_lambda``), so version 4 conv files lack them.
+Version 3 dropped the unused ``prelu_a2`` tensor.  Version 1 and 3 files
+still load: tensors that the model does not name are ignored, which drops
+``prelu_a2`` and an old conv file's copy head.  No file was ever written
+as version 2, which is rejected like any unknown version.  A tensor with
+NaN or Inf entries, or a stored config that does not validate (such as
+one from the removed simple-state variant), is rejected as bad input.
 """
 
 from __future__ import annotations
@@ -36,13 +40,13 @@ from .errors import (
     TruncatedPayload,
     UnsupportedVersion,
 )
-from .model import ModelParams, SimpleStateParams
+from .model import ModelParams
 from .tensorcore import GruParams, Tensor
 from .trainer import TrainConfig
 
 MAGIC = b"CODESUM1"
-VERSION = 3
-READABLE_VERSIONS = (1, 3)
+VERSION = 4
+READABLE_VERSIONS = (1, 3, 4)
 
 _DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 _DTYPE_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
@@ -145,16 +149,18 @@ def load(path: str | Path) -> tuple[ModelParams, Vocabulary, TrainConfig]:
     try:
         vocab = Vocabulary.from_json(manifest["vocabulary"])
         cfg = TrainConfig.from_dict(manifest["config"])
+        cfg.validate()
     except (KeyError, TypeError, ValueError) as exc:
         raise _manifest_error(str(exc)) from exc
     try:
-        params = _params_from_tensors(tensors)
+        params = _params_from_tensors(tensors, cfg.model_kind)
     except KeyError as exc:
         raise _manifest_error(f"missing tensor {exc}") from exc
     return params, vocab, cfg
 
 
-def _params_from_tensors(tensors: dict[str, np.ndarray]) -> ModelParams:
+def _params_from_tensors(tensors: dict[str, np.ndarray],
+                        model_kind: str) -> ModelParams:
     def leaf(name: str) -> Tensor:
         return Tensor(tensors[name], requires_grad=True)
 
@@ -164,12 +170,10 @@ def _params_from_tensors(tensors: dict[str, np.ndarray]) -> ModelParams:
         W_xc=leaf("gru.W_xc"), W_hc=leaf("gru.W_hc"),
         b_r=leaf("gru.b_r"), b_u=leaf("gru.b_u"), b_c=leaf("gru.b_c"),
     )
-    simple = None
-    if "simple.G" in tensors:
-        simple = SimpleStateParams(G=leaf("simple.G"), W=leaf("simple.W"))
+    copy = model_kind == "copy_attention"
     return ModelParams(
-        E=leaf("E"), K_l1=leaf("K_l1"), K_l2=leaf("K_l2"),
-        K_att=leaf("K_att"), K_copy=leaf("K_copy"), K_lambda=leaf("K_lambda"),
-        gru=gru, b=leaf("b"), h_init=leaf("h_init"),
-        prelu_a1=leaf("prelu_a1"), simple_state=simple,
+        E=leaf("E"), K_l1=leaf("K_l1"), K_l2=leaf("K_l2"), K_att=leaf("K_att"),
+        K_copy=leaf("K_copy") if copy else None,
+        K_lambda=leaf("K_lambda") if copy else None,
+        gru=gru, b=leaf("b"), h_init=leaf("h_init"), prelu_a1=leaf("prelu_a1"),
     )

@@ -67,7 +67,7 @@ def _cmd_train(args) -> int:
         key: getattr(args, key)
         for key in ("D", "k1", "k2", "w1", "w2", "w3", "dropout_rate",
                     "learning_rate", "epochs", "patience", "minibatch",
-                    "min_count", "eval_every", "state_kind")
+                    "min_count", "eval_every")
         if getattr(args, key) is not None
     }
     overrides["seed"] = args.seed
@@ -111,8 +111,7 @@ def _cmd_evaluate(args) -> int:
         report, rows = evaluate_tfidf(index, split, vocab, k=args.k)
     else:
         report, rows = evaluate_model(
-            params, vocab, split, model_kind=cfg.model_kind,
-            state_kind=cfg.state_kind, k=args.k)
+            params, vocab, split, model_kind=cfg.model_kind, k=args.k)
     payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     print(payload)
     if args.out:
@@ -145,8 +144,7 @@ def _cmd_suggest(args) -> int:
         print("error: snippet has no tokens", file=sys.stderr)
         return 2
     snippet = encode_snippet(body, vocab)
-    suggestions = suggest(snippet, params, vocab, k=args.k,
-                          model_kind=cfg.model_kind, state_kind=cfg.state_kind)
+    suggestions = suggest(snippet, params, vocab, k=args.k, model_kind=cfg.model_kind)
     if not suggestions:
         print("warning: no suggestion completed within the search limits",
               file=sys.stderr)
@@ -191,8 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
                       ("--min-count", int), ("--eval-every", int)):
         p.add_argument(flag, type=typ, default=None,
                        dest=flag.lstrip("-").replace("-", "_"))
-    p.add_argument("--state", choices=("gru", "simple"), default=None,
-                   dest="state_kind")
     p.set_defaults(fn=_cmd_train)
 
     p = sub.add_parser("evaluate", help="score a checkpoint on a dataset split")

@@ -24,7 +24,6 @@ from .model import (
     StepOutput,
     merged_distribution,
     next_state,
-    simple_state,
     step_fn,
 )
 from .tensorcore import Tensor
@@ -57,7 +56,6 @@ class PartialSuggestion:
     subtokens: tuple[str, ...]
     log_prob: float
     state: Tensor
-    history: tuple[int, int]  # last two emitted ids (simple-state variant)
     steps: tuple[StepRecord, ...] = ()
 
 
@@ -85,8 +83,7 @@ def _record(out: StepOutput, token: str) -> StepRecord:
 
 def expand(partial: PartialSuggestion, out: StepOutput,
            snippet: EncodedSnippet, params: ModelParams, vocab: Vocabulary,
-           limits: SearchLimits, state_kind: str = "gru",
-           ) -> tuple[list[PartialSuggestion], list[Suggestion]]:
+           limits: SearchLimits) -> tuple[list[PartialSuggestion], list[Suggestion]]:
     """Children of a partial, split into open prefixes and completions.
 
     Successors are the highest-probability entries of the merged
@@ -114,18 +111,10 @@ def expand(partial: PartialSuggestion, out: StepOutput,
                     steps=[*partial.steps, record],
                 ))
             continue
-        token_id = vocab.id(token)
-        if state_kind == "simple":
-            state = simple_state(params, token_id, partial.history[0])
-            history = (token_id, partial.history[0])
-        else:
-            state = next_state(params, partial.state, token_id=token_id)
-            history = partial.history
         children.append(PartialSuggestion(
             subtokens=(*partial.subtokens, token),
             log_prob=log_prob,
-            state=state,
-            history=history,
+            state=next_state(params, partial.state, token_id=vocab.id(token)),
             steps=(*partial.steps, record),
         ))
     return children, completed
@@ -138,22 +127,17 @@ def suggest(snippet: EncodedSnippet, params: ModelParams, vocab: Vocabulary,
     """Top-k full-name suggestions, best first.
 
     Returns an empty list when nothing completes within the limits.
+    The decoder state is always the GRU; ``state_kind`` accepts only
+    ``"gru"``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if state_kind != "gru":
+        raise ValueError(f"unknown state kind {state_kind!r}")
     if limits is None:
         limits = SearchLimits()
     step = step_fn(model_kind)
-
-    if state_kind == "simple":
-        start_id = vocab.name_start_id
-        root_state = simple_state(params, start_id, start_id)
-        history = (start_id, start_id)
-    else:
-        root_state = params.h_init
-        history = (vocab.name_start_id, vocab.name_start_id)
-    root = PartialSuggestion(subtokens=(), log_prob=0.0, state=root_state,
-                             history=history)
+    root = PartialSuggestion(subtokens=(), log_prob=0.0, state=params.h_init)
 
     counter = itertools.count()  # heap tie-breaker
     heap: list[tuple[float, int, PartialSuggestion]] = [(0.0, next(counter), root)]
@@ -172,8 +156,7 @@ def suggest(snippet: EncodedSnippet, params: ModelParams, vocab: Vocabulary,
         if bar is not None and partial.log_prob < bar:
             continue
         out = step(snippet, partial.state, params)
-        children, completed = expand(partial, out, snippet, params, vocab,
-                                     limits, state_kind)
+        children, completed = expand(partial, out, snippet, params, vocab, limits)
         for s in completed:
             key = tuple(s.name)
             if key not in best or s.log_prob > best[key].log_prob:

@@ -25,7 +25,6 @@ from .tensorcore import (
     constant,
     conv1d_narrow,
     gru_step,
-    index_last,
     l2_normalize,
     log,
     matmul,
@@ -46,44 +45,38 @@ LOSS_FLOOR = 1e-12
 
 
 @dataclass
-class SimpleStateParams:
-    """Parameters of the lightweight two-token state variant."""
-
-    G: Tensor  # (|V|, D) embedding table, separate from E
-    W: Tensor  # (k2, D, 2) mixing tensor over the last two tokens
-
-
-@dataclass
 class ModelParams:
-    """All trainable tensors of the summarizer."""
+    """All trainable tensors of the summarizer.
+
+    The copy head (``K_copy``, ``K_lambda``) exists only for the copy
+    model; the conv model holds ``None`` there.
+    """
 
     E: Tensor          # (|V|, D) shared subtoken embeddings
     K_l1: Tensor       # (D, w1, k1)
     K_l2: Tensor       # (k1, w2, k2)
     K_att: Tensor      # (k2, w3, 1)
-    K_copy: Tensor     # (k2, w3, 1)
-    K_lambda: Tensor   # (k2, w3, 1)
+    K_copy: Tensor | None    # (k2, w3, 1)
+    K_lambda: Tensor | None  # (k2, w3, 1)
     gru: GruParams
     b: Tensor          # (|V|,) output bias
     h_init: Tensor     # (k2,) first decoder state
     prelu_a1: Tensor   # scalar leak of the convolution nonlinearity
-    simple_state: SimpleStateParams | None = None
 
     def named_tensors(self) -> Iterator[tuple[str, Tensor]]:
         yield "E", self.E
         yield "K_l1", self.K_l1
         yield "K_l2", self.K_l2
         yield "K_att", self.K_att
-        yield "K_copy", self.K_copy
-        yield "K_lambda", self.K_lambda
+        if self.K_copy is not None:
+            yield "K_copy", self.K_copy
+        if self.K_lambda is not None:
+            yield "K_lambda", self.K_lambda
         for name, t in self.gru.named_tensors():
             yield f"gru.{name}", t
         yield "b", self.b
         yield "h_init", self.h_init
         yield "prelu_a1", self.prelu_a1
-        if self.simple_state is not None:
-            yield "simple.G", self.simple_state.G
-            yield "simple.W", self.simple_state.W
 
     @property
     def dims(self) -> tuple[int, int, int, int, int, int]:
@@ -101,7 +94,7 @@ class ModelParams:
             raise DimensionMismatch("K_l2 input channels disagree with K_l1 output")
         for name in ("K_att", "K_copy", "K_lambda"):
             k = getattr(self, name)
-            if k.shape != (k2, w3, 1):
+            if k is not None and k.shape != (k2, w3, 1):
                 raise DimensionMismatch(f"{name} has shape {k.shape}, expected {(k2, w3, 1)}")
         if self.b.shape != (self.E.shape[0],):
             raise DimensionMismatch("bias length differs from vocabulary size")
@@ -203,6 +196,8 @@ def conv_attention_step(snippet: EncodedSnippet, h_prev: Tensor,
 def copy_attention_step(snippet: EncodedSnippet, h_prev: Tensor,
                         p: ModelParams) -> StepOutput:
     """Attention step with the copy head and its meta-attention gate."""
+    if p.K_copy is None or p.K_lambda is None:
+        raise VariantDisabled("copy head parameters are not present")
     l_feat = attention_features(snippet, h_prev, p)
     alpha = attention_weights(l_feat, p.K_att)
     kappa = attention_weights(l_feat, p.K_copy)
@@ -302,14 +297,3 @@ def next_state(p: ModelParams, h_prev: Tensor, *, token_id: int,
     else:
         x = reshape(rows(p.E, np.array([token_id], dtype=np.intp)), (p.E.shape[1],))
     return gru_step(x, h_prev, p.gru)
-
-
-def simple_state(p: ModelParams, prev1_id: int, prev2_id: int) -> Tensor:
-    """State from the last two emitted tokens only: W x [G_prev1, G_prev2]."""
-    if p.simple_state is None:
-        raise VariantDisabled("simple-state parameters are not present")
-    ss = p.simple_state
-    d = ss.G.shape[1]
-    g1 = reshape(rows(ss.G, np.array([prev1_id], dtype=np.intp)), (d,))
-    g2 = reshape(rows(ss.G, np.array([prev2_id], dtype=np.intp)), (d,))
-    return matmul(index_last(ss.W, 0), g1) + matmul(index_last(ss.W, 1), g2)

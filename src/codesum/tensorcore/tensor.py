@@ -286,20 +286,6 @@ def rows(table: Tensor, ids: Iterable[int]) -> Tensor:
     return _make(table.data[idx], (table,), backward)
 
 
-def index_last(a: Tensor, k: int) -> Tensor:
-    """Slice ``a[..., k]`` of a 3-D tensor."""
-    if a.ndim != 3:
-        raise DimensionMismatch("index_last expects a 3-D tensor")
-
-    def backward(g):
-        if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            ga[..., k] = g
-            a._accumulate(ga)
-
-    return _make(a.data[..., k], (a,), backward)
-
-
 # -- nonlinearities -----------------------------------------------------------
 
 def sigmoid(a: Tensor) -> Tensor:

@@ -29,11 +29,9 @@ from .errors import EmptyTrainingSet, NonFiniteGradient
 from .model import (
     EncodedSnippet,
     ModelParams,
-    SimpleStateParams,
     StepOutput,
     encode_snippet,
     next_state,
-    simple_state,
     step_fn,
     step_loss,
 )
@@ -75,7 +73,7 @@ class TrainConfig:
     min_count: int = 2
     eval_every: int = 1
     stop_exact_at_1: float | None = None
-    state_kind: str = "gru"       # or "simple"
+    state_kind: str = "gru"       # the GRU is the only decoder state
 
     def validate(self) -> None:
         if self.model_kind not in MODEL_KINDS:
@@ -89,8 +87,8 @@ class TrainConfig:
             raise ValueError("clip_norm must be positive")
         if self.minibatch < 1 or self.epochs < 0 or self.patience < 1:
             raise ValueError("bad schedule values")
-        if self.state_kind not in ("gru", "simple"):
-            raise ValueError("state_kind must be 'gru' or 'simple'")
+        if self.state_kind != "gru":
+            raise ValueError("state_kind must be 'gru'")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -133,12 +131,14 @@ def init_params(cfg: TrainConfig, vocab: Vocabulary,
                 rng: np.random.Generator | None = None) -> ModelParams:
     """Normal noise around zero everywhere, except the output bias,
     which starts at the log empirical frequency of each target id
-    (add-one smoothed so every entry is finite)."""
+    (add-one smoothed so every entry is finite).  Only the copy model
+    gets a copy head."""
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     if name_counts is None:
         name_counts = Counter()
     v, d, k1, k2 = len(vocab), cfg.D, cfg.k1, cfg.k2
+    copy = cfg.model_kind == "copy_attention"
 
     def noise(*shape) -> Tensor:
         return Tensor(rng.normal(0.0, INIT_SIGMA, size=shape), requires_grad=True)
@@ -155,21 +155,17 @@ def init_params(cfg: TrainConfig, vocab: Vocabulary,
         W_xc=noise(d, k2), W_hc=noise(k2, k2),
         b_r=noise(k2), b_u=noise(k2), b_c=noise(k2),
     )
-    simple = None
-    if cfg.state_kind == "simple":
-        simple = SimpleStateParams(G=noise(v, d), W=noise(k2, d, 2))
     params = ModelParams(
         E=noise(v, d),
         K_l1=noise(d, cfg.w1, k1),
         K_l2=noise(k1, cfg.w2, k2),
         K_att=noise(k2, cfg.w3, 1),
-        K_copy=noise(k2, cfg.w3, 1),
-        K_lambda=noise(k2, cfg.w3, 1),
+        K_copy=noise(k2, cfg.w3, 1) if copy else None,
+        K_lambda=noise(k2, cfg.w3, 1) if copy else None,
         gru=gru,
         b=Tensor(b, requires_grad=True),
         h_init=noise(k2),
         prelu_a1=Tensor(PRELU_INIT, requires_grad=True),
-        simple_state=simple,
     )
     params.validate()
     return params
@@ -238,21 +234,18 @@ def masked_view(params: ModelParams, rate: float, rng: np.random.Generator) -> M
     """
     scale = 1.0 / (1.0 - rate)
 
-    def drop(t: Tensor) -> Tensor:
+    def drop(t: Tensor | None) -> Tensor | None:
+        if t is None:
+            return None
         mask = (rng.random(t.shape) >= rate).astype(t.data.dtype) * scale
         return t * mask
 
     gru = GruParams(**{name: drop(t) for name, t in params.gru.named_tensors()})
-    simple = None
-    if params.simple_state is not None:
-        simple = SimpleStateParams(G=drop(params.simple_state.G),
-                                   W=drop(params.simple_state.W))
     return ModelParams(
         E=drop(params.E), K_l1=drop(params.K_l1), K_l2=drop(params.K_l2),
         K_att=drop(params.K_att), K_copy=drop(params.K_copy),
         K_lambda=drop(params.K_lambda), gru=gru, b=drop(params.b),
         h_init=drop(params.h_init), prelu_a1=drop(params.prelu_a1),
-        simple_state=simple,
     )
 
 
@@ -266,24 +259,15 @@ def example_loss(params: ModelParams, snippet: EncodedSnippet,
     step = step_fn(cfg.model_kind)
     targets = [*name, NAME_END]
     total: Tensor | None = None
-    if cfg.state_kind == "simple":
-        prev1 = prev2 = vocab.name_start_id
-        h = simple_state(params, prev1, prev2)
-    else:
-        h = params.h_init
+    h = params.h_init
     for t, target in enumerate(targets):
         out: StepOutput = step(snippet, h, params)
         loss = step_loss(out, target, snippet, vocab)
         total = loss if total is None else total + loss
         if t + 1 < len(targets):
-            tid = vocab.id(target)
-            if cfg.state_kind == "simple":
-                prev1, prev2 = tid, prev1
-                h = simple_state(params, prev1, prev2)
-            else:
-                h = next_state(params, h, token_id=tid, nhat=out.nhat,
-                               dropout_rate=cfg.dropout_rate if rng is not None else 0.0,
-                               rng=rng)
+            h = next_state(params, h, token_id=vocab.id(target), nhat=out.nhat,
+                           dropout_rate=cfg.dropout_rate if rng is not None else 0.0,
+                           rng=rng)
     return total
 
 
@@ -349,8 +333,7 @@ def train(train_examples: Sequence[MethodExample],
         f1s, exacts = [], []
         for snippet, name in valid_encoded:
             suggestions = suggest(snippet, params, vocab, k=5,
-                                  model_kind=cfg.model_kind,
-                                  state_kind=cfg.state_kind)
+                                  model_kind=cfg.model_kind)
             ranked = [s.name for s in suggestions]
             scores = score_suggestions(ranked, name)
             f1s.append(scores["f1_at_5"])
@@ -367,7 +350,7 @@ def train(train_examples: Sequence[MethodExample],
         window_count = 0
         epoch_nll = 0.0
         counted = 0
-        for pos, idx in enumerate(order):
+        for idx in order:
             snippet, name = encoded[idx]
             view = params
             if cfg.dropout_rate > 0.0:
@@ -376,8 +359,6 @@ def train(train_examples: Sequence[MethodExample],
             if not np.isfinite(float(loss.data)):
                 skipped += 1
                 continue
-            epoch_nll += float(loss.data)
-            counted += 1
             for _, t in params.named_tensors():
                 t.zero_grad()
             loss.backward()
@@ -385,20 +366,24 @@ def train(train_examples: Sequence[MethodExample],
             if any(not np.all(np.isfinite(g)) for g in grads.values()):
                 skipped += 1
                 continue
+            epoch_nll += float(loss.data)
+            counted += 1
             for gname, g in grads.items():
                 if gname in window:
                     window[gname] += g
                 else:
                     window[gname] = g
             window_count += 1
-            if window_count >= cfg.minibatch or pos == len(order) - 1:
+            if window_count >= cfg.minibatch:
                 sgd_update(params, window, opt_state, cfg)
                 window = {}
                 window_count = 0
+        if window_count:
+            sgd_update(params, window, opt_state, cfg)
 
         entry: dict = {
             "epoch": epoch,
-            "train_nll": epoch_nll / max(counted, 1),
+            "train_nll": epoch_nll / counted if counted else None,
             "valid_f1_at_5": None,
             "valid_exact_at_1": None,
             "seconds": None,

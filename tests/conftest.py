@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from codesum.corpus.vocabulary import SPECIAL_TOKENS, Vocabulary
-from codesum.model import EncodedSnippet, ModelParams, SimpleStateParams
+from codesum.model import EncodedSnippet, ModelParams
 from codesum.tensorcore import GruParams, Tensor
 
 
@@ -17,7 +17,7 @@ def make_vocab(tokens: list[str]) -> Vocabulary:
 def make_params(vocab_size: int, d: int = 2, k1: int = 2, k2: int = 2,
                 w1: int = 1, w2: int = 1, w3: int = 1,
                 rng: np.random.Generator | None = None,
-                scale: float = 0.3, simple: bool = False) -> ModelParams:
+                scale: float = 0.3) -> ModelParams:
     """Random small parameters with every tensor trainable."""
     if rng is None:
         rng = np.random.default_rng(0)
@@ -33,7 +33,6 @@ def make_params(vocab_size: int, d: int = 2, k1: int = 2, k2: int = 2,
         K_att=t(k2, w3, 1), K_copy=t(k2, w3, 1), K_lambda=t(k2, w3, 1),
         gru=gru, b=t(vocab_size), h_init=t(k2),
         prelu_a1=Tensor(0.25, requires_grad=True),
-        simple_state=SimpleStateParams(G=t(vocab_size, d), W=t(k2, d, 2)) if simple else None,
     )
     params.validate()
     return params

@@ -1,12 +1,14 @@
 """Bit-exact checkpoint round-trips and the corruption error surface."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import make_params, make_vocab
 from codesum.checkpoint import MAGIC, VERSION, load, save
+from codesum.decoder import suggest
 from codesum.errors import (
     BadMagic,
     CheckpointError,
@@ -14,6 +16,7 @@ from codesum.errors import (
     TruncatedPayload,
     UnsupportedVersion,
 )
+from codesum.model import encode_snippet
 from codesum.trainer import preset
 
 
@@ -21,9 +24,9 @@ def cfg():
     return preset("copy_attention", D=3, k1=2, k2=2, w1=1, w2=1, w3=1, epochs=1)
 
 
-def write_checkpoint(tmp_path, dtype=np.float64, simple=False):
+def write_checkpoint(tmp_path, dtype=np.float64):
     rng = np.random.default_rng(7)
-    params = make_params(9, d=3, k1=2, k2=2, rng=rng, simple=simple)
+    params = make_params(9, d=3, k1=2, k2=2, rng=rng)
     if dtype is not np.float64:
         for _, t in params.named_tensors():
             t.data = t.data.astype(dtype)
@@ -60,12 +63,6 @@ class TestRoundTrip:
         assert loaded_vocab == vocab
         assert loaded_cfg == cfg()
 
-    def test_simple_state_tensors_round_trip(self, tmp_path):
-        params, _, path = write_checkpoint(tmp_path, simple=True)
-        loaded, _, _ = load(path)
-        assert loaded.simple_state is not None
-        assert np.array_equal(loaded.simple_state.G.data, params.simple_state.G.data)
-
     def test_loaded_params_are_trainable(self, tmp_path):
         _, _, path = write_checkpoint(tmp_path)
         loaded, _, _ = load(path)
@@ -80,7 +77,7 @@ class TestRoundTrip:
         _, _, path = write_checkpoint(tmp_path)
         blob = path.read_bytes()
         assert blob[:8] == b"CODESUM1" == MAGIC
-        assert int.from_bytes(blob[8:12], "little") == VERSION == 3
+        assert int.from_bytes(blob[8:12], "little") == VERSION == 4
         manifest_len = int.from_bytes(blob[12:20], "little")
         manifest = json.loads(blob[20:20 + manifest_len])
         assert set(manifest) == {"config", "vocabulary", "tensors"}
@@ -114,6 +111,36 @@ class TestRoundTrip:
         for name, t in v2.named_tensors():
             assert v1_tensors[name].data.tobytes() == t.data.tobytes()
         assert (v1_vocab, v1_cfg) == (v2_vocab, v2_cfg) == (vocab, cfg())
+
+    def test_version_3_conv_file_loads_without_copy_head(self, tmp_path):
+        # Version 3 conv files carry a copy head the conv model never reads.
+        params = make_params(9, d=3, k1=2, k2=2, rng=np.random.default_rng(7))
+        vocab = make_vocab(["a", "b"])
+        conv_cfg = preset("conv_attention", D=3, k1=2, k2=2, w1=1, w2=1, w3=1,
+                          epochs=1)
+        v3_path = tmp_path / "v3.ckpt"
+        save(params, vocab, conv_cfg, v3_path)
+        _, manifest, payload = read_parts(v3_path)
+        assert {"K_copy", "K_lambda"} <= {e["name"] for e in manifest["tensors"]}
+        write_parts(v3_path, 3, manifest, payload)
+        v4_path = tmp_path / "v4.ckpt"
+        save(replace(params, K_copy=None, K_lambda=None), vocab, conv_cfg, v4_path)
+
+        v3, _, v3_cfg = load(v3_path)
+        v4, _, _ = load(v4_path)
+        assert v3.K_copy is None and v3.K_lambda is None and v3_cfg == conv_cfg
+        v3_tensors = dict(v3.named_tensors())
+        assert list(v3_tensors) == [name for name, _ in v4.named_tensors()]
+        for name, t in v4.named_tensors():
+            assert v3_tensors[name].data.tobytes() == t.data.tobytes()
+
+        snippet = encode_snippet(["a", "b", "zz"], vocab)
+
+        def ranked(p):
+            return [(s.name, s.log_prob) for s in
+                    suggest(snippet, p, vocab, k=5, model_kind="conv_attention")]
+
+        assert ranked(v3) == ranked(params) != []
 
 
 class TestCorruption:
@@ -149,15 +176,23 @@ class TestCorruption:
             load(path)
 
     def test_manifest_missing_tensor(self, tmp_path):
+        # The copy model's file must carry its copy head.
         _, _, path = write_checkpoint(tmp_path)
-        blob = path.read_bytes()
-        manifest_len = int.from_bytes(blob[12:20], "little")
-        manifest = json.loads(blob[20:20 + manifest_len])
-        manifest["tensors"] = [t for t in manifest["tensors"] if t["name"] != "E"]
-        new_manifest = json.dumps(manifest).encode()
-        path.write_bytes(blob[:12] + len(new_manifest).to_bytes(8, "little")
-                         + new_manifest + blob[20 + manifest_len:])
-        with pytest.raises(CorruptManifest):
+        version, manifest, payload = read_parts(path)
+        for missing in ("E", "K_copy", "K_lambda"):
+            kept = [t for t in manifest["tensors"] if t["name"] != missing]
+            write_parts(path, version, {**manifest, "tensors": kept}, payload)
+            with pytest.raises(CorruptManifest, match=missing):
+                load(path)
+
+    @pytest.mark.parametrize("key, value", [("model_kind", "bogus"),
+                                            ("state_kind", "simple")])
+    def test_invalid_stored_config(self, tmp_path, key, value):
+        _, _, path = write_checkpoint(tmp_path)
+        version, manifest, payload = read_parts(path)
+        manifest["config"][key] = value
+        write_parts(path, version, manifest, payload)
+        with pytest.raises(CorruptManifest, match=key):
             load(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

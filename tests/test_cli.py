@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -180,6 +181,15 @@ class TestTrainCommand:
         last = capsys.readouterr().out.strip().splitlines()[-1]
         assert re.fullmatch(r"checkpoint: \S+ \(best epoch \d+, skipped examples 0\)", last)
 
+    def test_state_flag_is_rejected(self, tmp_path, capsys):
+        ckpt = tmp_path / "c.ckpt"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", str(tmp_path / "d.jsonl"), "--model", "copy",
+                  "--out", str(ckpt), "--state", "simple"])
+        assert exc.value.code == 2
+        assert "--state" in capsys.readouterr().err
+        assert not ckpt.exists()
+
 
 class TestEvaluateCommand:
     def test_report_json(self, java_project, tmp_path, capsys):
@@ -225,13 +235,24 @@ class TestEvaluateCommand:
         bad.write_bytes(b"NOTMAGIC" + b"\x00" * 40)
         assert main(["evaluate", "--ckpt", str(bad), "--data", str(data)]) == 2
 
-        # A well-formed file whose embedding table holds a NaN.
         params, vocab, cfg = checkpoint.load(train_tiny(data, tmp_path))
+        snippet = tmp_path / "snippet.java"
+        snippet.write_text("{ return width; }")
+        # Well-formed files whose stored config does not validate: an
+        # unknown model kind, and the removed simple-state variant.
+        for key, value in (("model_kind", "bogus"), ("state_kind", "simple")):
+            bad_cfg = tmp_path / f"{key}.ckpt"
+            checkpoint.save(params, vocab, replace(cfg, **{key: value}), bad_cfg)
+            capsys.readouterr()
+            assert main(["evaluate", "--ckpt", str(bad_cfg), "--data", str(data)]) == 2
+            assert main(["suggest", "--ckpt", str(bad_cfg), "--snippet", str(snippet)]) == 2
+            err = capsys.readouterr().err
+            assert "internal error" not in err and key in err
+
+        # A well-formed file whose embedding table holds a NaN.
         params.E.data[0, 0] = np.nan
         nan_ckpt = tmp_path / "nan.ckpt"
         checkpoint.save(params, vocab, cfg, nan_ckpt)
-        snippet = tmp_path / "snippet.java"
-        snippet.write_text("{ return width; }")
         capsys.readouterr()
         assert main(["evaluate", "--ckpt", str(nan_ckpt), "--data", str(data)]) == 2
         assert main(["suggest", "--ckpt", str(nan_ckpt), "--snippet", str(snippet)]) == 2

@@ -68,8 +68,7 @@ class TestExpand:
         vocab, params, snippet = tiny_setup(rng)
         out = copy_attention_step(snippet, params.h_init, params)
         merged = merged_distribution(out, snippet, vocab)
-        root = PartialSuggestion(subtokens=(), log_prob=-1.5, state=params.h_init,
-                                 history=(0, 0))
+        root = PartialSuggestion(subtokens=(), log_prob=-1.5, state=params.h_init)
         children, completed = expand(root, out, snippet, params, vocab,
                                      SearchLimits(successors=10_000))
         for child in children:
@@ -83,8 +82,7 @@ class TestExpand:
         out = copy_attention_step(snippet, params.h_init, params)
         merged = merged_distribution(out, snippet, vocab)
         best_tok = max(sorted(merged), key=lambda t: merged[t])
-        root = PartialSuggestion(subtokens=(), log_prob=0.0, state=params.h_init,
-                                 history=(0, 0))
+        root = PartialSuggestion(subtokens=(), log_prob=0.0, state=params.h_init)
         children, completed = expand(root, out, snippet, params, vocab,
                                      SearchLimits(successors=1))
         assert len(children) + len(completed) <= 1
@@ -96,7 +94,7 @@ class TestExpand:
         out = copy_attention_step(snippet, params.h_init, params)
         merged = merged_distribution(out, snippet, vocab)
         root = PartialSuggestion(subtokens=("x",), log_prob=0.0,
-                                 state=params.h_init, history=(0, 0))
+                                 state=params.h_init)
         a = expand(root, out, snippet, params, vocab,
                    SearchLimits(successors=len(merged)))
         b = expand(root, out, snippet, params, vocab,
@@ -107,8 +105,7 @@ class TestExpand:
     def test_empty_name_completion_dropped(self, rng):
         vocab, params, snippet = tiny_setup(rng)
         out = copy_attention_step(snippet, params.h_init, params)
-        root = PartialSuggestion(subtokens=(), log_prob=0.0, state=params.h_init,
-                                 history=(0, 0))
+        root = PartialSuggestion(subtokens=(), log_prob=0.0, state=params.h_init)
         _, completed = expand(root, out, snippet, params, vocab,
                               SearchLimits(successors=10_000))
         assert completed == []
@@ -118,7 +115,7 @@ class TestExpand:
         out = copy_attention_step(snippet, params.h_init, params)
         long_prefix = tuple("t" for _ in range(10))
         partial = PartialSuggestion(subtokens=long_prefix, log_prob=-1.0,
-                                    state=params.h_init, history=(0, 0))
+                                    state=params.h_init)
         children, completed = expand(partial, out, snippet, params, vocab,
                                      SearchLimits(successors=10_000, max_name_len=10))
         assert children == []
@@ -188,15 +185,6 @@ class TestSuggest:
         a = suggest(snippet, params, vocab, k=5)
         b = suggest(snippet, params, vocab, k=5)
         assert [(s.name, s.log_prob) for s in a] == [(s.name, s.log_prob) for s in b]
-
-    def test_simple_state_decoding(self, rng):
-        vocab = make_vocab(["a"])
-        params = make_params(len(vocab), d=3, k1=2, k2=2, w1=2, w2=1, w3=2,
-                             rng=rng, simple=True)
-        snippet = encode_snippet(["a", "a"], vocab)
-        out = suggest(snippet, params, vocab, k=3, state_kind="simple")
-        assert out
-        assert all(s.name for s in out)
 
 
 class TestBeamEqualsExhaustive:

@@ -1,6 +1,7 @@
 """Model behavior: attention features, both step kinds, loss, states."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from codesum.model import (
     merged_distribution,
     next_state,
     padding_split,
-    simple_state,
     step_loss,
     step_loss_from_ids,
 )
@@ -174,12 +174,17 @@ class TestCopyStep:
 
     def test_merged_without_copy_head(self, rng):
         vocab = make_vocab(["a"])
-        p = make_params(len(vocab), rng=rng)
+        p = replace(make_params(len(vocab), rng=rng), K_copy=None, K_lambda=None)
         sn = encode_snippet(["a"], vocab)
         out = conv_attention_step(sn, p.h_init, p)
         merged = merged_distribution(out, sn, vocab)
         assert sum(merged.values()) == pytest.approx(1.0)
         assert set(merged) == set(vocab.id_to_token)
+
+    def test_missing_copy_head_raises(self, rng):
+        p = replace(make_params(9, rng=rng), K_copy=None, K_lambda=None)
+        with pytest.raises(VariantDisabled):
+            copy_attention_step(make_snippet([1, 2, 3]), p.h_init, p)
 
 
 class TestStepLoss:
@@ -285,40 +290,6 @@ class TestNextState:
                               dropout_rate=0.0, rng=np.random.default_rng(0))
         h_plain = next_state(p, p.h_init, token_id=2)
         np.testing.assert_allclose(h_forced.data, h_plain.data)
-
-
-class TestSimpleState:
-    def test_disabled_raises(self, rng):
-        p = make_params(9, rng=rng)
-        with pytest.raises(VariantDisabled):
-            simple_state(p, 1, 2)
-
-    def test_zero_mixing_gives_zero(self, rng):
-        p = make_params(9, rng=rng, simple=True)
-        p.simple_state.W.data[:] = 0.0
-        h = simple_state(p, 3, 4)
-        np.testing.assert_allclose(h.data, 0.0)
-
-    def test_matches_double_loop(self, rng):
-        p = make_params(9, d=3, k2=2, rng=rng, simple=True)
-        g = p.simple_state.G.data
-        w = p.simple_state.W.data
-        h = simple_state(p, 2, 7).data
-        expected = np.zeros(2)
-        for j in range(2):
-            for dd in range(3):
-                expected[j] += w[j, dd, 0] * g[2, dd] + w[j, dd, 1] * g[7, dd]
-        np.testing.assert_allclose(h, expected, atol=1e-12)
-
-    def test_gradient(self, rng):
-        p = make_params(7, d=2, k2=2, rng=rng, simple=True)
-
-        def build():
-            from codesum.tensorcore import constant, mul, tsum
-
-            return tsum(mul(simple_state(p, 1, 0), constant(np.array([1.0, -1.0]))))
-
-        gradient_check(build, {"G": p.simple_state.G, "W": p.simple_state.W})
 
 
 def test_encode_snippet_adds_sentinels():

@@ -60,6 +60,8 @@ class TestPresets:
             preset("copy_attention", dropout_rate=1.0)
         with pytest.raises(ValueError):
             preset("copy_attention", clip_norm=0.0)
+        with pytest.raises(ValueError):
+            preset("copy_attention", state_kind="simple")
 
 
 class TestInitParams:
@@ -267,16 +269,19 @@ class TestTraining:
         l2 = float(example_loss(params, sn, examples[0].name, vocab, cfg).data)
         assert l1 == l2
 
-    def test_every_parameter_gets_a_gradient(self):
+    @pytest.mark.parametrize("model_kind", ["conv_attention", "copy_attention"])
+    def test_every_parameter_gets_a_gradient(self, model_kind):
         # A tensor the forward pass never reads would keep a zero gradient
         # yet still cost a dropout mask, optimizer buffers and a checkpoint slot.
         examples = self.corpus(3)
         vocab = build_vocabulary(examples, min_count=1)
-        cfg = tiny_cfg()
+        cfg = tiny_cfg(model_kind=model_kind)
         params = init_params(cfg, vocab, target_counts(examples))
         sn = encode_snippet(examples[0].body, vocab)
         example_loss(params, sn, examples[0].name, vocab, cfg).backward()
-        for name, t in params.named_tensors():
+        named = list(params.named_tensors())
+        assert len(named) == {"conv_attention": 16, "copy_attention": 18}[model_kind]
+        for name, t in named:
             assert t.grad is not None and np.any(t.grad != 0.0), name
 
     def test_nonfinite_loss_is_skipped_and_counted(self, monkeypatch):
@@ -316,6 +321,43 @@ class TestTraining:
         for _, t in result.params.named_tensors():
             assert np.all(np.isfinite(t.data))
 
+    def test_skipped_last_example_still_flushes_the_window(self, monkeypatch):
+        import codesum.trainer as trainer_mod
+
+        real_loss = trainer_mod.example_loss
+        real_update = trainer_mod.sgd_update
+        losses, updates = [], []
+
+        def nan_for_last(*args, **kwargs):
+            losses.append(1)
+            loss = real_loss(*args, **kwargs)
+            return loss * math.nan if len(losses) == 6 else loss
+
+        def counting_update(*args):
+            updates.append(1)
+            real_update(*args)
+
+        monkeypatch.setattr(trainer_mod, "example_loss", nan_for_last)
+        monkeypatch.setattr(trainer_mod, "sgd_update", counting_update)
+        result = train(self.corpus(6), [], tiny_cfg(epochs=1, minibatch=4, eval_every=5))
+        assert result.skipped_examples == 1
+        assert len(updates) == 2  # one full window of 4, then the open window of 1
+
+    def test_epoch_with_no_applied_example_has_no_train_nll(self, monkeypatch):
+        import codesum.trainer as trainer_mod
+
+        real_collect = trainer_mod._collect_grads
+
+        def all_nan(params):
+            grads = real_collect(params)
+            grads["E"][0, 0] = np.nan
+            return grads
+
+        monkeypatch.setattr(trainer_mod, "_collect_grads", all_nan)
+        result = train(self.corpus(6), [], tiny_cfg(epochs=1, eval_every=5))
+        assert result.skipped_examples == 6
+        assert result.log[0]["train_nll"] is None
+
     def test_validation_early_stopping_runs(self):
         examples = self.corpus(9)
         cfg = tiny_cfg(epochs=4, eval_every=1, patience=2,
@@ -330,11 +372,3 @@ class TestTraining:
         entry = result.log[0]
         assert set(entry) == {"epoch", "train_nll", "valid_f1_at_5",
                               "valid_exact_at_1", "seconds"}
-
-    def test_simple_state_variant_trains(self):
-        examples = self.corpus(6)
-        cfg = tiny_cfg(epochs=2, state_kind="simple", eval_every=5)
-        result = train(examples, [], cfg)
-        assert result.params.simple_state is not None
-        nlls = [e["train_nll"] for e in result.log]
-        assert nlls[-1] < nlls[0]
