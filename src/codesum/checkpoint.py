@@ -21,6 +21,13 @@ still load: tensors that the model does not name are ignored, which drops
 as version 2, which is rejected like any unknown version.  A tensor with
 NaN or Inf entries, or a stored config that does not validate (such as
 one from the removed simple-state variant), is rejected as bad input.
+
+``model.param_shapes`` declares which tensors a file must hold and their
+shapes.  New files list them in that table's order (``gru.*`` first);
+older files listed ``E`` first.  Entries are read by name, so the order
+is not part of the format and ``VERSION`` stays 4.  A tensor whose shape
+disagrees with the stored config and vocabulary is rejected as a corrupt
+manifest.
 """
 
 from __future__ import annotations
@@ -40,8 +47,8 @@ from .errors import (
     TruncatedPayload,
     UnsupportedVersion,
 )
-from .model import ModelParams
-from .tensorcore import GruParams, Tensor
+from .model import ModelParams, param_shapes
+from .tensorcore import Tensor
 from .trainer import TrainConfig
 
 MAGIC = b"CODESUM1"
@@ -152,28 +159,15 @@ def load(path: str | Path) -> tuple[ModelParams, Vocabulary, TrainConfig]:
         cfg.validate()
     except (KeyError, TypeError, ValueError) as exc:
         raise _manifest_error(str(exc)) from exc
-    try:
-        params = _params_from_tensors(tensors, cfg.model_kind)
-    except KeyError as exc:
-        raise _manifest_error(f"missing tensor {exc}") from exc
-    return params, vocab, cfg
-
-
-def _params_from_tensors(tensors: dict[str, np.ndarray],
-                        model_kind: str) -> ModelParams:
-    def leaf(name: str) -> Tensor:
-        return Tensor(tensors[name], requires_grad=True)
-
-    gru = GruParams(
-        W_xr=leaf("gru.W_xr"), W_hr=leaf("gru.W_hr"),
-        W_xu=leaf("gru.W_xu"), W_hu=leaf("gru.W_hu"),
-        W_xc=leaf("gru.W_xc"), W_hc=leaf("gru.W_hc"),
-        b_r=leaf("gru.b_r"), b_u=leaf("gru.b_u"), b_c=leaf("gru.b_c"),
-    )
-    copy = model_kind == "copy_attention"
-    return ModelParams(
-        E=leaf("E"), K_l1=leaf("K_l1"), K_l2=leaf("K_l2"), K_att=leaf("K_att"),
-        K_copy=leaf("K_copy") if copy else None,
-        K_lambda=leaf("K_lambda") if copy else None,
-        gru=gru, b=leaf("b"), h_init=leaf("h_init"), prelu_a1=leaf("prelu_a1"),
-    )
+    copy = cfg.model_kind == "copy_attention"
+    named: dict[str, Tensor] = {}
+    for name, want in param_shapes(len(vocab), cfg.D, cfg.k1, cfg.k2,
+                                   cfg.w1, cfg.w2, cfg.w3, copy):
+        if name not in tensors:
+            raise _manifest_error(f"missing tensor {name!r}")
+        if tensors[name].shape != want:
+            raise _manifest_error(
+                f"tensor {name} has shape {tensors[name].shape}, expected {want} "
+                f"from the stored config and vocabulary")
+        named[name] = Tensor(tensors[name], requires_grad=True)
+    return ModelParams.from_named(named), vocab, cfg

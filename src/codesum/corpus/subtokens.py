@@ -67,7 +67,6 @@ def split_identifier(token: str) -> list[str]:
 
 
 _IDENT_START = re.compile(r"[A-Za-z_$]")
-_DIGIT_START = re.compile(r"[0-9.]")
 
 
 def body_token_to_subtokens(text: str, method_name: str | None = None) -> list[str]:
@@ -83,6 +82,4 @@ def body_token_to_subtokens(text: str, method_name: str | None = None) -> list[s
         return [STRING_TOKEN]
     if _IDENT_START.match(text):
         return split_identifier(text)
-    if _DIGIT_START.match(text):
-        return [text.lower()]
     return [text.lower()]

@@ -47,26 +47,6 @@ class Vocabulary:
 
     # frequently used special ids
     @property
-    def name_start_id(self) -> int:
-        return self.token_to_id[NAME_START]
-
-    @property
-    def name_end_id(self) -> int:
-        return self.token_to_id[NAME_END]
-
-    @property
-    def body_start_id(self) -> int:
-        return self.token_to_id[BODY_START]
-
-    @property
-    def body_end_id(self) -> int:
-        return self.token_to_id[BODY_END]
-
-    @property
-    def self_id(self) -> int:
-        return self.token_to_id[SELF]
-
-    @property
     def pad_id(self) -> int:
         return self.token_to_id[PAD]
 

@@ -71,14 +71,13 @@ def best_f1_suggestion(suggestions: Sequence[Sequence[str]], target: Sequence[st
 
 
 def oov_accuracy(suggestions: Sequence[Sequence[str]], target: Sequence[str],
-                 train_vocab: Vocabulary, k: int,
-                 positional: bool = False) -> float | None:
+                 train_vocab: Vocabulary, k: int) -> float | None:
     """Fraction of out-of-vocabulary target subtokens that the best-F1
     top-k suggestion produces.
 
     Returns None when the target has no OoV subtokens (the example is
-    then excluded from aggregation).  ``positional=True`` switches to
-    the stricter reading that also requires the right position.
+    then excluded from aggregation).  A hit needs the subtoken anywhere
+    in the suggestion, not in the target's position.
     """
     oov_positions = [i for i, tok in enumerate(target) if tok not in train_vocab]
     if not oov_positions:
@@ -86,10 +85,6 @@ def oov_accuracy(suggestions: Sequence[Sequence[str]], target: Sequence[str],
     chosen = best_f1_suggestion(suggestions, target, k)
     if chosen is None:
         return 0.0
-    if positional:
-        hits = sum(1 for i in oov_positions
-                   if i < len(chosen) and chosen[i] == target[i])
-        return hits / len(oov_positions)
     oov_counts = Counter(target[i] for i in oov_positions)
     chosen_counts = Counter(chosen)
     hits = sum(min(c, chosen_counts[tok]) for tok, c in oov_counts.items())

@@ -12,8 +12,8 @@ the full embedding table plus a frequency-initialized bias.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, fields
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -44,39 +44,60 @@ UNK_PENALTY = math.exp(-10.0)
 LOSS_FLOOR = 1e-12
 
 
+def param_shapes(v: int, d: int, k1: int, k2: int, w1: int, w2: int, w3: int,
+                 copy: bool) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every trainable tensor, for vocabulary size ``v``.
+
+    This table is the single declaration of the parameter set.  Its order
+    is part of the random-stream contract: initialization and parameter
+    dropout draw one array per entry in exactly this order.  Only the copy
+    model has a copy head (``K_copy``, ``K_lambda``).
+    """
+    table = [
+        ("gru.W_xr", (d, k2)), ("gru.W_hr", (k2, k2)),
+        ("gru.W_xu", (d, k2)), ("gru.W_hu", (k2, k2)),
+        ("gru.W_xc", (d, k2)), ("gru.W_hc", (k2, k2)),
+        ("gru.b_r", (k2,)), ("gru.b_u", (k2,)), ("gru.b_c", (k2,)),
+        ("E", (v, d)),                 # shared subtoken embeddings
+        ("K_l1", (d, w1, k1)),
+        ("K_l2", (k1, w2, k2)),
+        ("K_att", (k2, w3, 1)),
+    ]
+    if copy:
+        table += [("K_copy", (k2, w3, 1)), ("K_lambda", (k2, w3, 1))]
+    table += [
+        ("b", (v,)),                   # output bias
+        ("h_init", (k2,)),             # first decoder state
+        ("prelu_a1", ()),              # leak of the convolution nonlinearity
+    ]
+    return table
+
+
 @dataclass
 class ModelParams:
-    """All trainable tensors of the summarizer.
-
-    The copy head (``K_copy``, ``K_lambda``) exists only for the copy
-    model; the conv model holds ``None`` there.
+    """All trainable tensors of the summarizer; ``param_shapes`` lists
+    their names and shapes.  The conv model holds ``None`` for the copy
+    head.
     """
 
-    E: Tensor          # (|V|, D) shared subtoken embeddings
-    K_l1: Tensor       # (D, w1, k1)
-    K_l2: Tensor       # (k1, w2, k2)
-    K_att: Tensor      # (k2, w3, 1)
-    K_copy: Tensor | None    # (k2, w3, 1)
-    K_lambda: Tensor | None  # (k2, w3, 1)
+    E: Tensor
+    K_l1: Tensor
+    K_l2: Tensor
+    K_att: Tensor
+    K_copy: Tensor | None
+    K_lambda: Tensor | None
     gru: GruParams
-    b: Tensor          # (|V|,) output bias
-    h_init: Tensor     # (k2,) first decoder state
-    prelu_a1: Tensor   # scalar leak of the convolution nonlinearity
+    b: Tensor
+    h_init: Tensor
+    prelu_a1: Tensor
 
-    def named_tensors(self) -> Iterator[tuple[str, Tensor]]:
-        yield "E", self.E
-        yield "K_l1", self.K_l1
-        yield "K_l2", self.K_l2
-        yield "K_att", self.K_att
-        if self.K_copy is not None:
-            yield "K_copy", self.K_copy
-        if self.K_lambda is not None:
-            yield "K_lambda", self.K_lambda
-        for name, t in self.gru.named_tensors():
-            yield f"gru.{name}", t
-        yield "b", self.b
-        yield "h_init", self.h_init
-        yield "prelu_a1", self.prelu_a1
+    @classmethod
+    def from_named(cls, tensors: Mapping[str, Tensor]) -> "ModelParams":
+        """Inverse of ``named_tensors``: ``gru.*`` names fill the GRU."""
+        rest = dict(tensors)
+        gru = GruParams(**{f.name: rest.pop(f"gru.{f.name}") for f in fields(GruParams)})
+        return cls(gru=gru, K_copy=rest.pop("K_copy", None),
+                   K_lambda=rest.pop("K_lambda", None), **rest)
 
     @property
     def dims(self) -> tuple[int, int, int, int, int, int]:
@@ -86,23 +107,19 @@ class ModelParams:
         w3 = self.K_att.shape[1]
         return d, k1, k2, w1, w2, w3
 
+    def shapes(self) -> list[tuple[str, tuple[int, ...]]]:
+        """The ``param_shapes`` table these tensors should follow."""
+        return param_shapes(self.E.shape[0], *self.dims, copy=self.K_copy is not None)
+
+    def named_tensors(self) -> Iterator[tuple[str, Tensor]]:
+        for name, _ in self.shapes():
+            owner, _, attr = name.rpartition(".")
+            yield name, getattr(self.gru if owner else self, attr)
+
     def validate(self) -> None:
-        d, k1, k2, w1, w2, w3 = self.dims
-        if self.E.shape[1] != d:
-            raise DimensionMismatch(f"E columns {self.E.shape[1]} != K_l1 channels {d}")
-        if self.K_l2.shape[0] != k1:
-            raise DimensionMismatch("K_l2 input channels disagree with K_l1 output")
-        for name in ("K_att", "K_copy", "K_lambda"):
-            k = getattr(self, name)
-            if k is not None and k.shape != (k2, w3, 1):
-                raise DimensionMismatch(f"{name} has shape {k.shape}, expected {(k2, w3, 1)}")
-        if self.b.shape != (self.E.shape[0],):
-            raise DimensionMismatch("bias length differs from vocabulary size")
-        if self.h_init.shape != (k2,):
-            raise DimensionMismatch("h_init width differs from k2")
-        self.gru.validate()
-        if self.gru.W_xr.shape[0] != d or self.gru.W_hr.shape[0] != k2:
-            raise DimensionMismatch("GRU widths disagree with D/k2")
+        for (name, want), (_, t) in zip(self.shapes(), self.named_tensors()):
+            if t.shape != want:
+                raise DimensionMismatch(f"{name} has shape {t.shape}, expected {want}")
 
 
 @dataclass

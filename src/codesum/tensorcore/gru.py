@@ -30,13 +30,6 @@ class GruParams:
         for f in fields(self):
             yield f.name, getattr(self, f.name)
 
-    def validate(self) -> None:
-        d, k2 = self.W_xr.shape
-        for name, t in self.named_tensors():
-            want = (d, k2) if name.startswith("W_x") else (k2, k2) if name.startswith("W_h") else (k2,)
-            if t.shape != want:
-                raise DimensionMismatch(f"gru.{name} has shape {t.shape}, expected {want}")
-
 
 def gru_step(x: Tensor, h_prev: Tensor, p: GruParams) -> Tensor:
     """One GRU update: reset and update gates, candidate state, blend."""

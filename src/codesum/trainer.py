@@ -32,10 +32,11 @@ from .model import (
     StepOutput,
     encode_snippet,
     next_state,
+    param_shapes,
     step_fn,
     step_loss,
 )
-from .tensorcore import GruParams, Tensor
+from .tensorcore import Tensor
 
 MODEL_KINDS = ("conv_attention", "copy_attention")
 
@@ -129,44 +130,27 @@ def target_counts(examples: Iterable[MethodExample]) -> Counter[str]:
 def init_params(cfg: TrainConfig, vocab: Vocabulary,
                 name_counts: Counter[str] | None = None,
                 rng: np.random.Generator | None = None) -> ModelParams:
-    """Normal noise around zero everywhere, except the output bias,
-    which starts at the log empirical frequency of each target id
-    (add-one smoothed so every entry is finite).  Only the copy model
-    gets a copy head."""
+    """Normal noise around zero, drawn tensor by tensor in ``param_shapes``
+    order, except the output bias, which starts at the log empirical
+    frequency of each target id (add-one smoothed so every entry is
+    finite), and the PReLU leak.  Only the copy model gets a copy head."""
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     if name_counts is None:
         name_counts = Counter()
-    v, d, k1, k2 = len(vocab), cfg.D, cfg.k1, cfg.k2
-    copy = cfg.model_kind == "copy_attention"
-
-    def noise(*shape) -> Tensor:
-        return Tensor(rng.normal(0.0, INIT_SIGMA, size=shape), requires_grad=True)
-
+    v = len(vocab)
     id_counts = np.zeros(v)
     for tok, c in name_counts.items():
         id_counts[vocab.id(tok)] += c
-    total = id_counts.sum()
-    b = np.log((id_counts + 1.0) / (total + v))
-
-    gru = GruParams(
-        W_xr=noise(d, k2), W_hr=noise(k2, k2),
-        W_xu=noise(d, k2), W_hu=noise(k2, k2),
-        W_xc=noise(d, k2), W_hc=noise(k2, k2),
-        b_r=noise(k2), b_u=noise(k2), b_c=noise(k2),
-    )
-    params = ModelParams(
-        E=noise(v, d),
-        K_l1=noise(d, cfg.w1, k1),
-        K_l2=noise(k1, cfg.w2, k2),
-        K_att=noise(k2, cfg.w3, 1),
-        K_copy=noise(k2, cfg.w3, 1) if copy else None,
-        K_lambda=noise(k2, cfg.w3, 1) if copy else None,
-        gru=gru,
-        b=Tensor(b, requires_grad=True),
-        h_init=noise(k2),
-        prelu_a1=Tensor(PRELU_INIT, requires_grad=True),
-    )
+    fixed = {"b": np.log((id_counts + 1.0) / (id_counts.sum() + v)),
+             "prelu_a1": PRELU_INIT}
+    shapes = param_shapes(v, cfg.D, cfg.k1, cfg.k2, cfg.w1, cfg.w2, cfg.w3,
+                          copy=cfg.model_kind == "copy_attention")
+    params = ModelParams.from_named({
+        name: Tensor(fixed[name] if name in fixed else rng.normal(0.0, INIT_SIGMA, size=shape),
+                     requires_grad=True)
+        for name, shape in shapes
+    })
     params.validate()
     return params
 
@@ -233,20 +217,10 @@ def masked_view(params: ModelParams, rate: float, rng: np.random.Generator) -> M
     accumulating correctly.
     """
     scale = 1.0 / (1.0 - rate)
-
-    def drop(t: Tensor | None) -> Tensor | None:
-        if t is None:
-            return None
-        mask = (rng.random(t.shape) >= rate).astype(t.data.dtype) * scale
-        return t * mask
-
-    gru = GruParams(**{name: drop(t) for name, t in params.gru.named_tensors()})
-    return ModelParams(
-        E=drop(params.E), K_l1=drop(params.K_l1), K_l2=drop(params.K_l2),
-        K_att=drop(params.K_att), K_copy=drop(params.K_copy),
-        K_lambda=drop(params.K_lambda), gru=gru, b=drop(params.b),
-        h_init=drop(params.h_init), prelu_a1=drop(params.prelu_a1),
-    )
+    return ModelParams.from_named({
+        name: t * ((rng.random(t.shape) >= rate).astype(t.data.dtype) * scale)
+        for name, t in params.named_tensors()
+    })
 
 
 # -- training loop -----------------------------------------------------------------------
@@ -266,8 +240,7 @@ def example_loss(params: ModelParams, snippet: EncodedSnippet,
         total = loss if total is None else total + loss
         if t + 1 < len(targets):
             h = next_state(params, h, token_id=vocab.id(target), nhat=out.nhat,
-                           dropout_rate=cfg.dropout_rate if rng is not None else 0.0,
-                           rng=rng)
+                           dropout_rate=cfg.dropout_rate, rng=rng)
     return total
 
 

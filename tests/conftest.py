@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from codesum.corpus.vocabulary import SPECIAL_TOKENS, Vocabulary
-from codesum.model import EncodedSnippet, ModelParams
-from codesum.tensorcore import GruParams, Tensor
+from codesum.model import EncodedSnippet, ModelParams, param_shapes
+from codesum.tensorcore import Tensor
 
 
 def make_vocab(tokens: list[str]) -> Vocabulary:
@@ -21,19 +21,12 @@ def make_params(vocab_size: int, d: int = 2, k1: int = 2, k2: int = 2,
     """Random small parameters with every tensor trainable."""
     if rng is None:
         rng = np.random.default_rng(0)
-
-    def t(*shape):
-        return Tensor(rng.normal(0.0, scale, size=shape), requires_grad=True)
-
-    gru = GruParams(W_xr=t(d, k2), W_hr=t(k2, k2), W_xu=t(d, k2), W_hu=t(k2, k2),
-                    W_xc=t(d, k2), W_hc=t(k2, k2), b_r=t(k2), b_u=t(k2), b_c=t(k2))
-    params = ModelParams(
-        E=t(vocab_size, d),
-        K_l1=t(d, w1, k1), K_l2=t(k1, w2, k2),
-        K_att=t(k2, w3, 1), K_copy=t(k2, w3, 1), K_lambda=t(k2, w3, 1),
-        gru=gru, b=t(vocab_size), h_init=t(k2),
-        prelu_a1=Tensor(0.25, requires_grad=True),
-    )
+    shapes = param_shapes(vocab_size, d, k1, k2, w1, w2, w3, copy=True)
+    params = ModelParams.from_named({
+        name: Tensor(0.25 if name == "prelu_a1" else rng.normal(0.0, scale, size=shape),
+                     requires_grad=True)
+        for name, shape in shapes
+    })
     params.validate()
     return params
 

@@ -1,6 +1,7 @@
 """Bit-exact checkpoint round-trips and the corruption error surface."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -184,6 +185,24 @@ class TestCorruption:
             write_parts(path, version, {**manifest, "tensors": kept}, payload)
             with pytest.raises(CorruptManifest, match=missing):
                 load(path)
+
+    def test_short_embedding_table(self, tmp_path):
+        # E and b keep 5 of the vocabulary's 9 rows.
+        params, vocab, path = write_checkpoint(tmp_path)
+        params.E.data = params.E.data[:5]
+        params.b.data = params.b.data[:5]
+        save(params, vocab, cfg(), path)
+        with pytest.raises(CorruptManifest,
+                           match=re.escape("tensor E has shape (5, 3), expected (9, 3)")):
+            load(path)
+
+    def test_kernel_wider_than_stored_config(self, tmp_path):
+        params = make_params(9, d=3, k1=2, k2=2, w1=2, rng=np.random.default_rng(7))
+        path = tmp_path / "wide.ckpt"
+        save(params, make_vocab(["a", "b"]), cfg(), path)  # the config says w1=1
+        with pytest.raises(CorruptManifest,
+                           match=re.escape("tensor K_l1 has shape (3, 2, 2), expected (3, 1, 2)")):
+            load(path)
 
     @pytest.mark.parametrize("key, value", [("model_kind", "bogus"),
                                             ("state_kind", "simple")])

@@ -235,7 +235,8 @@ class TestEvaluateCommand:
         bad.write_bytes(b"NOTMAGIC" + b"\x00" * 40)
         assert main(["evaluate", "--ckpt", str(bad), "--data", str(data)]) == 2
 
-        params, vocab, cfg = checkpoint.load(train_tiny(data, tmp_path))
+        ckpt = train_tiny(data, tmp_path)
+        params, vocab, cfg = checkpoint.load(ckpt)
         snippet = tmp_path / "snippet.java"
         snippet.write_text("{ return width; }")
         # Well-formed files whose stored config does not validate: an
@@ -258,6 +259,17 @@ class TestEvaluateCommand:
         assert main(["suggest", "--ckpt", str(nan_ckpt), "--snippet", str(snippet)]) == 2
         err = capsys.readouterr().err
         assert "internal error" not in err and "tensor E " in err
+
+        # A well-formed file whose E and b keep 5 rows of a larger vocabulary.
+        params, vocab, cfg = checkpoint.load(ckpt)
+        params.E.data = params.E.data[:5]
+        params.b.data = params.b.data[:5]
+        short_ckpt = tmp_path / "short.ckpt"
+        checkpoint.save(params, vocab, cfg, short_ckpt)
+        assert main(["evaluate", "--ckpt", str(short_ckpt), "--data", str(data)]) == 2
+        assert main(["suggest", "--ckpt", str(short_ckpt), "--snippet", str(snippet)]) == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err and "tensor E has shape (5, " in err
 
     def test_per_example_csv(self, java_project, tmp_path, capsys):
         data = build_dataset(java_project, tmp_path)

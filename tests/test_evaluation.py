@@ -161,11 +161,10 @@ class TestOovAccuracy:
         assert oov_accuracy(suggestions, ["get", "zlib"], vocab, 5) == 1.0
         assert oov_accuracy(suggestions, ["get", "zlib"], vocab, 1) == 0.0
 
-    def test_positional_flag(self):
+    def test_oov_hit_in_any_position(self):
         vocab = self.vocab()
         sugg = [["zlib", "get"]]  # right token, wrong slot
         assert oov_accuracy(sugg, ["get", "zlib"], vocab, 1) == 1.0
-        assert oov_accuracy(sugg, ["get", "zlib"], vocab, 1, positional=True) == 0.0
 
     def test_empty_suggestions(self):
         assert oov_accuracy([], ["zlib"], self.vocab(), 5) == 0.0

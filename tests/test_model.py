@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_params, make_snippet, make_vocab
-from codesum.corpus.vocabulary import SPECIAL_TOKENS
+from codesum.corpus.vocabulary import BODY_END, BODY_START, SPECIAL_TOKENS
 from codesum.errors import DimensionMismatch, VariantDisabled
 from codesum.model import (
     LOSS_FLOOR,
@@ -296,7 +296,7 @@ def test_encode_snippet_adds_sentinels():
     vocab = make_vocab(["a"])
     sn = encode_snippet(["a", "zz"], vocab)
     assert sn.surface == ["<S>", "a", "zz", "</S>"]
-    assert sn.ids[0] == vocab.body_start_id
-    assert sn.ids[-1] == vocab.body_end_id
+    assert sn.ids[0] == vocab.id(BODY_START)
+    assert sn.ids[-1] == vocab.id(BODY_END)
     assert sn.ids[2] == vocab.unk_id
     assert len(SPECIAL_TOKENS) == 7

@@ -1,15 +1,18 @@
 """Initialization, the optimizer update, and training dynamics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from conftest import make_params
+from codesum.checkpoint import load, save
 from codesum.corpus.dataset import MethodExample
 from codesum.corpus.vocabulary import build_vocabulary
-from codesum.errors import EmptyTrainingSet, NonFiniteGradient
-from codesum.model import encode_snippet
+from codesum.errors import DimensionMismatch, EmptyTrainingSet, NonFiniteGradient
+from codesum.model import ModelParams, encode_snippet, param_shapes
+from codesum.tensorcore import Tensor
 from codesum.trainer import (
     INIT_SIGMA,
     OptimizerState,
@@ -113,6 +116,47 @@ class TestInitParams:
     def test_prelu_leaks_start_at_quarter(self):
         params = init_params(tiny_cfg(), self.vocab(), target_counts([]))
         assert float(params.prelu_a1.data) == 0.25
+
+    @pytest.mark.parametrize("model_kind", ["conv_attention", "copy_attention"])
+    def test_every_builder_follows_param_shapes(self, model_kind, tmp_path):
+        vocab = self.vocab()
+        # distinct sizes, so a transposed dimension cannot pass unnoticed
+        cfg = tiny_cfg(model_kind=model_kind, D=5, k1=4, k2=3, w1=6, w2=7, w3=2)
+        copy = model_kind == "copy_attention"
+        table = param_shapes(len(vocab), cfg.D, cfg.k1, cfg.k2, cfg.w1, cfg.w2,
+                             cfg.w3, copy)
+
+        def layout(p):
+            return [(name, t.shape) for name, t in p.named_tensors()]
+
+        params = init_params(cfg, vocab, target_counts([]), np.random.default_rng(3))
+        assert layout(params) == table
+        assert layout(masked_view(params, 0.5, np.random.default_rng(4))) == table
+        assert layout(make_params(len(vocab), cfg.D, cfg.k1, cfg.k2, cfg.w1, cfg.w2,
+                                  cfg.w3)) == param_shapes(
+            len(vocab), cfg.D, cfg.k1, cfg.k2, cfg.w1, cfg.w2, cfg.w3, copy=True)
+        save(params, vocab, cfg, tmp_path / "m.ckpt")
+        assert layout(load(tmp_path / "m.ckpt")[0]) == table
+
+        # Initialization and dropout draw one array per table entry, in order.
+        ref = np.random.default_rng(3)
+        for name, t in params.named_tensors():
+            if name not in ("b", "prelu_a1"):
+                want = ref.normal(0.0, INIT_SIGMA, size=t.shape)
+                assert t.data.tobytes() == want.tobytes(), name
+        view = masked_view(params, 0.5, np.random.default_rng(4))
+        ref = np.random.default_rng(4)
+        for (name, t), (_, dropped) in zip(params.named_tensors(), view.named_tensors()):
+            mask = (ref.random(t.shape) >= 0.5) * 2.0
+            assert dropped.data.tobytes() == (t.data * mask).tobytes(), name
+
+        for name, t in params.named_tensors():
+            if name in ("K_l1", "K_l2"):  # these define the dimensions
+                continue
+            bad = ModelParams.from_named(
+                {**dict(params.named_tensors()), name: Tensor(np.zeros(t.shape + (1,)))})
+            with pytest.raises(DimensionMismatch, match=f"^{re.escape(name)} has shape"):
+                bad.validate()
 
 
 class TestSgdUpdate:
