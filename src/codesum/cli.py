@@ -162,6 +162,13 @@ def _cmd_suggest(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="codesum",
@@ -198,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", choices=("tfidf",), default=None)
     p.add_argument("--shuffle-bodies", type=int, default=None, metavar="SEED",
                    help="permute body subtokens before scoring")
-    p.add_argument("-k", type=int, default=5)
+    p.add_argument("-k", type=_positive_int, default=5)
     p.add_argument("--out", help="write the report JSON here as well")
     p.add_argument("--per-example", help="write per-example metrics CSV")
     p.set_defaults(fn=_cmd_evaluate)
@@ -206,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suggest", help="suggest names for a snippet")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--snippet", required=True, help="file of Java body text, or - for stdin")
-    p.add_argument("-k", type=int, default=5)
+    p.add_argument("-k", type=_positive_int, default=5)
     p.add_argument("--viz", help="write an attention visualization HTML page")
     p.set_defaults(fn=_cmd_suggest)
     return parser

@@ -1,11 +1,11 @@
 """Hybrid breadth-first/beam search over sequential subtoken predictions.
 
-A max-heap holds partial names ranked by log-probability.  Each
-iteration pops the best partial, runs one model step on its state, and
-pushes the top successors back.  A partial whose log-probability falls
-below the current k-th best completed name is pruned (only once k names
-have completed).  The search stops after a fixed number of iterations
-or when the heap empties.
+A max-heap holds partial names ranked by log-probability.  The snippet
+is encoded once; each iteration pops the best partial, runs one model
+step on its state, and pushes the top successors back.  A partial whose
+log-probability falls below the current k-th best completed name is
+pruned, once k names have completed, and a child below it gets no state.
+The search stops after a fixed number of iterations or when the heap empties.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .model import (
     EncodedSnippet,
     ModelParams,
     StepOutput,
+    encode,
     merged_distribution,
     next_state,
     step_fn,
@@ -72,37 +73,41 @@ class Suggestion:
         return math.exp(self.log_prob)
 
 
-def _record(out: StepOutput, token: str) -> StepRecord:
-    return StepRecord(
-        token=token,
-        alpha=out.alpha.data.copy(),
-        kappa=out.kappa.data.copy() if out.kappa is not None else None,
-        lam=float(out.lam.data) if out.lam is not None else None,
-    )
-
-
 def expand(partial: PartialSuggestion, out: StepOutput,
            snippet: EncodedSnippet, params: ModelParams, vocab: Vocabulary,
-           limits: SearchLimits) -> tuple[list[PartialSuggestion], list[Suggestion]]:
+           limits: SearchLimits, bar: float | None = None,
+           ) -> tuple[list[PartialSuggestion], list[Suggestion]]:
     """Children of a partial, split into open prefixes and completions.
 
-    Successors are the highest-probability entries of the merged
-    distribution, at most ``limits.successors`` of them; each open
-    child's state advances in test mode.
+    Successors are the at most ``limits.successors`` most probable entries
+    of the merged distribution, ties broken by token string.  Each open
+    child's state advances in test mode, unless its log-probability is
+    below ``bar``, the search's k-th best completion: then it is dropped.
     """
     merged = merged_distribution(out, snippet, vocab)
-    ranked = sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))
+    probs, n = merged.probs, limits.successors
     if len(partial.subtokens) >= limits.max_name_len:
-        ranked = [(tok, pr) for tok, pr in ranked if tok == NAME_END]
-    ranked = ranked[:limits.successors]
+        candidates = [merged.index[NAME_END]]
+    elif 0 < n < len(probs):
+        # Every entry tied with the n-th largest competes for the cut.
+        nth = np.partition(probs, len(probs) - n)[len(probs) - n]
+        candidates = np.flatnonzero(probs >= nth).tolist()
+    else:
+        candidates = range(len(probs))
+    ranked = sorted(candidates, key=lambda i: (-probs[i], merged.tokens[i]))[:n]
 
+    # Siblings share one snapshot of the step's attention.
+    alpha = out.alpha.data.copy()
+    kappa = out.kappa.data.copy() if out.kappa is not None else None
+    lam = float(out.lam.data) if out.lam is not None else None
     children: list[PartialSuggestion] = []
     completed: list[Suggestion] = []
-    for token, prob in ranked:
+    for i in ranked:
+        token, prob = merged.tokens[i], float(probs[i])
         if prob <= 0.0:
             continue
         log_prob = partial.log_prob + math.log(max(prob, 1e-300))
-        record = _record(out, token)
+        record = StepRecord(token=token, alpha=alpha, kappa=kappa, lam=lam)
         if token == NAME_END:
             if partial.subtokens:  # empty names are meaningless output
                 completed.append(Suggestion(
@@ -110,6 +115,8 @@ def expand(partial: PartialSuggestion, out: StepOutput,
                     log_prob=log_prob,
                     steps=[*partial.steps, record],
                 ))
+            continue
+        if bar is not None and log_prob < bar:
             continue
         children.append(PartialSuggestion(
             subtokens=(*partial.subtokens, token),
@@ -137,6 +144,7 @@ def suggest(snippet: EncodedSnippet, params: ModelParams, vocab: Vocabulary,
     if limits is None:
         limits = SearchLimits()
     step = step_fn(model_kind)
+    encoded = encode(snippet, params)
     root = PartialSuggestion(subtokens=(), log_prob=0.0, state=params.h_init)
 
     counter = itertools.count()  # heap tie-breaker
@@ -155,8 +163,8 @@ def suggest(snippet: EncodedSnippet, params: ModelParams, vocab: Vocabulary,
         bar = kth_best()
         if bar is not None and partial.log_prob < bar:
             continue
-        out = step(snippet, partial.state, params)
-        children, completed = expand(partial, out, snippet, params, vocab, limits)
+        out = step(snippet, partial.state, params, encoded)
+        children, completed = expand(partial, out, snippet, params, vocab, limits, bar)
         for s in completed:
             key = tuple(s.name)
             if key not in best or s.log_prob > best[key].log_prob:

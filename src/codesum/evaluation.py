@@ -207,16 +207,14 @@ class TfIdfIndex:
                 self.postings.setdefault(tok, []).append((doc, w))
                 norms[doc] += w * w
         self.norms = np.sqrt(norms)
-        name_freq = Counter(self.names)
+        # most_common's sort is stable, so equal counts keep training order.
         self.fallback: list[tuple[str, ...]] = [
-            name for name, _ in sorted(
-                name_freq.items(),
-                key=lambda kv: (-kv[1], self.names.index(kv[0])),
-            )
-        ]
+            name for name, _ in Counter(self.names).most_common()]
 
     def suggest(self, body: Sequence[str], k: int) -> list[tuple[tuple[str, ...], float]]:
         """Top-k distinct neighbor names by cosine similarity."""
+        if k < 1:
+            raise ValueError("k must be >= 1")
         query = Counter(body)
         # Token order is canonical so that permuted bodies produce
         # bit-identical similarities (bag-of-words invariance).

@@ -12,6 +12,7 @@ the full embedding table plus a frequency-initialized bias.
 from __future__ import annotations
 
 import math
+from collections import ChainMap
 from dataclasses import dataclass, fields
 from typing import Iterator, Mapping
 
@@ -166,17 +167,10 @@ def padding_split(w1: int, w2: int, w3: int) -> tuple[int, int]:
     return math.ceil(total / 2), total - math.ceil(total / 2)
 
 
-def attention_features(snippet: EncodedSnippet, h_prev: Tensor, p: ModelParams) -> Tensor:
-    """Per-position attention features.
-
-    The padded embedding matrix goes through conv(K_l1) + PReLU, then
-    conv(K_l2) gated elementwise per position by the decoder state, and
-    finally whole-matrix L2 normalization.
-    """
-    _, _, k2, w1, w2, w3 = p.dims
-    if h_prev.shape != (k2,):
-        raise DimensionMismatch(f"state has shape {h_prev.shape}, expected ({k2},)")
-    left, right = padding_split(w1, w2, w3)
+def encode(snippet: EncodedSnippet, p: ModelParams) -> Tensor:
+    """conv(K_l2) over conv(K_l1) + PReLU of the padded embedding matrix:
+    the attention features before the decoder state gates them."""
+    left, right = padding_split(*p.dims[3:])
     padded = np.concatenate([
         np.full(left, snippet.pad_id, dtype=np.intp),
         snippet.ids,
@@ -184,8 +178,20 @@ def attention_features(snippet: EncodedSnippet, h_prev: Tensor, p: ModelParams) 
     ])
     c_emb = rows(p.E, padded)
     l1 = prelu(conv1d_narrow(c_emb, p.K_l1), p.prelu_a1)
-    l2 = conv1d_narrow(l1, p.K_l2) * h_prev
-    return l2_normalize(l2)
+    return conv1d_narrow(l1, p.K_l2)
+
+
+def attention_features(snippet: EncodedSnippet, h_prev: Tensor, p: ModelParams,
+                       encoded: Tensor | None = None) -> Tensor:
+    """Per-position attention features: ``encode(snippet, p)``, computed
+    here unless ``encoded`` is given, gated elementwise per position by the
+    decoder state, then L2-normalized as a whole matrix."""
+    k2 = p.dims[2]
+    if h_prev.shape != (k2,):
+        raise DimensionMismatch(f"state has shape {h_prev.shape}, expected ({k2},)")
+    if encoded is None:
+        encoded = encode(snippet, p)
+    return l2_normalize(encoded * h_prev)
 
 
 def attention_weights(l_feat: Tensor, kernel: Tensor) -> Tensor:
@@ -201,21 +207,21 @@ def _predict(snippet: EncodedSnippet, alpha: Tensor, p: ModelParams) -> tuple[Te
     return nhat, vocab_dist
 
 
-def conv_attention_step(snippet: EncodedSnippet, h_prev: Tensor,
-                        p: ModelParams) -> StepOutput:
+def conv_attention_step(snippet: EncodedSnippet, h_prev: Tensor, p: ModelParams,
+                        encoded: Tensor | None = None) -> StepOutput:
     """Vocabulary-only attention step."""
-    l_feat = attention_features(snippet, h_prev, p)
+    l_feat = attention_features(snippet, h_prev, p, encoded)
     alpha = attention_weights(l_feat, p.K_att)
     nhat, vocab_dist = _predict(snippet, alpha, p)
     return StepOutput(vocab_dist=vocab_dist, alpha=alpha, nhat=nhat)
 
 
-def copy_attention_step(snippet: EncodedSnippet, h_prev: Tensor,
-                        p: ModelParams) -> StepOutput:
+def copy_attention_step(snippet: EncodedSnippet, h_prev: Tensor, p: ModelParams,
+                        encoded: Tensor | None = None) -> StepOutput:
     """Attention step with the copy head and its meta-attention gate."""
     if p.K_copy is None or p.K_lambda is None:
         raise VariantDisabled("copy head parameters are not present")
-    l_feat = attention_features(snippet, h_prev, p)
+    l_feat = attention_features(snippet, h_prev, p, encoded)
     alpha = attention_weights(l_feat, p.K_att)
     kappa = attention_weights(l_feat, p.K_copy)
     lam_logits = conv1d_narrow(l_feat, p.K_lambda)
@@ -272,25 +278,46 @@ def step_loss(step: StepOutput, target: str, snippet: EncodedSnippet,
 # -- merged generative distribution ----------------------------------------------
 
 
+class MergedDistribution(Mapping[str, float]):
+    """Read-only map from candidate subtoken to probability: ``tokens[i]``
+    has ``probs[i]``, vocabulary tokens in id order, then the snippet's
+    out-of-vocabulary surface strings in order of first position."""
+
+    def __init__(self, tokens: list[str], index: Mapping[str, int], probs: np.ndarray):
+        self.tokens, self.index, self.probs = tokens, index, probs
+        probs.flags.writeable = False
+
+    def __getitem__(self, token: str) -> float:
+        return float(self.probs[self.index[token]])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.tokens)
+
+    def __len__(self) -> int:
+        return len(self.tokens)
+
+
 def merged_distribution(step: StepOutput, snippet: EncodedSnippet,
-                        vocab: Vocabulary) -> dict[str, float]:
+                        vocab: Vocabulary) -> MergedDistribution:
     """Probability of each candidate subtoken in V union c.
 
     Vocabulary ids are keyed by their surface string; copy mass lands on
-    the snippet's surface strings, so identical subtokens pool their
-    probability.  Detached from the graph: decoding does not backprop.
+    the snippet's surface strings, added in position order, so identical
+    subtokens pool their probability.  Detached from the graph: decoding
+    does not backprop.
     """
     lam = float(step.lam.data) if step.lam is not None else 0.0
-    out: dict[str, float] = {}
-    vocab_probs = step.vocab_dist.data
-    for idx, prob in enumerate(vocab_probs):
-        key = vocab.token(idx)
-        out[key] = out.get(key, 0.0) + (1.0 - lam) * float(prob)
+    probs = (1.0 - lam) * np.asarray(step.vocab_dist.data, dtype=np.float64)
+    oov: dict[str, int] = {}
+    index = ChainMap(vocab.token_to_id, oov)
     if step.kappa is not None:
-        kappa = step.kappa.data
-        for pos, key in enumerate(snippet.surface):
-            out[key] = out.get(key, 0.0) + lam * float(kappa[pos])
-    return out
+        for token in snippet.surface:
+            if token not in index:
+                oov[token] = len(vocab) + len(oov)
+        probs = np.concatenate([probs, np.zeros(len(oov))])
+        kappa = np.asarray(step.kappa.data, dtype=np.float64)
+        np.add.at(probs, [index[token] for token in snippet.surface], lam * kappa)
+    return MergedDistribution([*vocab.id_to_token, *oov], index, probs)
 
 
 # -- decoder state updates ---------------------------------------------------------

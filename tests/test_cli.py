@@ -313,6 +313,18 @@ class TestSuggestCommand:
         captured = capsys.readouterr()
         assert "no suggestion" in captured.err.lower()
 
+    @pytest.mark.parametrize("argv", [
+        ["suggest", "--snippet", "s.java", "-k", "0"],
+        ["evaluate", "--data", "d.jsonl", "-k", "0"],
+        ["evaluate", "--data", "d.jsonl", "--baseline", "tfidf", "-k", "0"],
+        ["evaluate", "--data", "d.jsonl", "--baseline", "tfidf", "-k", "-3"],
+    ])
+    def test_k_below_one_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--ckpt", "c.ckpt"])
+        assert exc.value.code == 2
+        assert "-k: must be >= 1" in capsys.readouterr().err
+
     def test_viz_html(self, java_project, tmp_path, capsys):
         data = build_dataset(java_project, tmp_path)
         ckpt = train_tiny(data, tmp_path)

@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 
 from conftest import make_params, make_vocab
+from codesum import decoder
 from codesum.corpus.vocabulary import NAME_END
 from codesum.decoder import PartialSuggestion, SearchLimits, expand, suggest
 from codesum.model import (
+    StepOutput,
     copy_attention_step,
     encode_snippet,
     merged_distribution,
     next_state,
     step_fn,
 )
+from codesum.tensorcore import Tensor
 
 
 def tiny_setup(rng, extra_tokens=("a",), body=("a", "a"), scale=0.6):
@@ -121,6 +124,57 @@ class TestExpand:
         assert children == []
         assert len(completed) == 1
         assert completed[0].name == list(long_prefix)
+
+    @pytest.mark.parametrize("order", ["dcbae", "abcde"])
+    def test_ties_at_the_cut_break_by_token_string(self, rng, order):
+        # One id order runs against string order, so a cut by position
+        # keeps the wrong tied tokens in one of the two cases.
+        vocab = make_vocab(list(order))
+        params = make_params(len(vocab), d=3, rng=rng)
+        snippet = encode_snippet(["a"], vocab)
+        dist = np.full(len(vocab), 0.01)
+        dist[vocab.id("e")] = 0.3
+        dist[vocab.id(NAME_END)] = 0.2
+        for tok in "dcba":
+            dist[vocab.id(tok)] = 0.1  # ranks 3 to 6, across a cut at 4
+        out = StepOutput(vocab_dist=Tensor(dist), alpha=Tensor(np.full(3, 1 / 3)),
+                         nhat=Tensor(np.zeros(3)))
+        merged = merged_distribution(out, snippet, vocab)
+        full_sort = sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))[:4]
+        root = PartialSuggestion(subtokens=("x",), log_prob=0.0, state=params.h_init)
+        children, completed = expand(root, out, snippet, params, vocab,
+                                     SearchLimits(successors=4))
+        assert [tok for tok, _ in full_sort] == ["e", NAME_END, "a", "b"]
+        assert [c.subtokens[-1] for c in children] == ["e", "a", "b"]
+        assert [s.name for s in completed] == [["x"]]
+
+    def test_bar_drops_children_before_their_state(self, rng, monkeypatch):
+        vocab, params, snippet = tiny_setup(rng, extra_tokens=("a", "b", "c"),
+                                            body=("a", "zzz"))
+        out = copy_attention_step(snippet, params.h_init, params)
+        root = PartialSuggestion(subtokens=("x",), log_prob=-0.5, state=params.h_init)
+        limits = SearchLimits(successors=10_000)
+        all_children, all_completed = expand(root, out, snippet, params, vocab, limits)
+        bar = sorted(c.log_prob for c in all_children)[len(all_children) // 2]
+        kept = [c for c in all_children if c.log_prob >= bar]
+        assert 0 < len(kept) < len(all_children)
+
+        calls = []
+        real_next_state = decoder.next_state
+
+        def counting_next_state(*args, **kwargs):
+            calls.append(kwargs["token_id"])
+            return real_next_state(*args, **kwargs)
+
+        monkeypatch.setattr(decoder, "next_state", counting_next_state)
+        children, completed = expand(root, out, snippet, params, vocab, limits, bar)
+        assert len(calls) == len(kept)
+        assert [(c.subtokens, c.log_prob) for c in children] == \
+            [(c.subtokens, c.log_prob) for c in kept]
+        for got, want in zip(children, kept):
+            assert got.state.data.tobytes() == want.state.data.tobytes()
+        assert [(s.name, s.log_prob) for s in completed] == \
+            [(s.name, s.log_prob) for s in all_completed]
 
 
 class TestSuggest:

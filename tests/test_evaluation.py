@@ -260,6 +260,22 @@ class TestTfIdf:
         names = [n for n, _ in ranked]
         assert names.count(("dup",)) == 1
 
+    def test_fallback_by_count_then_training_order(self):
+        names = [["b"], ["get", "a"], ["c"], ["get", "a"], ["e"], ["b"], ["c"],
+                 ["d"], ["c"]]
+        corpus = [MethodExample(name=n, body=[f"w{i}"], file_path=str(i), project="p")
+                  for i, n in enumerate(names)]
+        index = TfIdfIndex(corpus)
+        want = [("c",), ("b",), ("get", "a"), ("e",), ("d",)]
+        assert index.fallback == want
+        assert [n for n, _ in index.suggest(["novel"], k=5)] == want
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one_raises(self, rng, k):
+        index = TfIdfIndex(make_corpus(rng, 5))
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            index.suggest(["{"], k=k)
+
     def test_always_emits_k(self, rng):
         corpus = make_corpus(rng, 25)
         index = TfIdfIndex(corpus)

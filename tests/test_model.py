@@ -17,10 +17,12 @@ from codesum.model import (
     attention_weights,
     conv_attention_step,
     copy_attention_step,
+    encode,
     encode_snippet,
     merged_distribution,
     next_state,
     padding_split,
+    step_fn,
     step_loss,
     step_loss_from_ids,
 )
@@ -89,6 +91,23 @@ class TestAttentionFeatures:
         l2 = l2 * h[None, :]
         expected = l2 / (np.sqrt((l2 ** 2).sum()) + 1e-8)
         np.testing.assert_allclose(feats, expected, atol=1e-10)
+
+
+class TestEncodeOnce:
+    @pytest.mark.parametrize("model_kind", ["conv_attention", "copy_attention"])
+    def test_step_with_encoded_is_bitwise_equal(self, rng, model_kind):
+        p = make_params(9, d=3, k1=3, k2=2, w1=2, w2=3, w3=2, rng=rng)
+        sn = make_snippet([1, 4, 7, 2])
+        step = step_fn(model_kind)
+        encoded = encode(sn, p)
+        for h in (p.h_init, Tensor(rng.normal(size=2))):
+            want = step(sn, h, p)
+            got = step(sn, h, p, encoded=encoded)
+            for field in ("vocab_dist", "alpha", "nhat", "kappa", "lam"):
+                a, b = getattr(want, field), getattr(got, field)
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert a.data.tobytes() == b.data.tobytes(), field
 
 
 class TestConvStep:
@@ -185,6 +204,49 @@ class TestCopyStep:
         p = replace(make_params(9, rng=rng), K_copy=None, K_lambda=None)
         with pytest.raises(VariantDisabled):
             copy_attention_step(make_snippet([1, 2, 3]), p.h_init, p)
+
+
+def dict_merged(step, snippet, vocab):
+    """The dict loop that ``merged_distribution`` replaced, as the reference."""
+    lam = float(step.lam.data) if step.lam is not None else 0.0
+    out = {}
+    for idx, prob in enumerate(step.vocab_dist.data):
+        key = vocab.token(idx)
+        out[key] = out.get(key, 0.0) + (1.0 - lam) * float(prob)
+    if step.kappa is not None:
+        for pos, key in enumerate(snippet.surface):
+            out[key] = out.get(key, 0.0) + lam * float(step.kappa.data[pos])
+    return out
+
+
+class TestMergedDistribution:
+    @pytest.mark.parametrize("model_kind", ["conv_attention", "copy_attention"])
+    def test_equals_dict_loop_bitwise_and_in_order(self, rng, model_kind):
+        # OoV strings, repeated surface tokens, and surface tokens that are
+        # also vocabulary tokens ("a", "b" and the body sentinels).
+        vocab = make_vocab(["a", "b", "c"])
+        p = make_params(len(vocab), d=3, k1=2, k2=2, w1=2, w2=1, w3=2, rng=rng,
+                        scale=0.8)
+        sn = encode_snippet(["zzz", "a", "yyy", "a", "zzz", "b", "zzz"], vocab)
+        for h in (p.h_init, Tensor(rng.normal(size=2))):
+            out = step_fn(model_kind)(sn, h, p)
+            merged = merged_distribution(out, sn, vocab)
+            want = dict_merged(out, sn, vocab)
+            assert list(merged) == list(want)
+            assert [v.hex() for v in merged.values()] == [v.hex() for v in want.values()]
+            assert ("zzz" in merged) == (model_kind == "copy_attention")
+
+    def test_read_only(self, rng):
+        vocab = make_vocab(["a"])
+        p = make_params(len(vocab), rng=rng)
+        sn = encode_snippet(["a", "zzz"], vocab)
+        merged = merged_distribution(copy_attention_step(sn, p.h_init, p), sn, vocab)
+        with pytest.raises(TypeError):
+            merged["a"] = 0.5
+        with pytest.raises(ValueError):
+            merged.probs[0] = 0.5
+        with pytest.raises(KeyError):
+            merged["never-seen"]
 
 
 class TestStepLoss:
