@@ -33,6 +33,7 @@ manifest.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -124,9 +125,11 @@ def load(path: str | Path) -> tuple[ModelParams, Vocabulary, TrainConfig]:
         manifest = json.loads(blob[20:20 + manifest_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise _manifest_error(str(exc)) from exc
-    for key in ("config", "vocabulary", "tensors"):
-        if key not in manifest:
-            raise _manifest_error(f"missing key {key!r}")
+    if not isinstance(manifest, dict):
+        raise _manifest_error("not a JSON object")
+    for key, kind in (("config", dict), ("vocabulary", dict), ("tensors", list)):
+        if not isinstance(manifest.get(key), kind):
+            raise _manifest_error(f"key {key!r} is missing or not a {kind.__name__}")
 
     payload = blob[20 + manifest_len:]
     tensors: dict[str, np.ndarray] = {}
@@ -134,24 +137,26 @@ def load(path: str | Path) -> tuple[ModelParams, Vocabulary, TrainConfig]:
     for entry in manifest["tensors"]:
         if not isinstance(entry, dict) or not {"name", "shape", "dtype", "byte_offset"} <= set(entry):
             raise _manifest_error("tensor entry missing fields")
-        if entry["dtype"] not in _DTYPES:
+        name, shape, start = entry["name"], entry["shape"], entry["byte_offset"]
+        # Extents and offsets are JSON integers >= 0; true and 1.0 are not.
+        if not (isinstance(name, str) and isinstance(shape, list)
+                and all(type(x) is int and x >= 0 for x in [*shape, start])):
+            raise _manifest_error(f"tensor entry {name!r} has a bad name, shape or byte offset")
+        if not isinstance(entry["dtype"], str) or entry["dtype"] not in _DTYPES:
             raise _manifest_error(f"unknown dtype {entry['dtype']!r}")
         dtype = _DTYPES[entry["dtype"]]
-        shape = tuple(int(x) for x in entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = int(entry["byte_offset"])
-        end = start + count * dtype.itemsize
+        end = start + math.prod(shape) * dtype.itemsize
         if start < last_end:
             raise _manifest_error("tensor offsets overlap or decrease")
         last_end = end
         if end > len(payload):
             raise TruncatedPayload(
-                f"{path}: tensor {entry['name']} needs bytes up to {end}, "
+                f"{path}: tensor {name} needs bytes up to {end}, "
                 f"payload has {len(payload)}")
         arr = np.frombuffer(payload[start:end], dtype=dtype).reshape(shape)
         if not np.all(np.isfinite(arr)):
-            raise CheckpointError(f"{path}: tensor {entry['name']} holds NaN or Inf")
-        tensors[entry["name"]] = np.array(arr, copy=True)
+            raise CheckpointError(f"{path}: tensor {name} holds NaN or Inf")
+        tensors[name] = np.array(arr, copy=True)
 
     try:
         vocab = Vocabulary.from_json(manifest["vocabulary"])

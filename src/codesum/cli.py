@@ -184,8 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--model", choices=("conv", "copy"), required=True)
-    p.add_argument("--preset", choices=("paper",), default="paper",
-                   help="hyperparameter preset (tuned values)")
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--log", help="epoch log path (JSON-Lines)")
@@ -224,10 +222,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CodesumError as exc:
+    except (FileNotFoundError, IsADirectoryError, CodesumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal failure

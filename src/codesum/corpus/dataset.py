@@ -10,6 +10,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ..errors import MalformedDataset
 from .javalex import RawMethod
 from .subtokens import body_token_to_subtokens, split_identifier
 
@@ -61,17 +62,26 @@ def save_jsonl(examples: Iterable[MethodExample], path: str | Path) -> int:
 
 
 def load_jsonl(path: str | Path) -> list[MethodExample]:
+    """``save_jsonl``'s records; a bad line raises ``MalformedDataset``."""
     out: list[MethodExample] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
                 continue
-            obj = json.loads(line)
-            out.append(MethodExample(
-                name=list(obj["name"]), body=list(obj["body"]),
-                file_path=obj.get("file", ""), project=obj.get("project", ""),
-            ))
+            try:
+                obj = json.loads(line.decode("utf-8"))
+                name, body = obj["name"], obj["body"]
+                if not (isinstance(name, list) and isinstance(body, list)
+                        and all(isinstance(t, str) for t in name + body)):
+                    raise TypeError("name and body must be lists of strings")
+                out.append(MethodExample(name=name, body=body, file_path=obj.get("file", ""),
+                                         project=obj.get("project", "")))
+            except KeyError as exc:
+                raise MalformedDataset(
+                    f"{path}, line {lineno}: record has no {exc} field") from exc
+            except (ValueError, TypeError) as exc:
+                raise MalformedDataset(
+                    f"{path}, line {lineno}: not a method record ({exc})") from exc
     return out
 
 

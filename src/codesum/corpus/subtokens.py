@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import re
 
-# Marker for a body token identical to the method's own name (recursion).
-SELF_TOKEN = "%self%"
+from .vocabulary import SELF as SELF_TOKEN  # a body token equal to the method's name
+
 # Every string (or char) literal collapses to this single subtoken.
 STRING_TOKEN = "%unkstring%"
 

@@ -15,6 +15,10 @@ class EmptyCorpus(CodesumError):
     """A vocabulary or index build received no examples."""
 
 
+class MalformedDataset(CodesumError):
+    """A dataset line that is not a JSON method record."""
+
+
 # tensorcore
 
 class KernelTooLong(CodesumError):
@@ -44,7 +48,7 @@ class EmptyTrainingSet(CodesumError):
 # eval
 
 class EmptyIndex(CodesumError):
-    """The tf-idf baseline was queried before an index was built."""
+    """A tf-idf index was built from zero examples."""
 
 
 # checkpoint

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from ..errors import DimensionMismatch
 from .tensor import Tensor, sigmoid, tanh
@@ -25,10 +25,6 @@ class GruParams:
     b_r: Tensor
     b_u: Tensor
     b_c: Tensor
-
-    def named_tensors(self):
-        for f in fields(self):
-            yield f.name, getattr(self, f.name)
 
 
 def gru_step(x: Tensor, h_prev: Tensor, p: GruParams) -> Tensor:

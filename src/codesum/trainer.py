@@ -26,10 +26,12 @@ import numpy as np
 from .corpus.dataset import MethodExample
 from .corpus.vocabulary import NAME_END, Vocabulary, build_vocabulary
 from .errors import EmptyTrainingSet, NonFiniteGradient
+from .evaluation import evaluate_model
 from .model import (
     EncodedSnippet,
     ModelParams,
     StepOutput,
+    encode,
     encode_snippet,
     next_state,
     param_shapes,
@@ -229,13 +231,17 @@ def masked_view(params: ModelParams, rate: float, rng: np.random.Generator) -> M
 def example_loss(params: ModelParams, snippet: EncodedSnippet,
                  name: Sequence[str], vocab: Vocabulary, cfg: TrainConfig,
                  rng: np.random.Generator | None = None) -> Tensor:
-    """Sum of per-subtoken losses for one example, end marker included."""
+    """Sum of per-subtoken losses for one example, end marker included.
+
+    The snippet is encoded once; each step gates that encoding with its state.
+    """
     step = step_fn(cfg.model_kind)
+    encoded = encode(snippet, params)
     targets = [*name, NAME_END]
     total: Tensor | None = None
     h = params.h_init
     for t, target in enumerate(targets):
-        out: StepOutput = step(snippet, h, params)
+        out: StepOutput = step(snippet, h, params, encoded)
         loss = step_loss(out, target, snippet, vocab)
         total = loss if total is None else total + loss
         if t + 1 < len(targets):
@@ -278,11 +284,9 @@ def train(train_examples: Sequence[MethodExample],
     """Train until the epoch budget or the validation patience runs out.
 
     Early stopping follows the best validation F1 at rank 5; the result
-    carries the best-validation parameters.
+    carries the best-validation parameters, or the last epoch's when
+    there is no validation set.
     """
-    from .evaluation import score_suggestions
-    from .decoder import suggest
-
     cfg.validate()
     if not train_examples:
         raise EmptyTrainingSet("no training examples")
@@ -292,39 +296,25 @@ def train(train_examples: Sequence[MethodExample],
     params = init_params(cfg, vocab, target_counts(train_examples), rng)
     opt_state = OptimizerState.for_params(params)
 
-    encoded = [(encode_snippet(ex.body, vocab), ex.name) for ex in train_examples]
-    valid_encoded = [(encode_snippet(ex.body, vocab), ex.name) for ex in valid_examples]
+    snippets = [(encode_snippet(ex.body, vocab), ex.name) for ex in train_examples]
 
-    best = _snapshot(params)
+    best: dict[str, np.ndarray] | None = None
     best_f1 = -1.0
     best_epoch = 0
     stale = 0
     skipped = 0
     log: list[dict] = []
 
-    def validate_now() -> tuple[float, float]:
-        f1s, exacts = [], []
-        for snippet, name in valid_encoded:
-            suggestions = suggest(snippet, params, vocab, k=5,
-                                  model_kind=cfg.model_kind)
-            ranked = [s.name for s in suggestions]
-            scores = score_suggestions(ranked, name)
-            f1s.append(scores["f1_at_5"])
-            exacts.append(scores["exact_at_1"])
-        if not f1s:
-            return 0.0, 0.0
-        return float(np.mean(f1s)), float(np.mean(exacts))
-
     stop = False
     for epoch in range(1, cfg.epochs + 1):
         tick = time.perf_counter()
-        order = rng.permutation(len(encoded))
+        order = rng.permutation(len(snippets))
         window: dict[str, np.ndarray] = {}
         window_count = 0
         epoch_nll = 0.0
         counted = 0
         for idx in order:
-            snippet, name = encoded[idx]
+            snippet, name = snippets[idx]
             view = params
             if cfg.dropout_rate > 0.0:
                 view = masked_view(params, cfg.dropout_rate, rng)
@@ -354,17 +344,11 @@ def train(train_examples: Sequence[MethodExample],
         if window_count:
             sgd_update(params, window, opt_state, cfg)
 
-        entry: dict = {
-            "epoch": epoch,
-            "train_nll": epoch_nll / counted if counted else None,
-            "valid_f1_at_5": None,
-            "valid_exact_at_1": None,
-            "seconds": None,
-        }
-        if valid_encoded and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
-            f1_5, exact_1 = validate_now()
-            entry["valid_f1_at_5"] = f1_5
-            entry["valid_exact_at_1"] = exact_1
+        f1_5 = exact_1 = None
+        if valid_examples and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
+            report, _ = evaluate_model(params, vocab, valid_examples,
+                                       model_kind=cfg.model_kind)
+            f1_5, exact_1 = report.f1_at_5, report.exact_at_1
             if f1_5 > best_f1:
                 best_f1 = f1_5
                 best = _snapshot(params)
@@ -378,16 +362,21 @@ def train(train_examples: Sequence[MethodExample],
                 best = _snapshot(params)
                 best_epoch = epoch
                 stop = True
-        elif not valid_encoded:
-            best = _snapshot(params)
-            best_epoch = epoch
-        entry["seconds"] = time.perf_counter() - tick
+        entry = {
+            "epoch": epoch,
+            "train_nll": epoch_nll / counted if counted else None,
+            "valid_f1_at_5": f1_5,
+            "valid_exact_at_1": exact_1,
+            "seconds": time.perf_counter() - tick,
+        }
         log.append(entry)
         if log_sink is not None:
             log_sink(entry)
         if stop:
             break
 
-    _restore(params, best)
+    if best is not None:
+        _restore(params, best)
     return TrainResult(params=params, vocab=vocab, config=cfg, log=log,
-                       best_epoch=best_epoch, skipped_examples=skipped)
+                       best_epoch=best_epoch if valid_examples else len(log),
+                       skipped_examples=skipped)

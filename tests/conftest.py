@@ -1,10 +1,13 @@
-"""Shared builders for model-level tests."""
+"""Shared builders for model-level tests and checkpoint manifest edits."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
 
+from codesum.checkpoint import MAGIC
 from codesum.corpus.vocabulary import SPECIAL_TOKENS, Vocabulary
 from codesum.model import EncodedSnippet, ModelParams, param_shapes
 from codesum.tensorcore import Tensor
@@ -36,6 +39,37 @@ def make_snippet(ids, surface=None, pad_id: int = 5) -> EncodedSnippet:
     if surface is None:
         surface = [f"t{int(i)}" for i in ids]
     return EncodedSnippet(ids=ids, surface=list(surface), pad_id=pad_id)
+
+
+def read_parts(path):
+    """(version, manifest, payload) of a checkpoint file."""
+    blob = path.read_bytes()
+    manifest_len = int.from_bytes(blob[12:20], "little")
+    manifest = json.loads(blob[20:20 + manifest_len])
+    return int.from_bytes(blob[8:12], "little"), manifest, blob[20 + manifest_len:]
+
+
+def write_parts(path, version, manifest, payload):
+    raw = json.dumps(manifest).encode()
+    path.write_bytes(MAGIC + version.to_bytes(4, "little")
+                     + len(raw).to_bytes(8, "little") + raw + payload)
+
+
+def _first_tensor(**fields):
+    return lambda m: {**m, "tensors": [{**m["tensors"][0], **fields}, *m["tensors"][1:]]}
+
+
+# Manifests that parse as JSON but break the format, each built from a valid one.
+BAD_MANIFESTS = {
+    "string-extent": _first_tensor(shape=["a"]),
+    "negative-extent": _first_tensor(shape=[-1, 3]),
+    "fractional-extent": _first_tensor(shape=[1.0]),
+    "string-offset": _first_tensor(byte_offset="0"),
+    "fractional-offset": _first_tensor(byte_offset=0.5),
+    "tensors-not-a-list": lambda m: {**m, "tensors": 7},
+    "config-not-an-object": lambda m: {**m, "config": ["model_kind"]},
+    "manifest-not-an-object": lambda m: "config vocabulary tensors",
+}
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_params, make_vocab
+from conftest import BAD_MANIFESTS, make_params, make_vocab, read_parts, write_parts
 from codesum.checkpoint import MAGIC, VERSION, load, save
 from codesum.decoder import suggest
 from codesum.errors import (
@@ -35,20 +35,6 @@ def write_checkpoint(tmp_path, dtype=np.float64):
     path = tmp_path / "model.ckpt"
     save(params, vocab, cfg(), path)
     return params, vocab, path
-
-
-def read_parts(path):
-    """(version, manifest, payload) of a checkpoint file."""
-    blob = path.read_bytes()
-    manifest_len = int.from_bytes(blob[12:20], "little")
-    manifest = json.loads(blob[20:20 + manifest_len])
-    return int.from_bytes(blob[8:12], "little"), manifest, blob[20 + manifest_len:]
-
-
-def write_parts(path, version, manifest, payload):
-    raw = json.dumps(manifest).encode()
-    path.write_bytes(MAGIC + version.to_bytes(4, "little")
-                     + len(raw).to_bytes(8, "little") + raw + payload)
 
 
 class TestRoundTrip:
@@ -212,6 +198,14 @@ class TestCorruption:
         manifest["config"][key] = value
         write_parts(path, version, manifest, payload)
         with pytest.raises(CorruptManifest, match=key):
+            load(path)
+
+    @pytest.mark.parametrize("edit", BAD_MANIFESTS.values(), ids=BAD_MANIFESTS.keys())
+    def test_malformed_manifest_field(self, tmp_path, edit):
+        _, _, path = write_checkpoint(tmp_path)
+        version, manifest, payload = read_parts(path)
+        write_parts(path, version, edit(manifest), payload)
+        with pytest.raises(CorruptManifest):
             load(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import BAD_MANIFESTS, read_parts, write_parts
 from codesum import checkpoint
 from codesum.cli import main
 from codesum.corpus.dataset import load_jsonl
@@ -190,6 +191,16 @@ class TestTrainCommand:
         assert "--state" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    def test_preset_flag_is_rejected(self, tmp_path, capsys):
+        # Each model kind has one tuned preset, so there is nothing to choose.
+        ckpt = tmp_path / "c.ckpt"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", str(tmp_path / "d.jsonl"), "--model", "copy",
+                  "--out", str(ckpt), "--preset", "paper"])
+        assert exc.value.code == 2
+        assert "--preset" in capsys.readouterr().err
+        assert not ckpt.exists()
+
 
 class TestEvaluateCommand:
     def test_report_json(self, java_project, tmp_path, capsys):
@@ -270,6 +281,38 @@ class TestEvaluateCommand:
         assert main(["suggest", "--ckpt", str(short_ckpt), "--snippet", str(snippet)]) == 2
         err = capsys.readouterr().err
         assert "internal error" not in err and "tensor E has shape (5, " in err
+
+        # Manifests that parse as JSON but hold a field of the wrong type or range.
+        version, manifest, payload = read_parts(ckpt)
+        for label, edit in BAD_MANIFESTS.items():
+            bad_field = tmp_path / f"{label}.ckpt"
+            write_parts(bad_field, version, edit(manifest), payload)
+            capsys.readouterr()
+            assert main(["evaluate", "--ckpt", str(bad_field), "--data", str(data)]) == 2
+            assert main(["suggest", "--ckpt", str(bad_field), "--snippet", str(snippet)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 2, label
+            assert all(line.startswith("error: checkpoint manifest: ") for line in err), label
+
+    def test_malformed_data_exits_2(self, java_project, tmp_path, capsys):
+        data = build_dataset(java_project, tmp_path)
+        ckpt = train_tiny(data, tmp_path)
+        good = data.read_bytes()
+        lineno = good.count(b"\n") + 1
+        bad = tmp_path / "bad.jsonl"
+        out = tmp_path / "new.ckpt"
+        for line in (b"{not json", b'{"body": ["x"]}', b'{"name": ["a"]}'):
+            bad.write_bytes(good + line + b"\n")
+            for argv in (["train", "--model", "copy", "--out", str(out)],
+                         ["evaluate", "--ckpt", str(ckpt)]):
+                capsys.readouterr()
+                assert main([*argv, "--data", str(bad)]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith(f"error: {bad}, line {lineno}: "), err
+        capsys.readouterr()
+        assert main(["evaluate", "--ckpt", str(ckpt), "--data", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_per_example_csv(self, java_project, tmp_path, capsys):
         data = build_dataset(java_project, tmp_path)

@@ -1,5 +1,8 @@
 """Method tokenization, JSONL persistence, and the 65/5/30 file split."""
 
+import re
+
+import pytest
 from hypothesis import given, strategies as st
 
 from codesum.corpus.dataset import (
@@ -13,6 +16,7 @@ from codesum.corpus.dataset import (
 )
 from codesum.corpus.javalex import RawMethod
 from codesum.corpus.subtokens import SELF_TOKEN, STRING_TOKEN
+from codesum.errors import MalformedDataset
 
 
 def raw(name, body_tokens):
@@ -70,6 +74,22 @@ class TestJsonl:
         assert save_jsonl(examples, path) == 2
         again = load_jsonl(path)
         assert again == examples
+
+    @pytest.mark.parametrize("line, why", [
+        (b"{not json", "not a method record"),
+        (b"[1, 2]", "not a method record"),
+        (b'{"body": ["x"]}', "record has no 'name' field"),
+        (b'{"name": ["a"]}', "record has no 'body' field"),
+        (b'{"name": 7, "body": []}', "not a method record"),
+        (b'{"name": "getx", "body": []}', "not a method record"),
+        (b'{"name": ["a", 1], "body": []}', "not a method record"),
+        (b'{"name": ["\xff"], "body": []}', "not a method record"),
+    ])
+    def test_malformed_line_names_file_and_line(self, tmp_path, line, why):
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(b'{"name": ["a"], "body": ["x"]}\n\n' + line + b"\n")
+        with pytest.raises(MalformedDataset, match=re.escape(f"{path}, line 3: {why}")):
+            load_jsonl(path)
 
 
 class TestSplitDataset:

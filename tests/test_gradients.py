@@ -172,7 +172,7 @@ class TestStructuredGrads:
 
         w = np.random.default_rng(7).normal(size=k)
         tensors = {"x": x, "h": h}
-        tensors.update(dict(p.named_tensors()))
+        tensors.update(vars(p))
         gradient_check(build, tensors)
 
     def test_bptt_chain_through_two_gru_steps(self, rng):
@@ -191,5 +191,5 @@ class TestStructuredGrads:
             return tsum(mul(h2, constant(np.array([1.0, -2.0]))))
 
         tensors = {"x1": x1, "x2": x2, "h0": h0}
-        tensors.update(dict(p.named_tensors()))
+        tensors.update(vars(p))
         gradient_check(build, tensors)

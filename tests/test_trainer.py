@@ -9,9 +9,18 @@ import pytest
 from conftest import make_params
 from codesum.checkpoint import load, save
 from codesum.corpus.dataset import MethodExample
-from codesum.corpus.vocabulary import build_vocabulary
+from codesum.corpus.vocabulary import NAME_END, build_vocabulary
+from codesum.decoder import suggest
 from codesum.errors import DimensionMismatch, EmptyTrainingSet, NonFiniteGradient
-from codesum.model import ModelParams, encode_snippet, param_shapes
+from codesum.evaluation import evaluate_model, score_suggestions
+from codesum.model import (
+    ModelParams,
+    encode_snippet,
+    next_state,
+    param_shapes,
+    step_fn,
+    step_loss,
+)
 from codesum.tensorcore import Tensor
 from codesum.trainer import (
     INIT_SIGMA,
@@ -416,3 +425,119 @@ class TestTraining:
         entry = result.log[0]
         assert set(entry) == {"epoch", "train_nll", "valid_f1_at_5",
                               "valid_exact_at_1", "seconds"}
+
+
+def per_step_example_loss(params, snippet, name, vocab, cfg, rng=None):
+    """Reference: every step re-runs both convolutions on the snippet."""
+    step = step_fn(cfg.model_kind)
+    targets = [*name, NAME_END]
+    total = None
+    h = params.h_init
+    for t, target in enumerate(targets):
+        out = step(snippet, h, params)
+        loss = step_loss(out, target, snippet, vocab)
+        total = loss if total is None else total + loss
+        if t + 1 < len(targets):
+            h = next_state(params, h, token_id=vocab.id(target), nhat=out.nhat,
+                           dropout_rate=cfg.dropout_rate, rng=rng)
+    return total
+
+
+class TestEncodeOnce:
+    """Training encodes each snippet once, as decoding does."""
+
+    corpus = TestTraining.corpus
+
+    def loss_and_grads(self, fn, params, snippet, name, vocab, cfg, seed):
+        for _, t in params.named_tensors():
+            t.zero_grad()
+        view, rng = params, None
+        if seed is not None:  # a fresh view: its nodes keep the gradient of a backward
+            rng = np.random.default_rng(seed)
+            view = masked_view(params, cfg.dropout_rate, rng)
+        loss = fn(view, snippet, name, vocab, cfg, rng=rng)
+        loss.backward()
+        return loss.data.tobytes(), {n: t.grad.copy() for n, t in params.named_tensors()}
+
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("model_kind", ["conv_attention", "copy_attention"])
+    def test_matches_per_step_encoding(self, model_kind, dropout):
+        # Losses are bitwise equal.  The gradient of the shared encoding sums
+        # the steps before the convolutions' backward instead of after, so
+        # gradients may differ by rounding, bounded per tensor by its largest entry.
+        examples = self.corpus(6)
+        vocab = build_vocabulary(examples, min_count=1)
+        cfg = tiny_cfg(model_kind=model_kind, D=6, k1=4, k2=3, w1=3, w2=2, w3=2,
+                       dropout_rate=0.4 if dropout else 0.0)
+        params = init_params(cfg, vocab, target_counts(examples), np.random.default_rng(1))
+        for i, example in enumerate(examples):
+            snippet = encode_snippet(example.body, vocab)
+            seed = 100 + i if dropout else None
+            got_loss, got = self.loss_and_grads(
+                example_loss, params, snippet, example.name, vocab, cfg, seed)
+            want_loss, want = self.loss_and_grads(
+                per_step_example_loss, params, snippet, example.name, vocab, cfg, seed)
+            assert got_loss == want_loss
+            for name, g in want.items():
+                assert np.abs(got[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+
+    def test_encode_runs_once_per_example(self, monkeypatch):
+        import codesum.model as model_mod
+        import codesum.trainer as trainer_mod
+
+        calls = []
+
+        def counting_encode(snippet, p):
+            calls.append(1)
+            return real_encode(snippet, p)
+
+        real_encode = model_mod.encode
+        # Both places an encoding can come from: the trainer, and a step
+        # handed no encoding.
+        monkeypatch.setattr(trainer_mod, "encode", counting_encode)
+        monkeypatch.setattr(model_mod, "encode", counting_encode)
+        examples = self.corpus(3)
+        vocab = build_vocabulary(examples, min_count=1)
+        cfg = tiny_cfg()
+        params = init_params(cfg, vocab, target_counts(examples))
+        for example in examples:  # each has at least two steps, the end marker's included
+            calls.clear()
+            example_loss(params, encode_snippet(example.body, vocab), example.name, vocab, cfg)
+            assert len(calls) == 1
+
+    def test_no_validation_set_takes_no_snapshot(self, monkeypatch):
+        import codesum.trainer as trainer_mod
+
+        snapshots = []
+        real_snapshot = trainer_mod._snapshot
+
+        def counting_snapshot(params):
+            snapshots.append(1)
+            return real_snapshot(params)
+
+        monkeypatch.setattr(trainer_mod, "_snapshot", counting_snapshot)
+        examples = self.corpus(6)
+        result = train(examples, [], tiny_cfg(epochs=2))
+        assert snapshots == [] and result.best_epoch == 2
+        train(examples[:4], examples[4:], tiny_cfg(epochs=2))
+        assert snapshots  # validation still keeps its best epoch
+
+    @pytest.mark.parametrize("model_kind", ["conv_attention", "copy_attention"])
+    def test_epoch_validation_is_evaluate_model(self, model_kind):
+        examples = self.corpus(12)
+        cfg = tiny_cfg(model_kind=model_kind, epochs=1, learning_rate=3e-2)
+        result = train(examples[:6], examples[6:], cfg)
+        # One validated epoch is the best, so the result carries its parameters.
+        assert result.best_epoch == 1
+        entry = result.log[0]
+        report, _ = evaluate_model(result.params, result.vocab, examples[6:],
+                                   model_kind=model_kind)
+        assert (entry["valid_f1_at_5"], entry["valid_exact_at_1"]) == (
+            report.f1_at_5, report.exact_at_1)
+        # The per-example loop training used before it shared evaluate_model.
+        rows = [score_suggestions(
+            [s.name for s in suggest(encode_snippet(ex.body, result.vocab), result.params,
+                                     result.vocab, k=5, model_kind=model_kind)], ex.name)
+            for ex in examples[6:]]
+        assert entry["valid_f1_at_5"] == float(np.mean([r["f1_at_5"] for r in rows]))
+        assert entry["valid_exact_at_1"] == float(np.mean([r["exact_at_1"] for r in rows]))
