@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..errors import MalformedDataset
-from .javalex import RawMethod
+from .javalex import RawMethod, lex
 from .subtokens import body_token_to_subtokens, split_identifier
 
 SPLIT_FRACTIONS = (("train", 0.65), ("valid", 0.05), ("test", 0.30))
@@ -39,8 +39,6 @@ def tokenize_method(raw: RawMethod) -> MethodExample:
 
 def tokenize_snippet(text: str) -> list[str]:
     """Body subtokens for a bare snippet (no method name known)."""
-    from .javalex import lex
-
     out: list[str] = []
     for tok in lex(text):
         out.extend(body_token_to_subtokens(tok))

@@ -1,10 +1,16 @@
 """Tolerant Java lexing and method extraction.
 
-No full parse: the extractor lexes the file, tracks brace contexts, and
-recognizes type and method headers from the tokens accumulated since the
-previous member boundary.  It keeps concrete, non-constructor methods
-and drops overrides, found either by an @Override annotation or by a
-name/arity match against a supertype declared in the same file.
+No full parse.  ``lex`` is one ``finditer`` pass of a token regex.  The
+extractor walks those tokens once, tracking brace contexts, and reads
+type and method headers from the tokens since the previous member
+boundary.  A type header is named by its first type keyword, by
+position, that does not follow ``.`` and is followed by a name, so a
+class literal in an annotation (``X.class``) is not mistaken for the
+declaration and the result never depends on the hash seed.  A method's
+body is the token slice up to its matching ``}``.  The extractor keeps
+concrete, non-constructor methods and drops overrides, found either by
+an @Override annotation or by a name/arity match against a supertype
+declared in the same file.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ _NOT_A_METHOD = {
     "synchronized",
 }
 _TYPE_KEYWORDS = {"class", "interface", "enum", "record"}
+_IDENT = re.compile(r"[A-Za-z_$]")
 
 
 @dataclass
@@ -59,21 +66,11 @@ class RawMethod:
 def lex(source_text: str) -> list[str]:
     """Lexical tokens of a Java source, comments and whitespace dropped.
 
-    Unknown characters are skipped rather than rejected.
+    Unknown characters are skipped rather than rejected: ``finditer``
+    resumes at the next position where some token matches.
     """
-    tokens: list[str] = []
-    pos = 0
-    n = len(source_text)
-    while pos < n:
-        m = _TOKEN.match(source_text, pos)
-        if m is None:
-            pos += 1
-            continue
-        pos = m.end()
-        if m.lastgroup in ("ws", "comment"):
-            continue
-        tokens.append(m.group())
-    return tokens
+    return [m.group() for m in _TOKEN.finditer(source_text)
+            if m.lastgroup not in ("ws", "comment")]
 
 
 @dataclass
@@ -106,24 +103,22 @@ def _strip_generics(tokens: list[str]) -> list[str]:
 
 
 def _parse_type_header(pending: list[str]) -> _TypeDecl | None:
-    for kw in _TYPE_KEYWORDS:
-        if kw in pending:
-            k = pending.index(kw)
-            rest = pending[k + 1:]
-            if not rest or not re.match(r"[A-Za-z_$]", rest[0]):
-                return None
-            decl = _TypeDecl(name=rest[0])
-            flat = _strip_generics(rest[1:])
-            collecting = False
-            for t in flat:
-                if t in ("extends", "implements"):
-                    collecting = True
-                elif collecting and re.match(r"[A-Za-z_$]", t) and t not in ("extends", "implements"):
-                    decl.supertypes.append(t)
-            # record components make the header's parens a constructor-like
-            # list, not a method; the TYPE classification already wins here.
-            return decl
-    return None
+    # The first type keyword that names something and does not follow '.':
+    # `X.class` in an annotation is a class literal, and `record` may be a
+    # plain identifier.
+    k = next((i for i in range(len(pending) - 1)
+              if pending[i] in _TYPE_KEYWORDS and (i == 0 or pending[i - 1] != ".")
+              and _IDENT.match(pending[i + 1])), None)
+    if k is None:
+        return None
+    decl = _TypeDecl(name=pending[k + 1])
+    collecting = False
+    for t in _strip_generics(pending[k + 2:]):
+        if t in ("extends", "implements"):
+            collecting = True
+        elif collecting and _IDENT.match(t):
+            decl.supertypes.append(t)
+    return decl
 
 
 def _parse_method_header(pending: list[str]) -> _Header | None:
@@ -132,7 +127,7 @@ def _parse_method_header(pending: list[str]) -> _Header | None:
     close = len(pending) - 1 - pending[::-1].index(")")
     # After the ')' only a throws clause may appear.
     for t in pending[close + 1:]:
-        if t != "throws" and t != "," and t != "." and not re.match(r"[A-Za-z_$]", t):
+        if t != "throws" and t != "," and t != "." and not _IDENT.match(t):
             return None
     # Match the '(' for that ')'.
     depth = 0
@@ -160,14 +155,12 @@ def _parse_method_header(pending: list[str]) -> _Header | None:
         prev = pending[open_idx - 2]
         if prev in ("new", ".") or prev in _NOT_A_METHOD:
             return None
-        if not (re.match(r"[A-Za-z_$]", prev) or prev in (">", ">>", ">>>", "]")):
+        if not (_IDENT.match(prev) or prev in (">", ">>", ">>>", "]")):
             return None
         has_return_type = prev not in _MODIFIERS
-    arity = 0
+    arity = 1 if open_idx + 1 < close else 0
     depth = 0
-    saw_any = False
     for t in pending[open_idx + 1:close]:
-        saw_any = True
         if t in ("(", "[", "<"):
             depth += 1
         elif t in (")", "]"):
@@ -176,12 +169,23 @@ def _parse_method_header(pending: list[str]) -> _Header | None:
             depth = max(0, depth - len(t))
         elif t == "," and depth == 0:
             arity += 1
-    if saw_any:
-        arity += 1
     mods = {t for t in pending[:open_idx - 1] if t in _MODIFIERS}
     annotations = {pending[i + 1] for i, t in enumerate(pending[:-1]) if t == "@"}
     return _Header(name=name, arity=arity, modifiers=mods,
                    annotations=annotations, has_return_type=has_return_type)
+
+
+def _matching_brace(tokens: list[str], open_idx: int, file_path: str) -> int:
+    """Index of the '}' that closes the '{' at ``open_idx``."""
+    depth = 0
+    for i in range(open_idx, len(tokens)):
+        if tokens[i] == "{":
+            depth += 1
+        elif tokens[i] == "}":
+            depth -= 1
+            if depth == 0:
+                return i
+    raise UnbalancedBraces(f"{file_path}: braces never close")
 
 
 def extract_methods(source_text: str, file_path: str, project: str,
@@ -196,72 +200,55 @@ def extract_methods(source_text: str, file_path: str, project: str,
         stats = Counter()
 
     types: dict[str, _TypeDecl] = {}
-    candidates: list[tuple[_Header, str | None, list[str]]] = []  # header, owner type, body
-
-    # Context stack entries: ("type", _TypeDecl) | ("block", None)
-    stack: list[tuple[str, _TypeDecl | None]] = []
-    pending: list[str] = []
-    # When inside a method, collect its body instead of scanning members.
-    method: tuple[_Header, str | None, list[str], int] | None = None
+    candidates: list[tuple[_Header, str, list[str]]] = []  # header, owner type, body
+    # One entry per open brace: the type it declares, or None for any other block.
+    stack: list[_TypeDecl | None] = []
+    start = 0  # the current header is tokens[start:i]
 
     def enclosing_type() -> _TypeDecl | None:
-        for kind, decl in reversed(stack):
-            if kind == "type":
-                return decl
-        return None
+        return next((decl for decl in reversed(stack) if decl is not None), None)
 
-    for tok in tokens:
-        if method is not None:
-            header, owner, body, depth = method
-            body.append(tok)
-            if tok == "{":
-                method = (header, owner, body, depth + 1)
-            elif tok == "}":
-                depth -= 1
-                if depth == 0:
-                    candidates.append((header, owner, body))
-                    method = None
-                else:
-                    method = (header, owner, body, depth)
-            continue
-
+    i = 0
+    while i < len(tokens):
+        tok = tokens[i]
         if tok == "{":
+            pending = tokens[start:i]
             type_decl = _parse_type_header(pending)
+            header = _parse_method_header(pending) if type_decl is None else None
+            owner = enclosing_type() if header is not None else None
             if type_decl is not None:
                 types[type_decl.name] = type_decl
-                stack.append(("type", type_decl))
+                stack.append(type_decl)
+            elif owner is not None:
+                owner.declared.add((header.name, header.arity))
+                end = _matching_brace(tokens, i, file_path)
+                candidates.append((header, owner.name, tokens[i:end + 1]))
+                i = end
             else:
-                header = _parse_method_header(pending)
-                owner = enclosing_type()
-                if header is not None and owner is not None:
-                    owner.declared.add((header.name, header.arity))
-                    method = (header, owner.name, ["{"], 1)
-                else:
-                    stack.append(("block", None))
-            pending = []
+                stack.append(None)
+            start = i + 1
         elif tok == "}":
             if not stack:
                 raise UnbalancedBraces(f"{file_path}: unexpected '}}'")
             stack.pop()
-            pending = []
+            start = i + 1
         elif tok == ";":
-            header = _parse_method_header(pending)
-            owner = enclosing_type()
-            if header is not None and owner is not None and header.has_return_type:
+            header = _parse_method_header(tokens[start:i])
+            owner = enclosing_type() if header is not None else None
+            if owner is not None and header.has_return_type:
                 # Abstract, interface, or native declaration: visible to
                 # the override analysis but never extracted.
                 owner.declared.add((header.name, header.arity))
                 stats["excluded_bodyless"] += 1
-            pending = []
-        else:
-            pending.append(tok)
+            start = i + 1
+        i += 1
 
-    if stack or method is not None:
+    if stack:
         raise UnbalancedBraces(f"{file_path}: braces never close")
 
-    def overrides_same_file_supertype(header: _Header, owner: str | None) -> bool:
+    def overrides_same_file_supertype(header: _Header, owner: str) -> bool:
         seen: set[str] = set()
-        queue = list(types[owner].supertypes) if owner in types else []
+        queue = list(types[owner].supertypes)
         while queue:
             sup = queue.pop()
             if sup in seen or sup not in types:
@@ -275,7 +262,7 @@ def extract_methods(source_text: str, file_path: str, project: str,
     out: list[RawMethod] = []
     for header, owner, body in candidates:
         stats["methods_seen"] += 1
-        if owner is not None and header.name == owner:
+        if header.name == owner:
             stats["excluded_constructor"] += 1
             continue
         if "abstract" in header.modifiers:

@@ -17,8 +17,7 @@ SELF = "%self%"
 PAD = "%pad%"
 UNK = "%unk%"
 
-# Fixed id order; SPECIAL_NAMES keys are the labels used in vocabulary files.
-SPECIAL_TOKENS = (NAME_START, NAME_END, BODY_START, BODY_END, SELF, PAD, UNK)
+# Vocabulary-file label -> special token, in fixed id order.
 SPECIAL_NAMES = {
     "<s>": NAME_START,
     "</s>": NAME_END,
@@ -28,6 +27,7 @@ SPECIAL_NAMES = {
     "PAD": PAD,
     "UNK": UNK,
 }
+SPECIAL_TOKENS = tuple(SPECIAL_NAMES.values())
 
 
 class Vocabulary:
@@ -107,7 +107,7 @@ def build_vocabulary(examples, min_count: int = 2) -> Vocabulary:
     if n == 0:
         raise EmptyCorpus("no examples to build a vocabulary from")
     kept = sorted(
-        (tok for tok, c in counts.items() if c >= min_count and tok not in SPECIAL_NAMES.values()),
+        (tok for tok, c in counts.items() if c >= min_count and tok not in SPECIAL_TOKENS),
         key=lambda tok: (-counts[tok], tok),
     )
     return Vocabulary(list(SPECIAL_TOKENS) + kept)

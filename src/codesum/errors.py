@@ -37,6 +37,10 @@ class VariantDisabled(CodesumError):
 
 # trainer
 
+class InvalidConfig(CodesumError, ValueError):
+    """A training configuration value out of range."""
+
+
 class NonFiniteGradient(CodesumError):
     """``sgd_update`` was handed a gradient containing NaN or Inf."""
 

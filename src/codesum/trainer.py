@@ -16,6 +16,7 @@ feeds the GRU the predicted embedding instead of the target embedding.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -25,7 +26,7 @@ import numpy as np
 
 from .corpus.dataset import MethodExample
 from .corpus.vocabulary import NAME_END, Vocabulary, build_vocabulary
-from .errors import EmptyTrainingSet, NonFiniteGradient
+from .errors import EmptyTrainingSet, InvalidConfig, NonFiniteGradient
 from .evaluation import evaluate_model
 from .model import (
     EncodedSnippet,
@@ -80,18 +81,21 @@ class TrainConfig:
 
     def validate(self) -> None:
         if self.model_kind not in MODEL_KINDS:
-            raise ValueError(f"model_kind must be one of {MODEL_KINDS}")
+            raise InvalidConfig(f"model_kind must be one of {MODEL_KINDS}")
         if not (0.0 <= self.dropout_rate < 1.0):
-            raise ValueError("dropout_rate must be in [0, 1)")
-        for name in ("D", "k1", "k2", "w1", "w2", "w3"):
+            raise InvalidConfig("dropout_rate must be in [0, 1)")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise InvalidConfig("learning_rate must be finite and >= 0")
+        for name in ("D", "k1", "k2", "w1", "w2", "w3",
+                     "minibatch", "patience", "min_count", "eval_every"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise InvalidConfig(f"{name} must be >= 1")
+        if self.epochs < 0:
+            raise InvalidConfig("epochs must be >= 0")
         if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive")
-        if self.minibatch < 1 or self.epochs < 0 or self.patience < 1:
-            raise ValueError("bad schedule values")
+            raise InvalidConfig("clip_norm must be positive")
         if self.state_kind != "gru":
-            raise ValueError("state_kind must be 'gru'")
+            raise InvalidConfig("state_kind must be 'gru'")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -1,13 +1,18 @@
 """Command-line behavior end to end on a small fixture project."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import BAD_MANIFESTS, read_parts, write_parts
+import codesum
 from codesum import checkpoint
 from codesum.cli import main
 from codesum.corpus.dataset import load_jsonl
@@ -103,6 +108,26 @@ class TestBuildCorpus:
         assert main(["build-corpus", "--src", str(src), "--out", str(out)]) == 0
         assert load_jsonl(out) == []
 
+    def test_dataset_independent_of_hash_seed(self, java_project, tmp_path):
+        # The record's header holds two type keywords, `class` after `.` and
+        # then `record`; which one names the type must not depend on the seed.
+        (java_project / "Point.java").write_text(
+            "@Schema(Foo.class) public record Point(int x) {\n"
+            "    int norm() { return x * x; }\n}\n")
+        path = [str(Path(codesum.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        datasets = []
+        for seed in range(8):
+            out = tmp_path / f"d{seed}.jsonl"
+            env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                       PYTHONPATH=os.pathsep.join(filter(None, path)))
+            subprocess.run([sys.executable, "-m", "codesum.cli", "build-corpus",
+                            "--src", str(java_project), "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+            datasets.append(out.read_bytes())
+        assert all(d == datasets[0] for d in datasets[1:])
+        point = [ex.name for ex in load_jsonl(out) if ex.file_path.endswith("Point.java")]
+        assert point == [["norm"]]
+
     def test_unbalanced_file_skipped_with_warning(self, java_project, tmp_path, capsys):
         (java_project / "Broken.java").write_text("class Broken { void f() {")
         out = tmp_path / "d.jsonl"
@@ -181,6 +206,21 @@ class TestTrainCommand:
                                  "valid_exact_at_1", "seconds"}
         last = capsys.readouterr().out.strip().splitlines()[-1]
         assert re.fullmatch(r"checkpoint: \S+ \(best epoch \d+, skipped examples 0\)", last)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--dropout-rate", "1.0"), ("--epochs", "-1"), ("--D", "0"),
+        ("--min-count", "0"), ("--eval-every", "0"), ("--learning-rate", "nan"),
+    ])
+    def test_out_of_range_flag_exits_2(self, java_project, tmp_path, capsys, flag, value):
+        data = build_dataset(java_project, tmp_path)
+        ckpt = tmp_path / "c.ckpt"
+        code = main(["train", "--data", str(data), "--model", "copy", "--out", str(ckpt),
+                     "--D", "8", "--k1", "4", "--k2", "4", "--w1", "3", "--w2", "3",
+                     "--w3", "2", "--epochs", "1", "--min-count", "1", flag, value])
+        assert code == 2
+        field_name = flag.lstrip("-").replace("-", "_")
+        assert re.search(rf"^error: {field_name} must be", capsys.readouterr().err, re.M)
+        assert not ckpt.exists()
 
     def test_state_flag_is_rejected(self, tmp_path, capsys):
         ckpt = tmp_path / "c.ckpt"

@@ -1,13 +1,36 @@
 """Method extraction from tolerantly-lexed Java sources."""
 
 import pytest
+from hypothesis import given, strategies as st
 
-from codesum.corpus.javalex import extract_methods, lex
+from codesum.corpus.javalex import _TOKEN, extract_methods, lex
 from codesum.errors import UnbalancedBraces
 
 
 def names(source):
     return [m.name for m in extract_methods(source, "T.java", "proj")]
+
+
+def lex_by_position(text):
+    """The lexer as a position loop: match at each offset, skip one on a miss."""
+    tokens, pos = [], 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            pos += 1
+            continue
+        pos = m.end()
+        if m.lastgroup not in ("ws", "comment"):
+            tokens.append(m.group())
+    return tokens
+
+
+_PIECES = st.sampled_from([
+    "foo", "Bar_1", "$x", "class", " ", "\n", "\t", "0x1F", "1_000L", ".5e3f", "3.",
+    "1e", "0b", ">>>=", ">>", "->", "::", "...", "++", "!=", "{", "}", "(", ")", ";",
+    ".", "@", '"', "'", "\\", '"ok\\"', "'c'", "/", "*", "//", "/*", "*/",
+    "// line\n", "/* block */", "#", "`", "\u00e9",
+])
 
 
 class TestLexer:
@@ -23,6 +46,10 @@ class TestLexer:
 
     def test_multi_char_operators(self):
         assert lex("a >>= b >>> c != d") == ["a", ">>=", "b", ">>>", "c", "!=", "d"]
+
+    @given(st.lists(_PIECES | st.text(max_size=3), max_size=40).map("".join))
+    def test_matches_position_loop(self, text):
+        assert lex(text) == lex_by_position(text)
 
 
 class TestExtraction:
@@ -198,3 +225,35 @@ class TestExtraction:
         }
         """
         assert names(src) == ["f"]
+
+
+class TestAnnotatedTypes:
+    """An annotation that passes a class literal names no type."""
+
+    @pytest.mark.parametrize("header, method, name", [
+        ("@RunWith(JUnit4.class) public class FooTest",
+         "void testAdd() { check(1); }", "testAdd"),
+        ("@JsonDeserialize(using = X.class) public interface Shape",
+         "default int sides() { return 0; }", "sides"),
+        ("@Schema(Foo.class) public record Point(int x)",
+         "int norm() { return x; }", "norm"),
+        ("@Named(record) public class Row",
+         "int width() { return 1; }", "width"),
+    ], ids=["class", "interface", "record", "record-as-identifier"])
+    def test_type_keeps_its_methods(self, header, method, name):
+        assert names(header + " {\n    " + method + "\n}\n") == [name]
+
+    def test_method_annotated_with_class_literal(self):
+        src = """
+        class FooTest {
+            @Test(expected = IllegalStateException.class)
+            public void testThrows() { fail(); }
+        }
+        """
+        (m,) = extract_methods(src, "FooTest.java", "p")
+        assert m.name == "testThrows"
+        assert m.annotations == {"Test"}
+
+    def test_record_as_parameter_name_is_a_method(self):
+        src = "class Log { void save(Object record) { write(record); } }"
+        assert names(src) == ["save"]
