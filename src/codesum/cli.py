@@ -136,9 +136,10 @@ def _cmd_evaluate(args) -> int:
 def _cmd_suggest(args) -> int:
     params, vocab, cfg = checkpoint.load(args.ckpt)
     if args.snippet == "-":
+        sys.stdin.reconfigure(encoding="utf-8", errors="replace")
         text = sys.stdin.read()
     else:
-        text = Path(args.snippet).read_text(encoding="utf-8")
+        text = Path(args.snippet).read_text(encoding="utf-8", errors="replace")
     body = tokenize_snippet(text)
     if not body:
         print("error: snippet has no tokens", file=sys.stderr)
@@ -162,11 +163,13 @@ def _cmd_suggest(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,9 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=("train", "valid", "test"), default="test")
     p.add_argument("--baseline", choices=("tfidf",), default=None)
-    p.add_argument("--shuffle-bodies", type=int, default=None, metavar="SEED",
+    p.add_argument("--shuffle-bodies", type=_int_at_least(0), default=None, metavar="SEED",
                    help="permute body subtokens before scoring")
-    p.add_argument("-k", type=_positive_int, default=5)
+    p.add_argument("-k", type=_int_at_least(1), default=5)
     p.add_argument("--out", help="write the report JSON here as well")
     p.add_argument("--per-example", help="write per-example metrics CSV")
     p.set_defaults(fn=_cmd_evaluate)
@@ -211,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suggest", help="suggest names for a snippet")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--snippet", required=True, help="file of Java body text, or - for stdin")
-    p.add_argument("-k", type=_positive_int, default=5)
+    p.add_argument("-k", type=_int_at_least(1), default=5)
     p.add_argument("--viz", help="write an attention visualization HTML page")
     p.set_defaults(fn=_cmd_suggest)
     return parser

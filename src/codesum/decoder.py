@@ -6,6 +6,8 @@ step on its state, and pushes the top successors back.  A partial whose
 log-probability falls below the current k-th best completed name is
 pruned, once k names have completed, and a child below it gets no state.
 The search stops after a fixed number of iterations or when the heap empties.
+``suggest`` reads the parameters through a view that shares their arrays
+but requires no gradient, so a decode builds no autograd graph.
 """
 
 from __future__ import annotations
@@ -143,6 +145,8 @@ def suggest(snippet: EncodedSnippet, params: ModelParams, vocab: Vocabulary,
         raise ValueError(f"unknown state kind {state_kind!r}")
     if limits is None:
         limits = SearchLimits()
+    params = ModelParams.from_named(
+        {name: Tensor(t.data) for name, t in params.named_tensors()})
     step = step_fn(model_kind)
     encoded = encode(snippet, params)
     root = PartialSuggestion(subtokens=(), log_prob=0.0, state=params.h_init)

@@ -377,6 +377,8 @@ def conv1d_narrow(inp: Tensor, kernel: Tensor) -> Tensor:
 
     ``inp`` is (L, Din), ``kernel`` is (Din, w, Dout); the result is
     (L - w + 1, Dout) with out[p, o] = sum_j sum_i inp[p+j, i] * kernel[i, j, o].
+    Both passes sum ``w`` shifted matrix products, one per kernel offset,
+    so they run on BLAS; this reorders the definition's additions.
     """
     if inp.ndim != 2 or kernel.ndim != 3:
         raise DimensionMismatch(f"conv1d_narrow got input {inp.shape}, kernel {kernel.shape}")
@@ -389,17 +391,17 @@ def conv1d_narrow(inp: Tensor, kernel: Tensor) -> Tensor:
     if width > length:
         raise KernelTooLong(f"kernel width {width} exceeds input length {length}")
 
-    windows = np.lib.stride_tricks.sliding_window_view(inp.data, width, axis=0)
-    data = np.einsum("piw,iwo->po", windows, kernel.data)
+    positions = length - width + 1
+    data = sum(inp.data[j:j + positions] @ kernel.data[:, j, :] for j in range(width))
 
     def backward(g):
         if inp.requires_grad:
             gi = np.zeros_like(inp.data)
-            positions = length - width + 1
             for j in range(width):
                 gi[j:j + positions] += g @ kernel.data[:, j, :].T
             inp._accumulate(gi)
         if kernel.requires_grad:
-            kernel._accumulate(np.einsum("piw,po->iwo", windows, g))
+            kernel._accumulate(np.stack(
+                [inp.data[j:j + positions].T @ g for j in range(width)], axis=1))
 
     return _make(data, (inp, kernel), backward)

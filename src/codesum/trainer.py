@@ -90,8 +90,9 @@ class TrainConfig:
                      "minibatch", "patience", "min_count", "eval_every"):
             if getattr(self, name) < 1:
                 raise InvalidConfig(f"{name} must be >= 1")
-        if self.epochs < 0:
-            raise InvalidConfig("epochs must be >= 0")
+        for name in ("epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise InvalidConfig(f"{name} must be >= 0")
         if self.clip_norm <= 0:
             raise InvalidConfig("clip_norm must be positive")
         if self.state_kind != "gru":

@@ -192,7 +192,8 @@ class TestCorruption:
 
     @pytest.mark.parametrize("key, value", [("model_kind", "bogus"),
                                             ("state_kind", "simple"),
-                                            ("eval_every", 0)])
+                                            ("eval_every", 0),
+                                            ("seed", -1)])
     def test_invalid_stored_config(self, tmp_path, key, value):
         _, _, path = write_checkpoint(tmp_path)
         version, manifest, payload = read_parts(path)

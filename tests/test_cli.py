@@ -13,7 +13,7 @@ import pytest
 
 from conftest import BAD_MANIFESTS, read_parts, write_parts
 import codesum
-from codesum import checkpoint
+from codesum import checkpoint, cli
 from codesum.cli import main
 from codesum.corpus.dataset import load_jsonl
 
@@ -210,6 +210,7 @@ class TestTrainCommand:
     @pytest.mark.parametrize("flag, value", [
         ("--dropout-rate", "1.0"), ("--epochs", "-1"), ("--D", "0"),
         ("--min-count", "0"), ("--eval-every", "0"), ("--learning-rate", "nan"),
+        ("--seed", "-1"),
     ])
     def test_out_of_range_flag_exits_2(self, java_project, tmp_path, capsys, flag, value):
         data = build_dataset(java_project, tmp_path)
@@ -365,7 +366,62 @@ class TestEvaluateCommand:
         assert len(lines) > 1
 
 
+    def test_negative_shuffle_seed_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--ckpt", "c.ckpt", "--data", "d.jsonl",
+                  "--shuffle-bodies", "-1"])
+        assert exc.value.code == 2
+        assert "--shuffle-bodies: must be >= 0, got -1" in capsys.readouterr().err
+
+
+ODD_BODY = b"{ return w\xffidth + h\xfe\xfd; }"  # not valid UTF-8
+
+
 class TestSuggestCommand:
+    def test_non_utf8_snippet_reads_as_build_corpus_does(self, java_project, tmp_path,
+                                                         capsys, monkeypatch):
+        data = build_dataset(java_project, tmp_path)
+        ckpt = train_tiny(data, tmp_path)
+        src = tmp_path / "odd"
+        src.mkdir()
+        (src / "Odd.java").write_bytes(b"class Odd { int getSize() " + ODD_BODY + b" }")
+        assert main(["build-corpus", "--src", str(src),
+                     "--out", str(tmp_path / "odd.jsonl")]) == 0
+        [example] = load_jsonl(tmp_path / "odd.jsonl")
+        assert example.body[2:4] == ["w", "idth"]  # U+FFFD splits the identifier
+
+        snippet = tmp_path / "odd.java"
+        snippet.write_bytes(ODD_BODY)
+        seen = []
+        real_suggest = cli.suggest
+
+        def recording_suggest(encoded, *args, **kwargs):
+            seen.append(encoded.surface[1:-1])  # without the body sentinels
+            return real_suggest(encoded, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "suggest", recording_suggest)
+        capsys.readouterr()
+        assert main(["suggest", "--ckpt", str(ckpt), "--snippet", str(snippet)]) == 0
+        assert seen == [example.body]
+        assert capsys.readouterr().out.startswith("1. ")
+
+    def test_non_utf8_stdin_reads_as_the_file_does(self, java_project, tmp_path):
+        # In subprocesses, since the test runner replaces stdin.
+        ckpt = train_tiny(build_dataset(java_project, tmp_path), tmp_path)
+        snippet = tmp_path / "odd.java"
+        snippet.write_bytes(ODD_BODY)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(Path(codesum.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])))
+        outputs = []
+        for source, stdin in ((str(snippet), b""), ("-", ODD_BODY)):
+            proc = subprocess.run(
+                [sys.executable, "-m", "codesum.cli", "suggest", "--ckpt", str(ckpt),
+                 "--snippet", source], input=stdin, env=env, capture_output=True)
+            assert proc.returncode == 0, proc.stderr.decode()
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith(b"1. ")
+
     def test_ranked_output_format(self, java_project, tmp_path, capsys):
         data = build_dataset(java_project, tmp_path)
         ckpt = train_tiny(data, tmp_path)

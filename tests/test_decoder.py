@@ -10,6 +10,7 @@ from codesum import decoder
 from codesum.corpus.vocabulary import NAME_END
 from codesum.decoder import PartialSuggestion, SearchLimits, expand, suggest
 from codesum.model import (
+    ModelParams,
     StepOutput,
     copy_attention_step,
     encode_snippet,
@@ -239,6 +240,30 @@ class TestSuggest:
         a = suggest(snippet, params, vocab, k=5)
         b = suggest(snippet, params, vocab, k=5)
         assert [(s.name, s.log_prob) for s in a] == [(s.name, s.log_prob) for s in b]
+
+    @pytest.mark.parametrize("model_kind", ["copy_attention", "conv_attention"])
+    def test_decode_builds_no_graph(self, rng, monkeypatch, model_kind):
+        vocab, params, snippet = tiny_setup(rng, extra_tokens=("a", "b"),
+                                            body=("a", "zzz"))
+        if model_kind == "conv_attention":  # the conv model has no copy head
+            params = ModelParams.from_named({n: t for n, t in params.named_tensors()
+                                             if n not in ("K_copy", "K_lambda")})
+        created = []
+        real_init = Tensor.__init__
+
+        def recording_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            created.append(self)
+
+        monkeypatch.setattr(Tensor, "__init__", recording_init)
+        out = suggest(snippet, params, vocab, k=5, model_kind=model_kind)
+        monkeypatch.undo()
+
+        assert out and created
+        assert [t for t in created if t.requires_grad or t._backward is not None] == []
+        for _, t in params.named_tensors():
+            assert t.requires_grad
+            assert t.grad is None
 
 
 class TestBeamEqualsExhaustive:

@@ -16,6 +16,20 @@ from codesum.tensorcore import (
 )
 
 
+def einsum_conv1d(x, k, g):
+    """Forward, input gradient and kernel gradient of the narrow convolution
+    as einsums over sliding windows: the definition, summed in another order."""
+    w = k.shape[1]
+    windows = np.lib.stride_tricks.sliding_window_view(x, w, axis=0)
+    out = np.einsum("piw,iwo->po", windows, k)
+    # The input gradient is the full correlation of g with the flipped kernel.
+    padded = np.pad(g, ((w - 1, w - 1), (0, 0)))
+    g_windows = np.lib.stride_tricks.sliding_window_view(padded, w, axis=0)
+    grad_x = np.einsum("tow,iwo->ti", g_windows, k[:, ::-1, :])
+    grad_k = np.einsum("piw,po->iwo", windows, g)
+    return out, grad_x, grad_k
+
+
 class TestConv1dNarrow:
     def test_output_length(self):
         out = conv1d_narrow(Tensor(np.ones((5, 2))), Tensor(np.ones((2, 3, 4))))
@@ -61,6 +75,22 @@ class TestConv1dNarrow:
         rhs = a * conv1d_narrow(Tensor(x), Tensor(k)).data \
             + b * conv1d_narrow(Tensor(x), Tensor(k2)).data
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+    @pytest.mark.parametrize("length, d_in, width, d_out", [
+        (104, 128, 18, 32),  # copy preset, first layer
+        (16, 8, 10, 1),      # conv preset, attention head (k2=8, w3=10)
+        (7, 3, 1, 4),        # width one
+        (5, 3, 5, 2),        # width equal to the length
+    ])
+    def test_matches_einsum_definition(self, rng, length, d_in, width, d_out):
+        x = Tensor(rng.normal(size=(length, d_in)), requires_grad=True)
+        k = Tensor(rng.normal(size=(d_in, width, d_out)), requires_grad=True)
+        g = rng.normal(size=(length - width + 1, d_out))
+        out = conv1d_narrow(x, k)
+        out.backward(g)
+        for got, want in zip((out.data, x.grad, k.grad), einsum_conv1d(x.data, k.data, g)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestActivations:
