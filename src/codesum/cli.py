@@ -25,7 +25,7 @@ from .decoder import suggest
 from .errors import CodesumError, UnbalancedBraces
 from .evaluation import TfIdfIndex, evaluate_model, evaluate_tfidf, shuffle_ablation
 from .model import encode_snippet
-from .trainer import preset, train
+from .trainer import TrainConfig, preset, train
 from .viz import render_attention_html
 
 
@@ -61,16 +61,15 @@ def _cmd_build_corpus(args) -> int:
 
 _MODEL_FLAG = {"conv": "conv_attention", "copy": "copy_attention"}
 
+# TrainConfig fields that `train` exposes as `--<field-name>` flags; an
+# omitted flag leaves the preset's value.
+_TRAIN_FLAGS = ("D", "k1", "k2", "w1", "w2", "w3", "dropout_rate", "learning_rate",
+                "epochs", "patience", "seed", "minibatch", "min_count", "eval_every")
+
 
 def _cmd_train(args) -> int:
-    overrides = {
-        key: getattr(args, key)
-        for key in ("D", "k1", "k2", "w1", "w2", "w3", "dropout_rate",
-                    "learning_rate", "epochs", "patience", "minibatch",
-                    "min_count", "eval_every")
-        if getattr(args, key) is not None
-    }
-    overrides["seed"] = args.seed
+    overrides = {key: getattr(args, key) for key in _TRAIN_FLAGS
+                 if getattr(args, key) is not None}
     cfg = preset(_MODEL_FLAG[args.model], **overrides)
     print("config: " + json.dumps(cfg.to_dict(), sort_keys=True))
 
@@ -188,15 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--model", choices=("conv", "copy"), required=True)
     p.add_argument("--out", required=True, help="checkpoint path")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--log", help="epoch log path (JSON-Lines)")
-    for flag, typ in (("--D", int), ("--k1", int), ("--k2", int), ("--w1", int),
-                      ("--w2", int), ("--w3", int), ("--dropout-rate", float),
-                      ("--learning-rate", float), ("--epochs", int),
-                      ("--patience", int), ("--minibatch", int),
-                      ("--min-count", int), ("--eval-every", int)):
-        p.add_argument(flag, type=typ, default=None,
-                       dest=flag.lstrip("-").replace("-", "_"))
+    for key in _TRAIN_FLAGS:
+        p.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
+                       type=type(getattr(TrainConfig, key)))
     p.set_defaults(fn=_cmd_train)
 
     p = sub.add_parser("evaluate", help="score a checkpoint on a dataset split")

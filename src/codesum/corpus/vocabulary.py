@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import json
 from collections import Counter
-from pathlib import Path
 from typing import Iterable
 
 from ..errors import EmptyCorpus
@@ -17,7 +15,7 @@ SELF = "%self%"
 PAD = "%pad%"
 UNK = "%unk%"
 
-# Vocabulary-file label -> special token, in fixed id order.
+# Label in the stored ``specials`` object -> special token, in fixed id order.
 SPECIAL_NAMES = {
     "<s>": NAME_START,
     "</s>": NAME_END,
@@ -80,13 +78,6 @@ class Vocabulary:
         if obj.get("specials") != vocab.specials:
             raise ValueError("vocabulary specials disagree with token list")
         return vocab
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json()), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Vocabulary":
-        return cls.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def build_vocabulary(examples, min_count: int = 2) -> Vocabulary:

@@ -34,10 +34,11 @@ from .tensorcore import Tensor
 
 @dataclass
 class SearchLimits:
-    """Caps that keep the search tractable."""
+    """Caps that keep the search tractable.  An overflowing heap keeps its
+    most probable partials and, on a tie at the cut, the earlier pushed."""
 
     max_steps: int = 100       # heap iterations
-    heap_size: int = 256       # partials kept; overflow drops the worst
+    heap_size: int = 256       # partials kept
     successors: int = 50       # children pushed per expansion
     max_name_len: int = 10     # hard cap on subtokens per name
 
@@ -151,14 +152,15 @@ def suggest(snippet: EncodedSnippet, params: ModelParams, vocab: Vocabulary,
     encoded = encode(snippet, params)
     root = PartialSuggestion(subtokens=(), log_prob=0.0, state=params.h_init)
 
-    counter = itertools.count()  # heap tie-breaker
+    counter = itertools.count()  # heap tie-breaker: earlier pushes first
     heap: list[tuple[float, int, PartialSuggestion]] = [(0.0, next(counter), root)]
-    best: dict[tuple[str, ...], Suggestion] = {}
+    # Each prefix is expanded at most once, so each name completes at most
+    # once.  ``top`` is a min-heap of the k best completed log-probs.
+    completed: list[Suggestion] = []
+    top: list[float] = []
 
     def kth_best() -> float | None:
-        if len(best) < k:
-            return None
-        return sorted(s.log_prob for s in best.values())[-k]
+        return top[0] if len(top) == k else None
 
     for _ in range(limits.max_steps):
         if not heap:
@@ -168,20 +170,18 @@ def suggest(snippet: EncodedSnippet, params: ModelParams, vocab: Vocabulary,
         if bar is not None and partial.log_prob < bar:
             continue
         out = step(snippet, partial.state, params, encoded)
-        children, completed = expand(partial, out, snippet, params, vocab, limits, bar)
-        for s in completed:
-            key = tuple(s.name)
-            if key not in best or s.log_prob > best[key].log_prob:
-                best[key] = s
+        children, done = expand(partial, out, snippet, params, vocab, limits, bar)
+        completed.extend(done)
+        for s in done:
+            push = heapq.heappush if len(top) < k else heapq.heappushpop
+            push(top, s.log_prob)
         bar = kth_best()
         for child in children:
             if bar is not None and child.log_prob < bar:
                 continue
             heapq.heappush(heap, (-child.log_prob, next(counter), child))
-        while len(heap) > limits.heap_size:
-            worst = max(range(len(heap)), key=lambda i: heap[i][0])
-            heap.pop(worst)
-            heapq.heapify(heap)
+        if len(heap) > limits.heap_size:
+            heap = heapq.nsmallest(limits.heap_size, heap)
 
-    ranked = sorted(best.values(), key=lambda s: (-s.log_prob, s.name))
+    ranked = sorted(completed, key=lambda s: (-s.log_prob, s.name))
     return ranked[:k]

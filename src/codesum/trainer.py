@@ -1,7 +1,9 @@
 """Maximum-likelihood training with RMSProp and Nesterov momentum.
 
 Update rule, applied after clipping the global gradient norm to
-``clip_norm`` (these formulas are normative for this repository):
+``CLIP_NORM``, with rho = ``RMS_DECAY``, momentum = ``MOMENTUM`` and
+eps = ``EPSILON`` for both model kinds; only lr is configurable (these
+formulas are normative for this repository):
 
     a <- rho * a + (1 - rho) * g^2
     s <- g / sqrt(a + eps)
@@ -17,9 +19,10 @@ feeds the GRU the predicted embedding instead of the target embedding.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,19 +44,25 @@ from .model import (
 )
 from .tensorcore import Tensor
 
-MODEL_KINDS = ("conv_attention", "copy_attention")
+RMS_DECAY = 0.9
+MOMENTUM = 0.9
+EPSILON = 1e-6
+CLIP_NORM = 5.0
 
 # Scale of the normal initialization noise.
 INIT_SIGMA = 0.1
 PRELU_INIT = 0.25
 
+# The values a field annotated with each type accepts.
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
+
 
 @dataclass
 class TrainConfig:
-    """Architecture, optimizer, and schedule knobs.
+    """Architecture, regularization and schedule knobs.
 
-    Defaults are the tuned copy-model setting; ``preset`` returns the
-    tuned setting for either model kind.
+    The defaults are the tuned copy-model setting; ``PRESETS`` holds each
+    kind's changes to them.
     """
 
     model_kind: str = "copy_attention"
@@ -65,10 +74,6 @@ class TrainConfig:
     w3: int = 2
     dropout_rate: float = 0.4
     learning_rate: float = 1e-3
-    rms_decay: float = 0.9
-    momentum: float = 0.9
-    epsilon: float = 1e-6
-    clip_norm: float = 5.0
     epochs: int = 50
     patience: int = 5
     seed: int = 0
@@ -80,6 +85,13 @@ class TrainConfig:
     state_kind: str = "gru"       # the GRU is the only decoder state
 
     def validate(self) -> None:
+        for f in fields(self):
+            value, base = getattr(self, f.name), f.type.removesuffix(" | None")
+            # bool is an Integral, but a stored ``true`` is not a number.
+            ok = (isinstance(value, _FIELD_TYPES[base]) and not isinstance(value, bool)
+                  or value is None and base != f.type)
+            if not ok:
+                raise InvalidConfig(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.model_kind not in MODEL_KINDS:
             raise InvalidConfig(f"model_kind must be one of {MODEL_KINDS}")
         if not (0.0 <= self.dropout_rate < 1.0):
@@ -93,8 +105,6 @@ class TrainConfig:
         for name in ("epochs", "seed"):
             if getattr(self, name) < 0:
                 raise InvalidConfig(f"{name} must be >= 0")
-        if self.clip_norm <= 0:
-            raise InvalidConfig("clip_norm must be positive")
         if self.state_kind != "gru":
             raise InvalidConfig("state_kind must be 'gru'")
 
@@ -107,17 +117,18 @@ class TrainConfig:
         return cls(**{k: v for k, v in obj.items() if k in known})
 
 
+# Each model kind's changes to the TrainConfig defaults, which are the copy preset.
+PRESETS: dict[str, dict] = {
+    "conv_attention": dict(k1=8, k2=8, w1=24, w2=29, w3=10, dropout_rate=0.5),
+    "copy_attention": {},
+}
+MODEL_KINDS = tuple(PRESETS)
+
+
 def preset(model_kind: str, **overrides) -> TrainConfig:
-    """The tuned hyperparameters for each model kind."""
-    if model_kind == "conv_attention":
-        cfg = TrainConfig(model_kind="conv_attention", D=128, k1=8, k2=8,
-                          w1=24, w2=29, w3=10, dropout_rate=0.5)
-    elif model_kind == "copy_attention":
-        cfg = TrainConfig(model_kind="copy_attention", D=128, k1=32, k2=16,
-                          w1=18, w2=19, w3=2, dropout_rate=0.4)
-    else:
-        raise ValueError(f"unknown model kind {model_kind!r}")
-    cfg = replace(cfg, **overrides)
+    """The tuned configuration of ``model_kind`` with ``overrides`` applied,
+    validated; an unknown kind raises ``InvalidConfig``."""
+    cfg = TrainConfig(**{"model_kind": model_kind, **PRESETS.get(model_kind, {}), **overrides})
     cfg.validate()
     return cfg
 
@@ -197,8 +208,8 @@ def sgd_update(params: ModelParams, grads: dict[str, np.ndarray],
     for g in grads.values():
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradient("gradient contains NaN or Inf")
-    clip_global_norm(grads, cfg.clip_norm)
-    rho, mu, lr, eps = cfg.rms_decay, cfg.momentum, cfg.learning_rate, cfg.epsilon
+    clip_global_norm(grads, CLIP_NORM)
+    rho, mu, lr, eps = RMS_DECAY, MOMENTUM, cfg.learning_rate, EPSILON
     for name, t in params.named_tensors():
         g = grads.get(name)
         if g is None:

@@ -129,6 +129,26 @@ class TestRoundTrip:
 
         assert ranked(v3) == ranked(params) != []
 
+    def test_stored_optimizer_keys_are_ignored(self, tmp_path):
+        # Configs stored while the optimizer constants were TrainConfig
+        # fields carry them; their values no longer mean anything.
+        params, vocab, path = write_checkpoint(tmp_path)
+        version, manifest, payload = read_parts(path)
+        assert not {"rms_decay", "momentum", "epsilon", "clip_norm"} & set(manifest["config"])
+        old_path = tmp_path / "old.ckpt"
+        manifest["config"].update(rms_decay=0.5, momentum=0.0, epsilon=1.0, clip_norm=-1.0)
+        write_parts(old_path, version, manifest, payload)
+
+        old, old_vocab, old_cfg = load(old_path)
+        new, new_vocab, new_cfg = load(path)
+        assert (old_vocab, old_cfg) == (new_vocab, new_cfg) == (vocab, cfg())
+        snippet = encode_snippet(["a", "b", "zz"], vocab)
+
+        def ranked(p):
+            return [(s.name, s.log_prob) for s in suggest(snippet, p, vocab, k=5)]
+
+        assert ranked(old) == ranked(new) != []
+
 
 class TestCorruption:
     def test_truncated_payload(self, tmp_path):
@@ -193,7 +213,10 @@ class TestCorruption:
     @pytest.mark.parametrize("key, value", [("model_kind", "bogus"),
                                             ("state_kind", "simple"),
                                             ("eval_every", 0),
-                                            ("seed", -1)])
+                                            ("seed", -1),
+                                            ("seed", 1.5),
+                                            ("w3", 2.0),
+                                            ("epochs", True)])
     def test_invalid_stored_config(self, tmp_path, key, value):
         _, _, path = write_checkpoint(tmp_path)
         version, manifest, payload = read_parts(path)

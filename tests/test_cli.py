@@ -7,6 +7,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import codesum
 from codesum import checkpoint, cli
 from codesum.cli import main
 from codesum.corpus.dataset import load_jsonl
+from codesum.trainer import preset
 
 JAVA_A = """
 public class Widget {
@@ -180,6 +182,47 @@ class TestTrainCommand:
         assert (cfg["k1"], cfg["k2"], cfg["w1"], cfg["w2"], cfg["w3"]) == (8, 8, 24, 29, 10)
         assert cfg["dropout_rate"] == 0.5 and cfg["D"] == 128
 
+    @pytest.fixture
+    def built_config(self, java_project, tmp_path, monkeypatch):
+        """Run `codesum train` with training and saving stubbed out, and
+        return the config it trained with."""
+        data = build_dataset(java_project, tmp_path)
+        seen = []
+
+        def fake_train(train_examples, valid_examples, cfg, log_sink=None):
+            seen.append(cfg)
+            return SimpleNamespace(params=None, vocab=None, config=cfg,
+                                   best_epoch=0, skipped_examples=0)
+
+        monkeypatch.setattr(cli, "train", fake_train)
+        monkeypatch.setattr(checkpoint, "save", lambda *args: None)
+
+        def run(model, *flags):
+            assert main(["train", "--data", str(data), "--model", model,
+                         "--out", str(tmp_path / "c.ckpt"), *flags]) == 0
+            return seen[-1]
+        return run
+
+    @pytest.mark.parametrize("model, kind", [("copy", "copy_attention"),
+                                             ("conv", "conv_attention")])
+    def test_no_overrides_builds_the_preset(self, built_config, model, kind):
+        assert built_config(model) == preset(kind)
+
+    @pytest.mark.parametrize("model, kind", [("copy", "copy_attention"),
+                                             ("conv", "conv_attention")])
+    @pytest.mark.parametrize("flag, key, value", [
+        ("--D", "D", 7), ("--k1", "k1", 5), ("--k2", "k2", 6), ("--w1", "w1", 3),
+        ("--w2", "w2", 4), ("--w3", "w3", 3), ("--dropout-rate", "dropout_rate", 0.25),
+        ("--learning-rate", "learning_rate", 0.01), ("--epochs", "epochs", 7),
+        ("--patience", "patience", 9), ("--seed", "seed", 11),
+        ("--minibatch", "minibatch", 3), ("--min-count", "min_count", 4),
+        ("--eval-every", "eval_every", 2),
+    ])
+    def test_flag_sets_its_field(self, built_config, model, kind, flag, key, value):
+        cfg = built_config(model, flag, str(value))
+        assert cfg == preset(kind, **{key: value}) != preset(kind)
+        assert type(getattr(cfg, key)) is type(value)
+
     def test_same_seed_same_first_epoch_loss(self, java_project, tmp_path, capsys):
         data = build_dataset(java_project, tmp_path)
         train_tiny(data, tmp_path, seed="5")
@@ -292,8 +335,10 @@ class TestEvaluateCommand:
         snippet = tmp_path / "snippet.java"
         snippet.write_text("{ return width; }")
         # Well-formed files whose stored config does not validate: an
-        # unknown model kind, and the removed simple-state variant.
-        for key, value in (("model_kind", "bogus"), ("state_kind", "simple")):
+        # unknown model kind, the removed simple-state variant, and a
+        # seed that is not an integer.
+        for key, value in (("model_kind", "bogus"), ("state_kind", "simple"),
+                           ("seed", 1.5)):
             bad_cfg = tmp_path / f"{key}.ckpt"
             checkpoint.save(params, vocab, replace(cfg, **{key: value}), bad_cfg)
             capsys.readouterr()

@@ -241,6 +241,23 @@ class TestSuggest:
         b = suggest(snippet, params, vocab, k=5)
         assert [(s.name, s.log_prob) for s in a] == [(s.name, s.log_prob) for s in b]
 
+    def test_heap_size_bounds_the_open_partials(self, rng, monkeypatch):
+        vocab, params, snippet = tiny_setup(rng, extra_tokens=("a", "b", "c"))
+        sizes = []
+        real_heappop = decoder.heapq.heappop
+
+        def recording_heappop(heap):
+            sizes.append(len(heap))
+            return real_heappop(heap)
+
+        monkeypatch.setattr(decoder.heapq, "heappop", recording_heappop)
+        out = suggest(snippet, params, vocab, k=2, limits=SearchLimits(heap_size=3))
+        monkeypatch.undo()
+
+        assert out
+        # The root's expansion alone pushes more than three children.
+        assert len(sizes) > 3 and max(sizes) == 3
+
     @pytest.mark.parametrize("model_kind", ["copy_attention", "conv_attention"])
     def test_decode_builds_no_graph(self, rng, monkeypatch, model_kind):
         vocab, params, snippet = tiny_setup(rng, extra_tokens=("a", "b"),

@@ -11,7 +11,12 @@ from codesum.checkpoint import load, save
 from codesum.corpus.dataset import MethodExample
 from codesum.corpus.vocabulary import NAME_END, build_vocabulary
 from codesum.decoder import suggest
-from codesum.errors import DimensionMismatch, EmptyTrainingSet, NonFiniteGradient
+from codesum.errors import (
+    DimensionMismatch,
+    EmptyTrainingSet,
+    InvalidConfig,
+    NonFiniteGradient,
+)
 from codesum.evaluation import evaluate_model, score_suggestions
 from codesum.model import (
     ModelParams,
@@ -23,7 +28,11 @@ from codesum.model import (
 )
 from codesum.tensorcore import Tensor
 from codesum.trainer import (
+    CLIP_NORM,
+    EPSILON,
     INIT_SIGMA,
+    MOMENTUM,
+    RMS_DECAY,
     OptimizerState,
     TrainConfig,
     clip_global_norm,
@@ -67,13 +76,34 @@ class TestPresets:
         again = TrainConfig.from_dict(cfg.to_dict())
         assert again == cfg
 
+    def test_copy_preset_is_the_defaults(self):
+        assert preset("copy_attention") == TrainConfig()
+
+    def test_unknown_kind(self):
+        with pytest.raises(InvalidConfig, match="model_kind"):
+            preset("bogus")
+
     def test_validation(self):
         with pytest.raises(ValueError):
             preset("copy_attention", dropout_rate=1.0)
         with pytest.raises(ValueError):
-            preset("copy_attention", clip_norm=0.0)
-        with pytest.raises(ValueError):
             preset("copy_attention", state_kind="simple")
+
+    @pytest.mark.parametrize("key, value", [
+        ("seed", 1.5), ("w3", 2.0), ("epochs", True), ("D", "8"),
+        ("dropout_rate", False), ("learning_rate", "1e-3"), ("learning_rate", None),
+        ("stop_exact_at_1", "0.5"), ("model_kind", 1),
+    ])
+    def test_field_of_wrong_type(self, key, value):
+        with pytest.raises(InvalidConfig, match=f"^{key} must be"):
+            TrainConfig(**{key: value}).validate()
+
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", 0), ("dropout_rate", np.float32(0.25)),
+        ("seed", np.int64(3)), ("stop_exact_at_1", 1), ("stop_exact_at_1", None),
+    ])
+    def test_field_of_compatible_type(self, key, value):
+        TrainConfig(**{key: value}).validate()
 
 
 class TestInitParams:
@@ -197,9 +227,11 @@ class TestSgdUpdate:
         np.testing.assert_allclose(grads["a"], [0.3, 0.4])
 
     def test_two_steps_match_hand_computation(self):
-        # Single scalar parameter; constants chosen for hand evaluation.
-        cfg = tiny_cfg(learning_rate=0.1, rms_decay=0.5, momentum=0.9,
-                       epsilon=1e-6, clip_norm=100.0)
+        # Single scalar parameter.  The gradients' norms, 2 and 1, stay
+        # below CLIP_NORM, so neither step is clipped.
+        assert CLIP_NORM > 2.0
+        lr, rho, mu, eps = 0.1, RMS_DECAY, MOMENTUM, EPSILON
+        cfg = tiny_cfg(learning_rate=lr)
         params = make_params(8)
         names = [n for n, _ in params.named_tensors()]
         state = OptimizerState.for_params(params)
@@ -210,20 +242,20 @@ class TestSgdUpdate:
             g["h_init"][0] = value
             return g
 
-        # step 1: g=2 -> a=0.5*0+0.5*4=2; s=2/sqrt(2+1e-6); v=s; step=lr*(s+0.9 v)
+        # step 1: g=2 -> a=(1-rho)*4; s=2/sqrt(a+eps); v=s; step=lr*(s+mu*v)
         sgd_update(params, grads_with(2.0), state, cfg)
-        a1 = 0.5 * 4.0
-        s1 = 2.0 / math.sqrt(a1 + 1e-6)
+        a1 = (1 - rho) * 4.0
+        s1 = 2.0 / math.sqrt(a1 + eps)
         v1 = s1
-        theta1 = theta0 - 0.1 * (s1 + 0.9 * v1)
+        theta1 = theta0 - lr * (s1 + mu * v1)
         assert float(params.h_init.data[0]) == pytest.approx(theta1, rel=1e-12)
 
-        # step 2: g=-1 -> a=0.5*2+0.5*1=1.5; s=-1/sqrt(1.5+1e-6); v=0.9*v1+s
+        # step 2: g=-1 -> a=rho*a1+(1-rho)*1; s=-1/sqrt(a+eps); v=mu*v1+s
         sgd_update(params, grads_with(-1.0), state, cfg)
-        a2 = 0.5 * a1 + 0.5 * 1.0
-        s2 = -1.0 / math.sqrt(a2 + 1e-6)
-        v2 = 0.9 * v1 + s2
-        theta2 = theta1 - 0.1 * (s2 + 0.9 * v2)
+        a2 = rho * a1 + (1 - rho) * 1.0
+        s2 = -1.0 / math.sqrt(a2 + eps)
+        v2 = mu * v1 + s2
+        theta2 = theta1 - lr * (s2 + mu * v2)
         assert float(params.h_init.data[0]) == pytest.approx(theta2, rel=1e-12)
         assert set(names) == set(state.sq)
 
@@ -237,8 +269,8 @@ class TestSgdUpdate:
 
     def test_step_norm_bound(self):
         # One clipped update from a fresh state cannot move farther than
-        # lr * (1 + momentum) * clip_norm / sqrt(eps).
-        cfg = tiny_cfg(learning_rate=0.05, clip_norm=5.0, epsilon=1e-6)
+        # lr * (1 + MOMENTUM) * CLIP_NORM / sqrt(EPSILON).
+        cfg = tiny_cfg(learning_rate=0.05)
         params = make_params(8)
         state = OptimizerState.for_params(params)
         before = {n: t.data.copy() for n, t in params.named_tensors()}
@@ -249,7 +281,7 @@ class TestSgdUpdate:
         moved = math.sqrt(sum(
             float(((t.data - before[n]) ** 2).sum())
             for n, t in params.named_tensors()))
-        bound = cfg.learning_rate * (1 + cfg.momentum) * cfg.clip_norm / math.sqrt(cfg.epsilon)
+        bound = cfg.learning_rate * (1 + MOMENTUM) * CLIP_NORM / math.sqrt(EPSILON)
         assert moved <= bound
 
 

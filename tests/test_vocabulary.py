@@ -1,5 +1,7 @@
 """Vocabulary construction, determinism, and persistence."""
 
+import json
+
 import pytest
 
 from codesum.corpus.dataset import MethodExample
@@ -61,10 +63,9 @@ class TestVocabularyMap:
         vocab = build_vocabulary([ex(["a"], ["a"])], min_count=1)
         assert vocab.id("never-seen") == vocab.unk_id
 
-    def test_roundtrip_json(self, tmp_path):
+    def test_roundtrip_json(self):
+        # The checkpoint manifest stores the vocabulary as this JSON object.
         vocab = build_vocabulary([ex(["a", "b"], ["c", "c"])], min_count=1)
-        path = tmp_path / "vocab.json"
-        vocab.save(path)
-        again = Vocabulary.load(path)
+        again = Vocabulary.from_json(json.loads(json.dumps(vocab.to_json())))
         assert again == vocab
         assert again.specials == vocab.specials
