@@ -8,6 +8,10 @@ pruned, once k names have completed, and a child below it gets no state.
 The search stops after a fixed number of iterations or when the heap empties.
 ``suggest`` reads the parameters through a view that shares their arrays
 but requires no gradient, so a decode builds no autograd graph.
+Siblings share their parent's state-side GRU products, and a decode
+computes each token's input-side products once, keyed by token id in a
+dict that lives for one ``suggest`` call; each state is bit-identical to
+one whose step computes all six products itself.
 """
 
 from __future__ import annotations
@@ -24,12 +28,13 @@ from .model import (
     EncodedSnippet,
     ModelParams,
     StepOutput,
+    embed_token,
     encode,
     merged_distribution,
     next_state,
     step_fn,
 )
-from .tensorcore import Tensor
+from .tensorcore import GruProducts, Tensor, input_products, state_products
 
 
 @dataclass
@@ -79,6 +84,7 @@ class Suggestion:
 def expand(partial: PartialSuggestion, out: StepOutput,
            snippet: EncodedSnippet, params: ModelParams, vocab: Vocabulary,
            limits: SearchLimits, bar: float | None = None,
+           token_inputs: dict[int, GruProducts] | None = None,
            ) -> tuple[list[PartialSuggestion], list[Suggestion]]:
     """Children of a partial, split into open prefixes and completions.
 
@@ -86,7 +92,10 @@ def expand(partial: PartialSuggestion, out: StepOutput,
     of the merged distribution, ties broken by token string.  Each open
     child's state advances in test mode, unless its log-probability is
     below ``bar``, the search's k-th best completion: then it is dropped.
+    ``token_inputs`` memoizes each token id's input-side GRU products; it
+    must not outlive the parameters' current values.
     """
+    token_inputs = {} if token_inputs is None else token_inputs
     merged = merged_distribution(out, snippet, vocab)
     probs, n = merged.probs, limits.successors
     if len(partial.subtokens) >= limits.max_name_len:
@@ -99,10 +108,12 @@ def expand(partial: PartialSuggestion, out: StepOutput,
         candidates = range(len(probs))
     ranked = sorted(candidates, key=lambda i: (-probs[i], merged.tokens[i]))[:n]
 
-    # Siblings share one snapshot of the step's attention.
+    # Siblings share one snapshot of the step's attention, and the
+    # parent's state-side GRU products.
     alpha = out.alpha.data.copy()
     kappa = out.kappa.data.copy() if out.kappa is not None else None
     lam = float(out.lam.data) if out.lam is not None else None
+    hs = state_products(partial.state, params.gru)
     children: list[PartialSuggestion] = []
     completed: list[Suggestion] = []
     for i in ranked:
@@ -121,10 +132,14 @@ def expand(partial: PartialSuggestion, out: StepOutput,
             continue
         if bar is not None and log_prob < bar:
             continue
+        token_id = vocab.id(token)
+        if token_id not in token_inputs:
+            token_inputs[token_id] = input_products(embed_token(params, token_id), params.gru)
         children.append(PartialSuggestion(
             subtokens=(*partial.subtokens, token),
             log_prob=log_prob,
-            state=next_state(params, partial.state, token_id=vocab.id(token)),
+            state=next_state(params, partial.state, token_id=token_id,
+                             xs=token_inputs[token_id], hs=hs),
             steps=(*partial.steps, record),
         ))
     return children, completed
@@ -151,6 +166,7 @@ def suggest(snippet: EncodedSnippet, params: ModelParams, vocab: Vocabulary,
     step = step_fn(model_kind)
     encoded = encode(snippet, params)
     root = PartialSuggestion(subtokens=(), log_prob=0.0, state=params.h_init)
+    token_inputs: dict[int, GruProducts] = {}
 
     counter = itertools.count()  # heap tie-breaker: earlier pushes first
     heap: list[tuple[float, int, PartialSuggestion]] = [(0.0, next(counter), root)]
@@ -170,7 +186,8 @@ def suggest(snippet: EncodedSnippet, params: ModelParams, vocab: Vocabulary,
         if bar is not None and partial.log_prob < bar:
             continue
         out = step(snippet, partial.state, params, encoded)
-        children, done = expand(partial, out, snippet, params, vocab, limits, bar)
+        children, done = expand(partial, out, snippet, params, vocab, limits, bar,
+                                token_inputs)
         completed.extend(done)
         for s in done:
             push = heapq.heappush if len(top) < k else heapq.heappushpop

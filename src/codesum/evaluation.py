@@ -198,14 +198,18 @@ class TfIdfIndex:
             df.update(bag.keys())
         n = len(examples)
         self.idf: dict[str, float] = {tok: math.log(n / d) for tok, d in df.items()}
-        # Inverted index: token -> [(doc, tfidf weight)]
-        self.postings: dict[str, list[tuple[int, float]]] = {}
+        # Inverted index: token -> (docs ascending, their tf-idf weights)
+        postings: dict[str, tuple[list[int], list[float]]] = {}
         norms = np.zeros(n)
         for doc, bag in enumerate(bags):
             for tok, tf in bag.items():
                 w = tf * self.idf[tok]
-                self.postings.setdefault(tok, []).append((doc, w))
+                docs, weights = postings.setdefault(tok, ([], []))
+                docs.append(doc)
+                weights.append(w)
                 norms[doc] += w * w
+        self.postings = {tok: (np.array(docs, dtype=np.intp), np.array(weights))
+                         for tok, (docs, weights) in postings.items()}
         self.norms = np.sqrt(norms)
         # most_common's sort is stable, so equal counts keep training order.
         self.fallback: list[tuple[str, ...]] = [
@@ -223,15 +227,15 @@ class TfIdfIndex:
         qnorm = math.sqrt(sum(w * w for w in qweights.values()))
         sims = np.zeros(len(self.names))
         for tok, qw in qweights.items():
-            for doc, dw in self.postings[tok]:
-                sims[doc] += qw * dw
+            docs, weights = self.postings[tok]
+            sims[docs] += qw * weights  # a token lists each doc once
         if qnorm > 0.0:
             with np.errstate(invalid="ignore", divide="ignore"):
                 sims = np.where(self.norms > 0.0, sims / (qnorm * self.norms), 0.0)
 
         ranked: list[tuple[tuple[str, ...], float]] = []
         seen: set[tuple[str, ...]] = set()
-        for doc in sorted(range(len(sims)), key=lambda i: (-sims[i], i)):
+        for doc in np.argsort(-sims, kind="stable").tolist():
             if sims[doc] <= 0.0:
                 break
             name = self.names[doc]

@@ -22,6 +22,7 @@ from .corpus.vocabulary import BODY_END, BODY_START, Vocabulary
 from .errors import DimensionMismatch, VariantDisabled
 from .tensorcore import (
     GruParams,
+    GruProducts,
     Tensor,
     constant,
     conv1d_narrow,
@@ -323,21 +324,29 @@ def merged_distribution(step: StepOutput, snippet: EncodedSnippet,
 # -- decoder state updates ---------------------------------------------------------
 
 
+def embed_token(p: ModelParams, token_id: int) -> Tensor:
+    """The embedding of one subtoken id, as a vector."""
+    return reshape(rows(p.E, np.array([token_id], dtype=np.intp)), (p.E.shape[1],))
+
+
 def next_state(p: ModelParams, h_prev: Tensor, *, token_id: int,
                nhat: Tensor | None = None, dropout_rate: float = 0.0,
-               rng: np.random.Generator | None = None) -> Tensor:
+               rng: np.random.Generator | None = None,
+               xs: GruProducts | None = None, hs: GruProducts | None = None) -> Tensor:
     """GRU state update.
 
     At test time the embedding of the emitted subtoken feeds the GRU.
     During training, with probability equal to the dropout rate, the
     predicted embedding is used instead (scheduled-sampling-style).
+    A decode passes ``xs``, the GRU's input-side products of
+    ``token_id``'s embedding, and ``hs``, the state-side products of
+    ``h_prev``; then no embedding is gathered.
     """
-    use_predicted = (
-        nhat is not None and rng is not None and dropout_rate > 0.0
-        and rng.random() < dropout_rate
-    )
-    if use_predicted:
-        x = nhat
-    else:
-        x = reshape(rows(p.E, np.array([token_id], dtype=np.intp)), (p.E.shape[1],))
-    return gru_step(x, h_prev, p.gru)
+    x = None
+    if xs is None:
+        use_predicted = (
+            nhat is not None and rng is not None and dropout_rate > 0.0
+            and rng.random() < dropout_rate
+        )
+        x = nhat if use_predicted else embed_token(p, token_id)
+    return gru_step(x, h_prev, p.gru, xs, hs)

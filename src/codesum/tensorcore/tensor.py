@@ -40,7 +40,7 @@ class Tensor:
                  _prev: tuple[Tensor, ...] = (), _backward=None):
         self.data = _as_float_array(data)
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in _prev)
+        self.requires_grad = requires_grad or (bool(_prev) and any(p.requires_grad for p in _prev))
         self._prev = _prev
         self._backward = _backward
 
@@ -53,9 +53,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -148,10 +145,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _make(data, prev: tuple[Tensor, ...], backward) -> Tensor:
-    if not any(p.requires_grad for p in prev):
+    live = tuple(p for p in prev if p.requires_grad)
+    if not live:
         return Tensor(data)
-    return Tensor(data, _prev=tuple(p for p in prev if p.requires_grad),
-                  _backward=backward)
+    return Tensor(data, _prev=live, _backward=backward)
 
 
 # -- elementwise arithmetic ------------------------------------------------
@@ -290,8 +287,9 @@ def rows(table: Tensor, ids: Iterable[int]) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    out = np.where(x >= 0, 1.0 / d, e / d)
 
     def backward(g):
         if a.requires_grad:

@@ -203,12 +203,15 @@ def clip_global_norm(grads: dict[str, np.ndarray], clip_norm: float) -> float:
 
 
 def sgd_update(params: ModelParams, grads: dict[str, np.ndarray],
-               opt_state: OptimizerState, cfg: TrainConfig) -> None:
-    """One clipped RMSProp + Nesterov-momentum step, in place."""
+               opt_state: OptimizerState, cfg: TrainConfig) -> float:
+    """One clipped RMSProp + Nesterov-momentum step, in place.
+
+    Returns the global gradient norm before clipping.
+    """
     for g in grads.values():
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradient("gradient contains NaN or Inf")
-    clip_global_norm(grads, CLIP_NORM)
+    norm = clip_global_norm(grads, CLIP_NORM)
     rho, mu, lr, eps = RMS_DECAY, MOMENTUM, cfg.learning_rate, EPSILON
     for name, t in params.named_tensors():
         g = grads.get(name)
@@ -222,6 +225,7 @@ def sgd_update(params: ModelParams, grads: dict[str, np.ndarray],
         v *= mu
         v += s
         t.data -= lr * (s + mu * v)
+    return norm
 
 
 # -- dropout ---------------------------------------------------------------------------
@@ -292,6 +296,16 @@ def _collect_grads(params: ModelParams) -> dict[str, np.ndarray]:
     }
 
 
+def _grad_norm_stats(norms: Sequence[float]) -> dict:
+    """An epoch's mean and max pre-clip gradient norm and the fraction of
+    its updates that were clipped; all ``None`` without an update."""
+    if not norms:
+        return {"grad_norm_mean": None, "grad_norm_max": None, "clipped_frac": None}
+    return {"grad_norm_mean": sum(norms) / len(norms),
+            "grad_norm_max": max(norms),
+            "clipped_frac": sum(n > CLIP_NORM for n in norms) / len(norms)}
+
+
 def train(train_examples: Sequence[MethodExample],
           valid_examples: Sequence[MethodExample],
           cfg: TrainConfig,
@@ -327,6 +341,7 @@ def train(train_examples: Sequence[MethodExample],
         order = rng.permutation(len(snippets))
         window: dict[str, np.ndarray] = {}
         window_count = 0
+        norms: list[float] = []
         epoch_nll = 0.0
         counted = 0
         for idx in order:
@@ -354,11 +369,11 @@ def train(train_examples: Sequence[MethodExample],
                     window[gname] = g
             window_count += 1
             if window_count >= cfg.minibatch:
-                sgd_update(params, window, opt_state, cfg)
+                norms.append(sgd_update(params, window, opt_state, cfg))
                 window = {}
                 window_count = 0
         if window_count:
-            sgd_update(params, window, opt_state, cfg)
+            norms.append(sgd_update(params, window, opt_state, cfg))
 
         f1_5 = exact_1 = None
         if valid_examples and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
@@ -383,6 +398,7 @@ def train(train_examples: Sequence[MethodExample],
             "train_nll": epoch_nll / counted if counted else None,
             "valid_f1_at_5": f1_5,
             "valid_exact_at_1": exact_1,
+            **_grad_norm_stats(norms),
             "seconds": time.perf_counter() - tick,
         }
         log.append(entry)

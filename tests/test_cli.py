@@ -246,7 +246,8 @@ class TestTrainCommand:
         lines = [json.loads(l) for l in log.read_text().splitlines()]
         assert len(lines) == 3
         assert set(lines[0]) == {"epoch", "train_nll", "valid_f1_at_5",
-                                 "valid_exact_at_1", "seconds"}
+                                 "valid_exact_at_1", "grad_norm_mean",
+                                 "grad_norm_max", "clipped_frac", "seconds"}
         last = capsys.readouterr().out.strip().splitlines()[-1]
         assert re.fullmatch(r"checkpoint: \S+ \(best epoch \d+, skipped examples 0\)", last)
 

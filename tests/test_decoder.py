@@ -283,6 +283,115 @@ class TestSuggest:
             assert t.grad is None
 
 
+KINDS = ["copy_attention", "conv_attention"]
+
+
+def sharing_setup(rng, model_kind):
+    """A model whose decodes emit some tokens from several parents."""
+    vocab = make_vocab(["a", "b", "c", "d"])
+    params = make_params(len(vocab), d=4, k1=2, k2=3, w1=2, w2=1, w3=2,
+                         rng=rng, scale=0.8)
+    if model_kind == "conv_attention":  # the conv model has no copy head
+        params = ModelParams.from_named({n: t for n, t in params.named_tensors()
+                                         if n not in ("K_copy", "K_lambda")})
+    snippet = encode_snippet(["a", "b", "zzz", "a", "c"], vocab)
+    return vocab, params, snippet
+
+
+def decoded(suggestions):
+    """Names, log-probs and every attention snapshot, as exact values."""
+    return [(s.name, s.log_prob,
+             [(r.token, r.alpha.tobytes(),
+               None if r.kappa is None else r.kappa.tobytes(), r.lam)
+              for r in s.steps])
+            for s in suggestions]
+
+
+class TestSharedGruProducts:
+    """Siblings share their parent's state-side GRU products, and a decode
+    computes each token's input-side products once."""
+
+    limits = SearchLimits(max_steps=30)
+
+    @pytest.mark.parametrize("model_kind", KINDS)
+    def test_equals_a_decode_where_every_child_computes_its_own(
+            self, rng, monkeypatch, model_kind):
+        vocab, params, snippet = sharing_setup(rng, model_kind)
+        got = suggest(snippet, params, vocab, k=5, model_kind=model_kind,
+                      limits=self.limits)
+
+        real_next_state = decoder.next_state
+        child_tokens = []
+
+        def plain_next_state(p, h_prev, *, token_id, **shared):
+            child_tokens.append(token_id)
+            return real_next_state(p, h_prev, token_id=token_id)
+
+        monkeypatch.setattr(decoder, "next_state", plain_next_state)
+        want = suggest(snippet, params, vocab, k=5, model_kind=model_kind,
+                       limits=self.limits)
+        assert len(want) == 5
+        assert len(child_tokens) > len(set(child_tokens))  # tokens repeat
+        assert decoded(got) == decoded(want)
+
+    @pytest.mark.parametrize("model_kind", KINDS)
+    def test_products_once_per_expansion_and_per_distinct_token(
+            self, rng, monkeypatch, model_kind):
+        from codesum.tensorcore import gru as gru_module
+
+        vocab, params, snippet = sharing_setup(rng, model_kind)
+        calls = {"input_products": 0, "state_products": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # The GRU module too, so products computed inside gru_step count.
+        for module in (decoder, gru_module):
+            for name in calls:
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        expansions, child_tokens = [], []
+        real_expand, real_next_state = decoder.expand, decoder.next_state
+
+        def counting_expand(*args, **kwargs):
+            expansions.append(1)
+            return real_expand(*args, **kwargs)
+
+        def recording_next_state(*args, **kwargs):
+            child_tokens.append(kwargs["token_id"])
+            return real_next_state(*args, **kwargs)
+
+        monkeypatch.setattr(decoder, "expand", counting_expand)
+        monkeypatch.setattr(decoder, "next_state", recording_next_state)
+        for _ in range(2):  # counted per call: nothing is kept between calls
+            expansions.clear()
+            child_tokens.clear()
+            calls.update(input_products=0, state_products=0)
+            assert suggest(snippet, params, vocab, k=5, model_kind=model_kind,
+                           limits=self.limits)
+            assert len(child_tokens) > len(set(child_tokens)) > 1
+            assert calls["input_products"] == len(set(child_tokens))
+            assert calls["state_products"] == len(expansions) > 1
+
+    @pytest.mark.parametrize("model_kind", KINDS)
+    def test_memo_does_not_outlive_a_call(self, rng, model_kind):
+        vocab, params, snippet = sharing_setup(rng, model_kind)
+        before = suggest(snippet, params, vocab, k=5, model_kind=model_kind,
+                         limits=self.limits)
+        for _, t in params.named_tensors():  # in place, as sgd_update does
+            t.data -= 0.3 * rng.normal(size=t.shape)
+        got = suggest(snippet, params, vocab, k=5, model_kind=model_kind,
+                      limits=self.limits)
+        fresh = ModelParams.from_named({n: Tensor(t.data.copy(), requires_grad=True)
+                                        for n, t in params.named_tensors()})
+        want = suggest(snippet, fresh, vocab, k=5, model_kind=model_kind,
+                       limits=self.limits)
+        assert decoded(got) == decoded(want)
+        assert decoded(got) != decoded(before)
+
+
 class TestBeamEqualsExhaustive:
     @pytest.mark.parametrize("model_kind", ["copy_attention", "conv_attention"])
     def test_single_model(self, rng, model_kind):

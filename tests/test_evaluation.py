@@ -1,7 +1,9 @@
 """Metrics against an independent scorer, the tf-idf baseline, ablation."""
 
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from conftest import make_vocab
@@ -227,7 +229,68 @@ def make_corpus(rng, n=40):
     return out
 
 
+def loop_tfidf_suggest(corpus, body, k):
+    """The tf-idf baseline as Python loops over every posting and a sort
+    of every document: the oracle for ``TfIdfIndex``'s array form."""
+    n = len(corpus)
+    bags = [Counter(ex.body) for ex in corpus]
+    df = Counter(tok for bag in bags for tok in bag)
+    idf = {tok: math.log(n / d) for tok, d in df.items()}
+    postings, norms = {}, np.zeros(n)
+    for doc, bag in enumerate(bags):
+        for tok, tf in bag.items():
+            w = tf * idf[tok]
+            postings.setdefault(tok, []).append((doc, w))
+            norms[doc] += w * w
+    norms = np.sqrt(norms)
+    query = Counter(body)
+    qweights = {tok: query[tok] * idf[tok] for tok in sorted(query) if tok in idf}
+    qnorm = math.sqrt(sum(w * w for w in qweights.values()))
+    sims = np.zeros(n)
+    for tok, qw in qweights.items():
+        for doc, dw in postings[tok]:
+            sims[doc] += qw * dw
+    if qnorm > 0.0:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            sims = np.where(norms > 0.0, sims / (qnorm * norms), 0.0)
+    names = [tuple(ex.name) for ex in corpus]
+    ranked, seen = [], set()
+    for doc in sorted(range(n), key=lambda i: (-sims[i], i)):
+        if sims[doc] <= 0.0 or len(ranked) >= k:
+            break
+        if names[doc] not in seen:
+            seen.add(names[doc])
+            ranked.append((names[doc], float(sims[doc])))
+    for name, _ in Counter(names).most_common():
+        if len(ranked) >= k:
+            break
+        if name not in seen:
+            seen.add(name)
+            ranked.append((name, 0.0))
+    return ranked
+
+
 class TestTfIdf:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_loop_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        words = ["a", "b", "c", "d", "e", "f"]
+        corpus = [
+            # "{" is in every body, so its idf is 0 and "{"-only bodies have norm 0.
+            MethodExample(name=[str(rng.choice(["get", "set", "run", "is", "to"]))],
+                          body=["{", *rng.choice(words, size=rng.integers(0, 5)).tolist()],
+                          file_path=str(i), project="p")
+            for i in range(40)]
+        index = TfIdfIndex(corpus)
+        assert np.any(index.norms == 0.0)
+        bags = [tuple(sorted(ex.body)) for ex in corpus if len(ex.body) > 1]
+        assert len(set(bags)) < len(bags)  # equal bags tie on every query
+        queries = [ex.body for ex in corpus[:12]] + [
+            ["novel"], ["{"], [], ["zzz", *rng.choice(words, size=6).tolist()]]
+        for body in queries:
+            for k in (1, 3, 10):
+                assert index.suggest(body, k) == loop_tfidf_suggest(corpus, body, k)
+
     def test_self_query_ranks_first(self, rng):
         corpus = make_corpus(rng)
         index = TfIdfIndex(corpus)

@@ -9,10 +9,12 @@ from codesum.tensorcore import (
     Tensor,
     conv1d_narrow,
     gru_step,
+    input_products,
     l2_normalize,
     prelu,
     sigmoid,
     softmax,
+    state_products,
 )
 
 
@@ -123,11 +125,18 @@ class TestActivations:
         np.testing.assert_allclose(out, np.maximum(x, 0.0))
 
     def test_sigmoid_at_zero(self):
-        assert sigmoid(Tensor(0.0)).item() == 0.5
+        assert float(sigmoid(Tensor(0.0)).data) == 0.5
+
+    def test_sigmoid_one_exponential_equals_three(self, rng):
+        x = np.concatenate([[0.0, -0.0, 700.0, -700.0, 1e-300, -1e-300, 750.0, -750.0],
+                            rng.normal(scale=30.0, size=500)])
+        three = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                         np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        assert sigmoid(Tensor(x)).data.tobytes() == three.tobytes()
 
     def test_sigmoid_extremes(self):
-        assert sigmoid(Tensor(50.0)).item() == pytest.approx(1.0)
-        assert sigmoid(Tensor(-50.0)).item() == pytest.approx(0.0, abs=1e-20)
+        assert float(sigmoid(Tensor(50.0)).data) == pytest.approx(1.0)
+        assert float(sigmoid(Tensor(-50.0)).data) == pytest.approx(0.0, abs=1e-20)
 
 
 class TestL2Normalize:
@@ -189,3 +198,13 @@ class TestGruStep:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             gru_step(Tensor(np.zeros(4)), Tensor(np.zeros(3)), zero_gru(2, 3))
+
+    def test_given_products_equal_computed_ones(self, rng):
+        d, k = 3, 4
+        p = GruParams(**{n: Tensor(rng.normal(size=s)) for n, s in [
+            ("W_xr", (d, k)), ("W_hr", (k, k)), ("W_xu", (d, k)), ("W_hu", (k, k)),
+            ("W_xc", (d, k)), ("W_hc", (k, k)), ("b_r", (k,)), ("b_u", (k,)), ("b_c", (k,))]})
+        x, h = Tensor(rng.normal(size=d)), Tensor(rng.normal(size=k))
+        computed = gru_step(x, h, p).data
+        given = gru_step(None, h, p, input_products(x, p), state_products(h, p)).data
+        assert given.tobytes() == computed.tobytes()

@@ -221,6 +221,14 @@ class TestSgdUpdate:
         assert total == pytest.approx(10.0)
         np.testing.assert_allclose(grads["a"], [3.0, 4.0])
 
+    def test_update_returns_the_norm_before_clipping(self):
+        params = make_params(8)
+        state = OptimizerState.for_params(params)
+        grads = {n: np.zeros_like(t.data) for n, t in params.named_tensors()}
+        grads["h_init"][:2] = [6.0 * CLIP_NORM, 8.0 * CLIP_NORM]  # norm 10 * CLIP_NORM
+        assert sgd_update(params, grads, state, tiny_cfg()) == 10.0 * CLIP_NORM
+        np.testing.assert_allclose(grads["h_init"][:2], [0.6 * CLIP_NORM, 0.8 * CLIP_NORM])
+
     def test_no_clip_below_threshold(self):
         grads = {"a": np.array([0.3, 0.4])}
         clip_global_norm(grads, 5.0)
@@ -420,7 +428,7 @@ class TestTraining:
 
         def counting_update(*args):
             updates.append(1)
-            real_update(*args)
+            return real_update(*args)
 
         monkeypatch.setattr(trainer_mod, "example_loss", nan_for_last)
         monkeypatch.setattr(trainer_mod, "sgd_update", counting_update)
@@ -442,6 +450,8 @@ class TestTraining:
         result = train(self.corpus(6), [], tiny_cfg(epochs=1, eval_every=5))
         assert result.skipped_examples == 6
         assert result.log[0]["train_nll"] is None
+        for key in ("grad_norm_mean", "grad_norm_max", "clipped_frac"):
+            assert result.log[0][key] is None
 
     def test_validation_early_stopping_runs(self):
         examples = self.corpus(9)
@@ -456,7 +466,33 @@ class TestTraining:
         result = train(examples, examples[:2], tiny_cfg(epochs=1))
         entry = result.log[0]
         assert set(entry) == {"epoch", "train_nll", "valid_f1_at_5",
-                              "valid_exact_at_1", "seconds"}
+                              "valid_exact_at_1", "grad_norm_mean",
+                              "grad_norm_max", "clipped_frac", "seconds"}
+        assert 0.0 < entry["grad_norm_mean"] <= entry["grad_norm_max"]
+        assert math.isfinite(entry["grad_norm_max"])
+        assert 0.0 <= entry["clipped_frac"] <= 1.0
+
+    @pytest.mark.parametrize("clip_norm, clipped", [(1e-9, 1.0), (1e9, 0.0)])
+    def test_grad_norm_fields_summarize_the_updates(self, monkeypatch, clip_norm,
+                                                    clipped):
+        import codesum.trainer as trainer_mod
+
+        real_update = trainer_mod.sgd_update
+        norms = []
+
+        def recording_update(*args):
+            norms.append(real_update(*args))
+            return norms[-1]
+
+        monkeypatch.setattr(trainer_mod, "CLIP_NORM", clip_norm)
+        monkeypatch.setattr(trainer_mod, "sgd_update", recording_update)
+        result = train(self.corpus(5), [], tiny_cfg(epochs=2, minibatch=2))
+        # Two full windows and the open window of one, per epoch.
+        assert len(norms) == 6
+        for entry, epoch_norms in zip(result.log, (norms[:3], norms[3:])):
+            assert entry["grad_norm_mean"] == sum(epoch_norms) / 3
+            assert entry["grad_norm_max"] == max(epoch_norms)
+            assert entry["clipped_frac"] == clipped
 
 
 def per_step_example_loss(params, snippet, name, vocab, cfg, rng=None):
