@@ -123,7 +123,7 @@ def load(path: str | Path) -> tuple[ModelParams, Vocabulary, TrainConfig]:
         raise _manifest_error("manifest extends past end of file")
     try:
         manifest = json.loads(blob[20:20 + manifest_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise _manifest_error(str(exc)) from exc
     if not isinstance(manifest, dict):
         raise _manifest_error("not a JSON object")

@@ -77,7 +77,7 @@ def load_jsonl(path: str | Path) -> list[MethodExample]:
             except KeyError as exc:
                 raise MalformedDataset(
                     f"{path}, line {lineno}: record has no {exc} field") from exc
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, RecursionError) as exc:
                 raise MalformedDataset(
                     f"{path}, line {lineno}: not a method record ({exc})") from exc
     return out

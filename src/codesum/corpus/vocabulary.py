@@ -74,7 +74,10 @@ class Vocabulary:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Vocabulary":
-        vocab = cls(obj["tokens"])
+        tokens = obj["tokens"]
+        if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+            raise ValueError("vocabulary tokens must be a list of strings")
+        vocab = cls(tokens)
         if obj.get("specials") != vocab.specials:
             raise ValueError("vocabulary specials disagree with token list")
         return vocab

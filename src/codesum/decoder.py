@@ -28,13 +28,12 @@ from .model import (
     EncodedSnippet,
     ModelParams,
     StepOutput,
-    embed_token,
     encode,
     merged_distribution,
     next_state,
     step_fn,
 )
-from .tensorcore import GruProducts, Tensor, input_products, state_products
+from .tensorcore import GruProducts, Tensor, input_products, rows, state_products
 
 
 @dataclass
@@ -134,7 +133,7 @@ def expand(partial: PartialSuggestion, out: StepOutput,
             continue
         token_id = vocab.id(token)
         if token_id not in token_inputs:
-            token_inputs[token_id] = input_products(embed_token(params, token_id), params.gru)
+            token_inputs[token_id] = input_products(rows(params.E, token_id), params.gru)
         children.append(PartialSuggestion(
             subtokens=(*partial.subtokens, token),
             log_prob=log_prob,

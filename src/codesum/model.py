@@ -5,8 +5,9 @@ gated per position by the decoder state and globally L2-normalized,
 produce attention features.  Single-channel convolution heads over
 those features yield the attention vector (alpha), the copy vector
 (kappa), and the copy-versus-vocabulary gate (lambda).  The predicted
-embedding is the alpha-weighted sum of input embeddings, scored against
-the full embedding table plus a frequency-initialized bias.
+embedding is the alpha-weighted sum of input embeddings; ``vocab_head``
+scores the predictions of many steps at once against the full embedding
+table plus a frequency-initialized bias.
 """
 
 from __future__ import annotations
@@ -30,12 +31,14 @@ from .tensorcore import (
     l2_normalize,
     log,
     matmul,
+    matvec,
     pick,
     prelu,
     reshape,
     rows,
     sigmoid,
     softmax,
+    stack,
     tmax,
 )
 
@@ -153,13 +156,18 @@ def encode_snippet(body: list[str], vocab: Vocabulary) -> EncodedSnippet:
 
 @dataclass
 class StepOutput:
-    """One decoding step: distributions and attention records."""
+    """One decoding step: attention records, the predicted embedding, and
+    the parameters the step ran on, which its vocabulary head reads."""
 
-    vocab_dist: Tensor           # (|V|,) probabilities from the vocabulary head
     alpha: Tensor                # (Len(c),) attention over input positions
     nhat: Tensor                 # (D,) predicted embedding
+    params: ModelParams
     kappa: Tensor | None = None  # (Len(c),) copy attention (copy model only)
     lam: Tensor | None = None    # scalar gate in (0, 1) (copy model only)
+
+    def vocab_row(self) -> Tensor:
+        """This step's (|V|,) vocabulary distribution: ``vocab_head`` with T = 1."""
+        return rows(vocab_head(stack([self.nhat]), self.params), 0)
 
 
 def padding_split(w1: int, w2: int, w3: int) -> tuple[int, int]:
@@ -168,9 +176,10 @@ def padding_split(w1: int, w2: int, w3: int) -> tuple[int, int]:
     return math.ceil(total / 2), total - math.ceil(total / 2)
 
 
-def encode(snippet: EncodedSnippet, p: ModelParams) -> Tensor:
+def encode(snippet: EncodedSnippet, p: ModelParams) -> tuple[Tensor, Tensor]:
     """conv(K_l2) over conv(K_l1) + PReLU of the padded embedding matrix:
-    the attention features before the decoder state gates them."""
+    the attention features before the decoder state gates them; and the
+    snippet's own (Len(c), D) rows of that one gather from ``E``."""
     left, right = padding_split(*p.dims[3:])
     padded = np.concatenate([
         np.full(left, snippet.pad_id, dtype=np.intp),
@@ -179,19 +188,19 @@ def encode(snippet: EncodedSnippet, p: ModelParams) -> Tensor:
     ])
     c_emb = rows(p.E, padded)
     l1 = prelu(conv1d_narrow(c_emb, p.K_l1), p.prelu_a1)
-    return conv1d_narrow(l1, p.K_l2)
+    return conv1d_narrow(l1, p.K_l2), rows(c_emb, np.arange(left, left + len(snippet)))
 
 
 def attention_features(snippet: EncodedSnippet, h_prev: Tensor, p: ModelParams,
                        encoded: Tensor | None = None) -> Tensor:
-    """Per-position attention features: ``encode(snippet, p)``, computed
+    """Per-position attention features: ``encode``'s features, computed
     here unless ``encoded`` is given, gated elementwise per position by the
     decoder state, then L2-normalized as a whole matrix."""
     k2 = p.dims[2]
     if h_prev.shape != (k2,):
         raise DimensionMismatch(f"state has shape {h_prev.shape}, expected ({k2},)")
     if encoded is None:
-        encoded = encode(snippet, p)
+        encoded = encode(snippet, p)[0]
     return l2_normalize(encoded * h_prev)
 
 
@@ -201,34 +210,34 @@ def attention_weights(l_feat: Tensor, kernel: Tensor) -> Tensor:
     return softmax(reshape(logits, (logits.shape[0],)))
 
 
-def _predict(snippet: EncodedSnippet, alpha: Tensor, p: ModelParams) -> tuple[Tensor, Tensor]:
-    snippet_emb = rows(p.E, snippet.ids)
-    nhat = matmul(alpha, snippet_emb)
-    vocab_dist = softmax(matmul(p.E, nhat) + p.b)
-    return nhat, vocab_dist
+def vocab_head(nhats: Tensor, p: ModelParams) -> Tensor:
+    """softmax(E n̂ + b) for each row n̂ of the (T, D) stack ``nhats``: the
+    (T, |V|) vocabulary distributions of T steps.  Each row's logits are
+    the vector product ``E @ n̂``, so a row equals the head of its step
+    alone bit for bit, and ``E``'s gradient is one product over all rows."""
+    return softmax(matvec(p.E, nhats) + p.b)
 
 
 def conv_attention_step(snippet: EncodedSnippet, h_prev: Tensor, p: ModelParams,
-                        encoded: Tensor | None = None) -> StepOutput:
+                        encoded: tuple[Tensor, Tensor] | None = None) -> StepOutput:
     """Vocabulary-only attention step."""
-    l_feat = attention_features(snippet, h_prev, p, encoded)
-    alpha = attention_weights(l_feat, p.K_att)
-    nhat, vocab_dist = _predict(snippet, alpha, p)
-    return StepOutput(vocab_dist=vocab_dist, alpha=alpha, nhat=nhat)
+    features, embedding = encode(snippet, p) if encoded is None else encoded
+    alpha = attention_weights(attention_features(snippet, h_prev, p, features), p.K_att)
+    return StepOutput(alpha=alpha, nhat=matmul(alpha, embedding), params=p)
 
 
 def copy_attention_step(snippet: EncodedSnippet, h_prev: Tensor, p: ModelParams,
-                        encoded: Tensor | None = None) -> StepOutput:
+                        encoded: tuple[Tensor, Tensor] | None = None) -> StepOutput:
     """Attention step with the copy head and its meta-attention gate."""
     if p.K_copy is None or p.K_lambda is None:
         raise VariantDisabled("copy head parameters are not present")
-    l_feat = attention_features(snippet, h_prev, p, encoded)
+    features, embedding = encode(snippet, p) if encoded is None else encoded
+    l_feat = attention_features(snippet, h_prev, p, features)
     alpha = attention_weights(l_feat, p.K_att)
     kappa = attention_weights(l_feat, p.K_copy)
     lam_logits = conv1d_narrow(l_feat, p.K_lambda)
     lam = tmax(sigmoid(reshape(lam_logits, (lam_logits.shape[0],))))
-    nhat, vocab_dist = _predict(snippet, alpha, p)
-    return StepOutput(vocab_dist=vocab_dist, alpha=alpha, nhat=nhat,
+    return StepOutput(alpha=alpha, nhat=matmul(alpha, embedding), params=p,
                       kappa=kappa, lam=lam)
 
 
@@ -245,14 +254,16 @@ def step_fn(model_kind: str):
 
 def step_loss_from_ids(step: StepOutput, target_id: int,
                        copy_indicator: np.ndarray | None,
-                       penalize_unk: bool) -> Tensor:
+                       penalize_unk: bool, vocab_row: Tensor | None = None) -> Tensor:
     """Negative log of the marginal probability of the target.
 
     ``copy_indicator`` marks the positions whose surface subtoken equals
     the target; ``penalize_unk`` applies the fixed down-weighting of the
     vocabulary head when the target is only reachable by copying.
+    ``vocab_row`` is the step's row of a ``vocab_head`` over many steps,
+    by default ``step.vocab_row()``.
     """
-    r_target = pick(step.vocab_dist, target_id)
+    r_target = pick(step.vocab_row() if vocab_row is None else vocab_row, target_id)
     if step.lam is None:
         prob = r_target
     else:
@@ -263,7 +274,7 @@ def step_loss_from_ids(step: StepOutput, target_id: int,
 
 
 def step_loss(step: StepOutput, target: str, snippet: EncodedSnippet,
-              vocab: Vocabulary) -> Tensor:
+              vocab: Vocabulary, vocab_row: Tensor | None = None) -> Tensor:
     """String-level loss: resolves the target id, the copy indicator and
     the UNK penalty from the snippet surface."""
     target_id = vocab.id(target)
@@ -273,7 +284,7 @@ def step_loss(step: StepOutput, target: str, snippet: EncodedSnippet,
         indicator = np.array([1.0 if s == target else 0.0 for s in snippet.surface])
         penalize = target_id == vocab.unk_id and target != vocab.token(vocab.unk_id) \
             and bool(indicator.any())
-    return step_loss_from_ids(step, target_id, indicator, penalize)
+    return step_loss_from_ids(step, target_id, indicator, penalize, vocab_row)
 
 
 # -- merged generative distribution ----------------------------------------------
@@ -304,11 +315,11 @@ def merged_distribution(step: StepOutput, snippet: EncodedSnippet,
 
     Vocabulary ids are keyed by their surface string; copy mass lands on
     the snippet's surface strings, added in position order, so identical
-    subtokens pool their probability.  Detached from the graph: decoding
-    does not backprop.
+    subtokens pool their probability.  The vocabulary head scores this one
+    step (T = 1).  Detached from the graph: decoding does not backprop.
     """
     lam = float(step.lam.data) if step.lam is not None else 0.0
-    probs = (1.0 - lam) * np.asarray(step.vocab_dist.data, dtype=np.float64)
+    probs = (1.0 - lam) * np.asarray(step.vocab_row().data, dtype=np.float64)
     oov: dict[str, int] = {}
     index = ChainMap(vocab.token_to_id, oov)
     if step.kappa is not None:
@@ -324,18 +335,15 @@ def merged_distribution(step: StepOutput, snippet: EncodedSnippet,
 # -- decoder state updates ---------------------------------------------------------
 
 
-def embed_token(p: ModelParams, token_id: int) -> Tensor:
-    """The embedding of one subtoken id, as a vector."""
-    return reshape(rows(p.E, np.array([token_id], dtype=np.intp)), (p.E.shape[1],))
-
-
-def next_state(p: ModelParams, h_prev: Tensor, *, token_id: int,
+def next_state(p: ModelParams, h_prev: Tensor, *, token_id: int | None = None,
+               embedding: Tensor | None = None,
                nhat: Tensor | None = None, dropout_rate: float = 0.0,
                rng: np.random.Generator | None = None,
                xs: GruProducts | None = None, hs: GruProducts | None = None) -> Tensor:
     """GRU state update.
 
-    At test time the embedding of the emitted subtoken feeds the GRU.
+    At test time the embedding of the emitted subtoken feeds the GRU:
+    ``embedding`` if the caller gathered it, else ``token_id``'s row.
     During training, with probability equal to the dropout rate, the
     predicted embedding is used instead (scheduled-sampling-style).
     A decode passes ``xs``, the GRU's input-side products of
@@ -348,5 +356,7 @@ def next_state(p: ModelParams, h_prev: Tensor, *, token_id: int,
             nhat is not None and rng is not None and dropout_rate > 0.0
             and rng.random() < dropout_rate
         )
-        x = nhat if use_predicted else embed_token(p, token_id)
+        x = nhat if use_predicted else embedding
+        if x is None:
+            x = rows(p.E, token_id)
     return gru_step(x, h_prev, p.gru, xs, hs)

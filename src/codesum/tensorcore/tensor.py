@@ -3,7 +3,7 @@
 Only the operations the summarization model actually needs are provided:
 elementwise arithmetic with numpy broadcasting, a few matrix products,
 narrow 1-D convolution, softmax/sigmoid/tanh/PReLU, whole-matrix L2
-normalization, row gathering for embedding lookups, and scalar
+normalization, row gathering for embedding lookups, stacking, and scalar
 reductions.  Each op records a backward closure; ``Tensor.backward``
 replays them in reverse topological order and accumulates gradients into
 the ``grad`` field of every tensor created with ``requires_grad=True``.
@@ -14,7 +14,7 @@ the test suite; see ``gradcheck.gradient_check``.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -218,6 +218,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward)
 
 
+def matvec(m: Tensor, xs: Tensor) -> Tensor:
+    """``m @ x`` for each row ``x`` of ``xs``: (n, k) with (T, k) gives (T, n).
+    Each row is the product ``matmul(m, x)`` makes, bit for bit; the
+    backward pass is one matrix product per operand over all T rows."""
+    data = np.stack([m.data @ x for x in xs.data])
+
+    def backward(g):
+        if m.requires_grad:
+            m._accumulate(g.T @ xs.data)
+        if xs.requires_grad:
+            xs._accumulate(g @ m.data)
+
+    return _make(data, (m, xs), backward)
+
+
 # -- reductions ---------------------------------------------------------------
 
 def tsum(a: Tensor) -> Tensor:
@@ -268,19 +283,30 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _make(a.data.reshape(shape), (a,), backward)
 
 
-def rows(table: Tensor, ids: Iterable[int]) -> Tensor:
-    """Gather rows of a matrix (embedding lookup); backward scatter-adds."""
-    idx = np.asarray(list(ids) if not isinstance(ids, np.ndarray) else ids, dtype=np.intp)
+def rows(table: Tensor, ids: int | Sequence[int] | np.ndarray) -> Tensor:
+    """Copies of rows of a matrix, or of one row by one id (embedding
+    lookup); backward scatter-adds in place."""
+    idx = np.asarray(ids, dtype=np.intp)
     if table.ndim != 2:
         raise DimensionMismatch("rows expects a matrix table")
 
     def backward(g):
         if table.requires_grad:
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, idx, g)
-            table._accumulate(gt)
+            if table.grad is None:
+                table.grad = np.zeros_like(table.data)
+            np.add.at(table.grad, idx, g)
 
-    return _make(table.data[idx], (table,), backward)
+    return _make(np.take(table.data, idx, axis=0), (table,), backward)
+
+
+def stack(vectors: Sequence[Tensor]) -> Tensor:
+    """Vectors of one length as the rows of a matrix."""
+    def backward(g):
+        for row, v in zip(g, vectors):
+            if v.requires_grad:
+                v._accumulate(row)
+
+    return _make(np.stack([v.data for v in vectors]), tuple(vectors), backward)
 
 
 # -- nonlinearities -----------------------------------------------------------
@@ -338,16 +364,17 @@ def log(a: Tensor) -> Tensor:
 
 
 def softmax(v: Tensor) -> Tensor:
-    """Stable softmax of a vector; output is nonnegative and sums to one."""
-    if v.ndim != 1:
-        raise DimensionMismatch("softmax expects a vector")
-    shifted = v.data - v.data.max()
+    """Stable softmax of a vector, or of each row of a matrix as of that
+    vector alone, bit for bit; output is nonnegative and sums to one."""
+    if v.ndim not in (1, 2):
+        raise DimensionMismatch("softmax expects a vector or a matrix")
+    shifted = v.data - v.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum()
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
         if v.requires_grad:
-            v._accumulate(out * (g - float(np.dot(g, out))))
+            v._accumulate(out * (g - np.vecdot(g, out)[..., None]))
 
     return _make(out, (v,), backward)
 

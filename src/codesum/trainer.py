@@ -41,8 +41,9 @@ from .model import (
     param_shapes,
     step_fn,
     step_loss,
+    vocab_head,
 )
-from .tensorcore import Tensor
+from .tensorcore import Tensor, rows, stack
 
 RMS_DECAY = 0.9
 MOMENTUM = 0.9
@@ -219,12 +220,21 @@ def sgd_update(params: ModelParams, grads: dict[str, np.ndarray],
             g = np.zeros_like(t.data)
         a = opt_state.sq[name]
         v = opt_state.mom[name]
+        # The rule's operations in its order, into two scratch arrays.
+        x, y = np.empty_like(g), np.empty_like(g)
+        np.multiply(g, 1.0 - rho, out=x)
+        x *= g                          # (1 - rho) * g^2
         a *= rho
-        a += (1.0 - rho) * g * g
-        s = g / np.sqrt(a + eps)
+        a += x
+        np.add(a, eps, out=x)
+        np.sqrt(x, out=x)
+        np.divide(g, x, out=x)          # s
         v *= mu
-        v += s
-        t.data -= lr * (s + mu * v)
+        v += x
+        np.multiply(v, mu, out=y)
+        y += x                          # s + momentum * v
+        y *= lr
+        t.data -= y
     return norm
 
 
@@ -253,21 +263,26 @@ def example_loss(params: ModelParams, snippet: EncodedSnippet,
                  rng: np.random.Generator | None = None) -> Tensor:
     """Sum of per-subtoken losses for one example, end marker included.
 
-    The snippet is encoded once; each step gates that encoding with its state.
+    Each use of the |V|-row table ``E`` happens once per example: one
+    encoding that every step gates with its state, one gather of the
+    targets fed back to the GRU, and after the recurrence one vocabulary
+    head over every step's prediction.
     """
     step = step_fn(cfg.model_kind)
     encoded = encode(snippet, params)
     targets = [*name, NAME_END]
-    total: Tensor | None = None
+    fed = rows(params.E, [vocab.id(target) for target in name])
+    outs: list[StepOutput] = []
     h = params.h_init
-    for t, target in enumerate(targets):
-        out: StepOutput = step(snippet, h, params, encoded)
-        loss = step_loss(out, target, snippet, vocab)
-        total = loss if total is None else total + loss
+    for t in range(len(targets)):
+        outs.append(step(snippet, h, params, encoded))
         if t + 1 < len(targets):
-            h = next_state(params, h, token_id=vocab.id(target), nhat=out.nhat,
+            h = next_state(params, h, embedding=rows(fed, t), nhat=outs[t].nhat,
                            dropout_rate=cfg.dropout_rate, rng=rng)
-    return total
+    head = vocab_head(stack([out.nhat for out in outs]), params)
+    losses = [step_loss(out, target, snippet, vocab, rows(head, t))
+              for t, (out, target) in enumerate(zip(outs, targets))]
+    return sum(losses[1:], losses[0])
 
 
 @dataclass
@@ -290,8 +305,10 @@ def _restore(params: ModelParams, snap: dict[str, np.ndarray]) -> None:
 
 
 def _collect_grads(params: ModelParams) -> dict[str, np.ndarray]:
+    """Each leaf's gradient array itself, not a copy: ``zero_grad`` drops
+    it before the next backward, which then builds a new one."""
     return {
-        name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
+        name: (t.grad if t.grad is not None else np.zeros_like(t.data))
         for name, t in params.named_tensors()
     }
 

@@ -182,6 +182,23 @@ class TestCorruption:
         with pytest.raises(CorruptManifest):
             load(path)
 
+    def test_deeply_nested_manifest(self, tmp_path):
+        # Past its nesting limit json raises RecursionError, not a decode error.
+        path = tmp_path / "deep.ckpt"
+        raw = b"[" * 100_000 + b"]" * 100_000
+        path.write_bytes(MAGIC + VERSION.to_bytes(4, "little")
+                         + len(raw).to_bytes(8, "little") + raw)
+        with pytest.raises(CorruptManifest, match="recursion"):
+            load(path)
+
+    def test_non_string_vocabulary_token(self, tmp_path):
+        _, _, path = write_checkpoint(tmp_path)
+        version, manifest, payload = read_parts(path)
+        manifest["vocabulary"]["tokens"][-1] = 7
+        write_parts(path, version, manifest, payload)
+        with pytest.raises(CorruptManifest, match="list of strings"):
+            load(path)
+
     def test_manifest_missing_tensor(self, tmp_path):
         # The copy model's file must carry its copy head.
         _, _, path = write_checkpoint(tmp_path)

@@ -401,6 +401,43 @@ class TestEvaluateCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    def test_deeply_nested_json_exits_2(self, java_project, tmp_path, capsys):
+        # json raises RecursionError past its nesting limit, in either reader.
+        data = build_dataset(java_project, tmp_path)
+        ckpt = train_tiny(data, tmp_path)
+        nested = b"[" * 100_000 + b"]" * 100_000
+        deep_ckpt = tmp_path / "deep.ckpt"
+        deep_ckpt.write_bytes(checkpoint.MAGIC + checkpoint.VERSION.to_bytes(4, "little")
+                              + len(nested).to_bytes(8, "little") + nested)
+        deep_data = tmp_path / "deep.jsonl"
+        deep_data.write_bytes(data.read_bytes() + nested + b"\n")
+        snippet = tmp_path / "snippet.java"
+        snippet.write_text("{ return width; }")
+        out = tmp_path / "new.ckpt"
+        for argv in (["suggest", "--ckpt", str(deep_ckpt), "--snippet", str(snippet)],
+                     ["train", "--model", "copy", "--out", str(out), "--data", str(deep_data)],
+                     ["evaluate", "--ckpt", str(ckpt), "--data", str(deep_data)]):
+            capsys.readouterr()
+            assert main(argv) == 2, argv[0]
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "internal error" not in err, argv[0]
+        assert not out.exists()
+
+    def test_non_string_vocabulary_token_exits_2(self, java_project, tmp_path, capsys):
+        data = build_dataset(java_project, tmp_path)
+        ckpt = train_tiny(data, tmp_path)
+        version, manifest, payload = read_parts(ckpt)
+        manifest["vocabulary"]["tokens"][-1] = 7
+        bad = tmp_path / "token.ckpt"
+        write_parts(bad, version, manifest, payload)
+        snippet = tmp_path / "snippet.java"
+        snippet.write_text("{ return width; }")
+        capsys.readouterr()
+        assert main(["suggest", "--ckpt", str(bad), "--snippet", str(snippet)]) == 2
+        assert main(["evaluate", "--ckpt", str(bad), "--data", str(data)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: checkpoint manifest: vocabulary tokens must be a list of strings"] * 2
+
     def test_per_example_csv(self, java_project, tmp_path, capsys):
         data = build_dataset(java_project, tmp_path)
         ckpt = train_tiny(data, tmp_path)

@@ -92,6 +92,15 @@ class TestJsonl:
             load_jsonl(path)
 
 
+    def test_deeply_nested_line_is_malformed(self, tmp_path):
+        # Past its nesting limit json raises RecursionError, not ValueError.
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(b"[" * 100_000 + b"]" * 100_000 + b"\n")
+        with pytest.raises(MalformedDataset,
+                           match=re.escape(f"{path}, line 1: not a method record")):
+            load_jsonl(path)
+
+
 class TestSplitDataset:
     def test_exact_proportions_at_100(self):
         files = [f"f{i}.java" for i in range(100)]

@@ -138,8 +138,11 @@ class TestExpand:
         dist[vocab.id(NAME_END)] = 0.2
         for tok in "dcba":
             dist[vocab.id(tok)] = 0.1  # ranks 3 to 6, across a cut at 4
-        out = StepOutput(vocab_dist=Tensor(dist), alpha=Tensor(np.full(3, 1 / 3)),
-                         nhat=Tensor(np.zeros(3)))
+        # A zero table leaves the head softmax(b), which keeps the ties.
+        params.E.data[:] = 0.0
+        params.b.data[:] = np.log(dist)
+        out = StepOutput(alpha=Tensor(np.full(3, 1 / 3)), nhat=Tensor(np.zeros(3)),
+                         params=params)
         merged = merged_distribution(out, snippet, vocab)
         full_sort = sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))[:4]
         root = PartialSuggestion(subtokens=("x",), log_prob=0.0, state=params.h_init)

@@ -13,6 +13,7 @@ from codesum.tensorcore import (
     l2_normalize,
     log,
     matmul,
+    matvec,
     mul,
     pick,
     prelu,
@@ -20,6 +21,7 @@ from codesum.tensorcore import (
     rows,
     sigmoid,
     softmax,
+    stack,
     tanh,
     tmax,
     tsum,
@@ -148,6 +150,34 @@ class TestStructuredGrads:
 
         w = np.random.default_rng(5).normal(size=5)
         gradient_check(build, {"v": v})
+
+    def test_row_softmax_gradient(self, rng):
+        m = leaf(rng, 3, 4)
+
+        def build():
+            return tsum(mul(softmax(m), constant(w)))
+
+        w = np.random.default_rng(8).normal(size=(3, 4))
+        gradient_check(build, {"m": m})
+
+    def test_stack_gradient(self, rng):
+        a, b = leaf(rng, 3), leaf(rng, 3)
+
+        def build():
+            # ``a`` twice: both of its rows reach its gradient.
+            return tsum(mul(stack([a, b, a]), constant(w)))
+
+        w = np.random.default_rng(9).normal(size=(3, 3))
+        gradient_check(build, {"a": a, "b": b})
+
+    def test_matvec_gradient(self, rng):
+        m, xs = leaf(rng, 5, 3), leaf(rng, 2, 3)
+
+        def build():
+            return tsum(mul(matvec(m, xs), constant(w)))
+
+        w = np.random.default_rng(10).normal(size=(2, 5))
+        gradient_check(build, {"m": m, "xs": xs})
 
     def test_l2_normalize_gradient(self, rng):
         m = leaf(rng, 3, 3)

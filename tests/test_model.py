@@ -25,8 +25,9 @@ from codesum.model import (
     step_fn,
     step_loss,
     step_loss_from_ids,
+    vocab_head,
 )
-from codesum.tensorcore import Tensor, gradient_check
+from codesum.tensorcore import Tensor, gradient_check, log, pick, rows, stack
 
 
 class TestPadding:
@@ -103,18 +104,55 @@ class TestEncodeOnce:
         for h in (p.h_init, Tensor(rng.normal(size=2))):
             want = step(sn, h, p)
             got = step(sn, h, p, encoded=encoded)
-            for field in ("vocab_dist", "alpha", "nhat", "kappa", "lam"):
+            for field in ("alpha", "nhat", "kappa", "lam"):
                 a, b = getattr(want, field), getattr(got, field)
                 assert (a is None) == (b is None)
                 if a is not None:
                     assert a.data.tobytes() == b.data.tobytes(), field
+            assert want.vocab_row().data.tobytes() == got.vocab_row().data.tobytes()
+
+
+class TestVocabHead:
+    @pytest.mark.parametrize("words, d", [(40, 5), (2446, 128)])
+    @pytest.mark.parametrize("model_kind", ["conv_attention", "copy_attention"])
+    def test_one_step_head_is_the_vector_formula_bitwise(self, rng, model_kind, words, d):
+        # What a decode scores, against softmax(E @ nhat + b) as the step
+        # computed it when the head was part of the step.
+        vocab = make_vocab([f"w{i}" for i in range(words)])
+        p = make_params(len(vocab), d=d, k1=3, k2=2, w1=2, w2=2, w3=2, rng=rng)
+        sn = encode_snippet(["w1", "zzz", "w7"], vocab)
+        for h in (p.h_init, Tensor(rng.normal(size=2))):
+            out = step_fn(model_kind)(sn, h, p)
+            logits = p.E.data @ out.nhat.data + p.b.data
+            e = np.exp(logits - logits.max())
+            assert out.vocab_row().data.tobytes() == (e / e.sum()).tobytes()
+
+    @pytest.mark.parametrize("v, d", [(9, 3), (2453, 128)])
+    def test_rows_of_a_stacked_head_equal_each_step_alone(self, rng, v, d):
+        # So training's one head gives every step's loss bit for bit.
+        p = make_params(v, d=d, rng=rng)
+        nhats = [Tensor(rng.normal(size=d)) for _ in range(11)]
+        head = vocab_head(stack(nhats), p)
+        for t, nhat in enumerate(nhats):
+            assert head.data[t].tobytes() == vocab_head(stack([nhat]), p).data[0].tobytes()
+
+    def test_gradient(self, rng):
+        p = make_params(6, d=3, rng=rng)
+        nhats = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+
+        def build():
+            head = vocab_head(nhats, p)
+            return -(log(pick(rows(head, 0), 4)) + log(pick(rows(head, 1), 0))
+                     + log(pick(rows(head, 2), 4)))
+
+        gradient_check(build, {"nhats": nhats, "E": p.E, "b": p.b})
 
 
 class TestConvStep:
     def test_vocab_dist_sums_to_one(self, rng):
         p = make_params(11, rng=rng)
         out = conv_attention_step(make_snippet([1, 2, 3]), p.h_init, p)
-        assert out.vocab_dist.data.sum() == pytest.approx(1.0)
+        assert out.vocab_row().data.sum() == pytest.approx(1.0)
         assert out.kappa is None and out.lam is None
 
     def test_one_hot_attention_scores_by_embedding_alignment(self, rng):
@@ -138,7 +176,7 @@ class TestConvStep:
         logits_model = p.E.data @ nhat_model
         dist = np.exp(logits_model - logits_model.max())
         dist /= dist.sum()
-        np.testing.assert_allclose(out.vocab_dist.data, dist, atol=1e-10)
+        np.testing.assert_allclose(out.vocab_row().data, dist, atol=1e-10)
         assert expected.argmax() == (p.E.data @ p.E.data[sn.ids[j]]).argmax()
 
     def test_deterministic(self, rng):
@@ -146,7 +184,7 @@ class TestConvStep:
         sn = make_snippet([2, 5, 1])
         a = conv_attention_step(sn, p.h_init, p)
         b = conv_attention_step(sn, p.h_init, p)
-        assert np.array_equal(a.vocab_dist.data, b.vocab_dist.data)
+        assert np.array_equal(a.vocab_row().data, b.vocab_row().data)
         assert np.array_equal(a.alpha.data, b.alpha.data)
 
 
@@ -172,7 +210,7 @@ class TestCopyStep:
         # an in-vocab token present in the snippet pools both heads
         a_id = vocab.id("a")
         assert merged["a"] == pytest.approx(
-            (1 - lam) * out.vocab_dist.data[a_id] + lam * kappa[1])
+            (1 - lam) * out.vocab_row().data[a_id] + lam * kappa[1])
         assert sum(merged.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_merged_endpoints(self, rng):
@@ -183,7 +221,7 @@ class TestCopyStep:
         out = copy_attention_step(sn, p.h_init, p)
         out.lam = Tensor(1e-12)
         merged = merged_distribution(out, sn, vocab)
-        for idx, prob in enumerate(out.vocab_dist.data):
+        for idx, prob in enumerate(out.vocab_row().data):
             assert merged[vocab.token(idx)] == pytest.approx(float(prob), abs=1e-9)
 
         out.kappa = Tensor([0.0, 1.0, 0.0])
@@ -210,7 +248,7 @@ def dict_merged(step, snippet, vocab):
     """The dict loop that ``merged_distribution`` replaced, as the reference."""
     lam = float(step.lam.data) if step.lam is not None else 0.0
     out = {}
-    for idx, prob in enumerate(step.vocab_dist.data):
+    for idx, prob in enumerate(step.vocab_row().data):
         key = vocab.token(idx)
         out[key] = out.get(key, 0.0) + (1.0 - lam) * float(prob)
     if step.kappa is not None:
@@ -257,7 +295,7 @@ class TestStepLoss:
         out = copy_attention_step(sn, p.h_init, p)
         loss = step_loss(out, "get", sn, vocab)
         lam = float(out.lam.data)
-        r = out.vocab_dist.data[vocab.id("get")]
+        r = out.vocab_row().data[vocab.id("get")]
         assert float(loss.data) == pytest.approx(-math.log((1 - lam) * r + LOSS_FLOOR))
 
     def test_oov_target_present_in_snippet_gets_penalty(self, rng):
@@ -268,7 +306,7 @@ class TestStepLoss:
         loss = step_loss(out, "zlib", sn, vocab)
         lam = float(out.lam.data)
         kappa = out.kappa.data
-        r_unk = out.vocab_dist.data[vocab.unk_id]
+        r_unk = out.vocab_row().data[vocab.unk_id]
         expected = lam * kappa[2] + (1 - lam) * UNK_PENALTY * r_unk
         assert float(loss.data) == pytest.approx(-math.log(expected + LOSS_FLOOR))
 
@@ -281,8 +319,7 @@ class TestStepLoss:
         out = copy_attention_step(sn, p.h_init, p)
         out.lam = Tensor(0.5)
         out.kappa = Tensor(np.full(5, 0.2))
-        out.vocab_dist = Tensor(np.zeros(len(vocab)))
-        loss = step_loss(out, "t", sn, vocab)
+        loss = step_loss(out, "t", sn, vocab, Tensor(np.zeros(len(vocab))))
         assert float(loss.data) == pytest.approx(-math.log(0.5 * 0.4 + 0.25 * 0.0 + LOSS_FLOOR))
 
     def test_conv_loss_is_plain_nll(self, rng):
@@ -291,7 +328,7 @@ class TestStepLoss:
         sn = encode_snippet(["m"], vocab)
         out = conv_attention_step(sn, p.h_init, p)
         loss = step_loss(out, "m", sn, vocab)
-        r = out.vocab_dist.data[vocab.id("m")]
+        r = out.vocab_row().data[vocab.id("m")]
         assert float(loss.data) == pytest.approx(-math.log(r + LOSS_FLOOR))
 
     def test_marginalization_consistency(self, rng):

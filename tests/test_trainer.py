@@ -198,6 +198,20 @@ class TestInitParams:
                 bad.validate()
 
 
+def temporaries_sgd_update(params, grads, opt_state, cfg):
+    """Reference: the update rule as plain expressions, a fresh array per term."""
+    norm = clip_global_norm(grads, CLIP_NORM)
+    for name, t in params.named_tensors():
+        g, a, v = grads[name], opt_state.sq[name], opt_state.mom[name]
+        a *= RMS_DECAY
+        a += (1.0 - RMS_DECAY) * g * g
+        s = g / np.sqrt(a + EPSILON)
+        v *= MOMENTUM
+        v += s
+        t.data -= cfg.learning_rate * (s + MOMENTUM * v)
+    return norm
+
+
 class TestSgdUpdate:
     def one_param(self, value=1.0):
         params = make_params(8, d=2, k1=2, k2=2)
@@ -266,6 +280,23 @@ class TestSgdUpdate:
         theta2 = theta1 - lr * (s2 + mu * v2)
         assert float(params.h_init.data[0]) == pytest.approx(theta2, rel=1e-12)
         assert set(names) == set(state.sq)
+
+    def test_equals_the_rule_written_with_temporaries(self):
+        # The scratch-array update runs the rule's operations in the same
+        # order, so parameters and optimizer buffers stay byte-identical.
+        rng = np.random.default_rng(5)
+        got = make_params(9, d=3, rng=np.random.default_rng(1))
+        want = make_params(9, d=3, rng=np.random.default_rng(1))
+        got_state, want_state = OptimizerState.for_params(got), OptimizerState.for_params(want)
+        cfg = tiny_cfg(learning_rate=0.01)
+        for scale in (0.1, 3.0, 0.01, 10.0):  # some steps are clipped, some not
+            grads = {n: rng.normal(size=t.shape) * scale for n, t in got.named_tensors()}
+            sgd_update(got, {n: g.copy() for n, g in grads.items()}, got_state, cfg)
+            temporaries_sgd_update(want, grads, want_state, cfg)
+        for name, t in want.named_tensors():
+            assert dict(got.named_tensors())[name].data.tobytes() == t.data.tobytes(), name
+            assert got_state.sq[name].tobytes() == want_state.sq[name].tobytes(), name
+            assert got_state.mom[name].tobytes() == want_state.mom[name].tobytes(), name
 
     def test_nonfinite_gradient_raises(self):
         params = make_params(8)
@@ -382,8 +413,8 @@ class TestTraining:
 
         real_step_loss = trainer_mod.step_loss
 
-        def nan_for_u0(step, target, snippet, vocab):
-            loss = real_step_loss(step, target, snippet, vocab)
+        def nan_for_u0(step, target, snippet, vocab, vocab_row):
+            loss = real_step_loss(step, target, snippet, vocab, vocab_row)
             return loss * math.nan if "u0" in snippet.surface else loss
 
         monkeypatch.setattr(trainer_mod, "step_loss", nan_for_u0)
@@ -453,6 +484,23 @@ class TestTraining:
         for key in ("grad_norm_mean", "grad_norm_max", "clipped_frac"):
             assert result.log[0][key] is None
 
+    def test_uncopied_gradients_train_as_copied_ones(self, monkeypatch):
+        import codesum.trainer as trainer_mod
+
+        def copying_collect(params):
+            """Reference: every gradient copied out of its leaf."""
+            return {name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
+                    for name, t in params.named_tensors()}
+
+        # Windows of two sum one example's arrays into another's in place.
+        cfg = tiny_cfg(epochs=2, minibatch=2, dropout_rate=0.4, eval_every=5)
+        got = train(self.corpus(5), [], cfg)
+        monkeypatch.setattr(trainer_mod, "_collect_grads", copying_collect)
+        want = train(self.corpus(5), [], cfg)
+        assert got.log[-1]["train_nll"] == want.log[-1]["train_nll"]
+        for (name, a), (_, b) in zip(got.params.named_tensors(), want.params.named_tensors()):
+            assert a.data.tobytes() == b.data.tobytes(), name
+
     def test_validation_early_stopping_runs(self):
         examples = self.corpus(9)
         cfg = tiny_cfg(epochs=4, eval_every=1, patience=2,
@@ -496,14 +544,16 @@ class TestTraining:
 
 
 def per_step_example_loss(params, snippet, name, vocab, cfg, rng=None):
-    """Reference: every step re-runs both convolutions on the snippet."""
+    """Reference: every step re-runs both convolutions on the snippet,
+    applies the vocabulary head to itself alone (T = 1) and gathers the
+    embedding of its own target."""
     step = step_fn(cfg.model_kind)
     targets = [*name, NAME_END]
     total = None
     h = params.h_init
     for t, target in enumerate(targets):
         out = step(snippet, h, params)
-        loss = step_loss(out, target, snippet, vocab)
+        loss = step_loss(out, target, snippet, vocab, out.vocab_row())
         total = loss if total is None else total + loss
         if t + 1 < len(targets):
             h = next_state(params, h, token_id=vocab.id(target), nhat=out.nhat,
@@ -572,6 +622,37 @@ class TestEncodeOnce:
             calls.clear()
             example_loss(params, encode_snippet(example.body, vocab), example.name, vocab, cfg)
             assert len(calls) == 1
+
+    @pytest.mark.parametrize("model_kind", ["conv_attention", "copy_attention"])
+    def test_table_is_gathered_twice_and_scored_once(self, monkeypatch, model_kind):
+        import codesum.model as model_mod
+        import codesum.trainer as trainer_mod
+
+        examples = self.corpus(3)
+        vocab = build_vocabulary(examples, min_count=1)
+        cfg = tiny_cfg(model_kind=model_kind, dropout_rate=0.4)
+        params = init_params(cfg, vocab, target_counts(examples))
+        rng = np.random.default_rng(0)
+        seen = []
+
+        def counting(label, fn):
+            def wrapper(*args, **kwargs):
+                if any(a is view.E for a in args):
+                    seen.append(label)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # Every name under which the model and the trainer look the ops up.
+        for mod in (model_mod, trainer_mod):
+            for op in ("rows", "matmul", "matvec"):
+                if hasattr(mod, op):
+                    monkeypatch.setattr(mod, op, counting(op, getattr(mod, op)))
+        for example in examples:  # each has at least two steps
+            view = masked_view(params, cfg.dropout_rate, rng)
+            seen.clear()
+            example_loss(view, encode_snippet(example.body, vocab), example.name, vocab, cfg,
+                         rng=rng).backward()
+            assert sorted(seen) == ["matvec", "rows", "rows"]
 
     def test_no_validation_set_takes_no_snapshot(self, monkeypatch):
         import codesum.trainer as trainer_mod

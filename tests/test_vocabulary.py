@@ -63,6 +63,13 @@ class TestVocabularyMap:
         vocab = build_vocabulary([ex(["a"], ["a"])], min_count=1)
         assert vocab.id("never-seen") == vocab.unk_id
 
+    @pytest.mark.parametrize("last", [7, None, ["x"]])
+    def test_from_json_rejects_non_string_tokens(self, last):
+        obj = build_vocabulary([ex(["a", "b"], ["c"])], min_count=1).to_json()
+        obj["tokens"][-1] = last
+        with pytest.raises(ValueError, match="list of strings"):
+            Vocabulary.from_json(obj)
+
     def test_roundtrip_json(self):
         # The checkpoint manifest stores the vocabulary as this JSON object.
         vocab = build_vocabulary([ex(["a", "b"], ["c", "c"])], min_count=1)
