@@ -6,12 +6,16 @@ step on its state, and pushes the top successors back.  A partial whose
 log-probability falls below the current k-th best completed name is
 pruned, once k names have completed, and a child below it gets no state.
 The search stops after a fixed number of iterations or when the heap empties.
-``suggest`` reads the parameters through a view that shares their arrays
-but requires no gradient, so a decode builds no autograd graph.
-Siblings share their parent's state-side GRU products, and a decode
-computes each token's input-side products once, keyed by token id in a
-dict that lives for one ``suggest`` call; each state is bit-identical to
-one whose step computes all six products itself.
+``suggest`` reads the parameters through a view that shares their
+arrays: the encoder and heads are Tensors that require no gradient, so a
+decode builds no autograd graph, and the GRU, the first state and every
+child state are plain numpy arrays, so a child state is the GRU's
+arithmetic and nothing else.  Siblings share their parent's
+state-side GRU products, and a decode computes each token's input-side
+products once, keyed by token id in a dict that lives for one
+``suggest`` call; each state is bit-identical to one whose step computes
+all six products itself.  The candidates of every merged distribution
+come from one ``copy_table`` per snippet.
 """
 
 from __future__ import annotations
@@ -25,15 +29,17 @@ import numpy as np
 
 from .corpus.vocabulary import NAME_END, Vocabulary
 from .model import (
+    CopyTable,
     EncodedSnippet,
     ModelParams,
     StepOutput,
+    copy_table,
     encode,
     merged_distribution,
     next_state,
     step_fn,
 )
-from .tensorcore import GruProducts, Tensor, input_products, rows, state_products
+from .tensorcore import GruProducts, Tensor, input_products, state_products
 
 
 @dataclass
@@ -63,7 +69,7 @@ class PartialSuggestion:
 
     subtokens: tuple[str, ...]
     log_prob: float
-    state: Tensor
+    state: np.ndarray
     steps: tuple[StepRecord, ...] = ()
 
 
@@ -84,6 +90,7 @@ def expand(partial: PartialSuggestion, out: StepOutput,
            snippet: EncodedSnippet, params: ModelParams, vocab: Vocabulary,
            limits: SearchLimits, bar: float | None = None,
            token_inputs: dict[int, GruProducts] | None = None,
+           table: CopyTable | None = None,
            ) -> tuple[list[PartialSuggestion], list[Suggestion]]:
     """Children of a partial, split into open prefixes and completions.
 
@@ -92,10 +99,11 @@ def expand(partial: PartialSuggestion, out: StepOutput,
     child's state advances in test mode, unless its log-probability is
     below ``bar``, the search's k-th best completion: then it is dropped.
     ``token_inputs`` memoizes each token id's input-side GRU products; it
-    must not outlive the parameters' current values.
+    must not outlive the parameters' current values.  ``table`` is the
+    snippet's ``copy_table``.
     """
     token_inputs = {} if token_inputs is None else token_inputs
-    merged = merged_distribution(out, snippet, vocab)
+    merged = merged_distribution(out, snippet, vocab, table)
     probs, n = merged.probs, limits.successors
     if len(partial.subtokens) >= limits.max_name_len:
         candidates = [merged.index[NAME_END]]
@@ -133,7 +141,7 @@ def expand(partial: PartialSuggestion, out: StepOutput,
             continue
         token_id = vocab.id(token)
         if token_id not in token_inputs:
-            token_inputs[token_id] = input_products(rows(params.E, token_id), params.gru)
+            token_inputs[token_id] = input_products(params.E.data[token_id], params.gru)
         children.append(PartialSuggestion(
             subtokens=(*partial.subtokens, token),
             log_prob=log_prob,
@@ -160,10 +168,15 @@ def suggest(snippet: EncodedSnippet, params: ModelParams, vocab: Vocabulary,
         raise ValueError(f"unknown state kind {state_kind!r}")
     if limits is None:
         limits = SearchLimits()
-    params = ModelParams.from_named(
-        {name: Tensor(t.data) for name, t in params.named_tensors()})
+    # A view sharing the parameters' arrays: Tensors that require no
+    # gradient for the encoder and heads, the arrays themselves for the GRU
+    # and the first state.
+    params = ModelParams.from_named({
+        name: t.data if name == "h_init" or name.startswith("gru.") else Tensor(t.data)
+        for name, t in params.named_tensors()})
     step = step_fn(model_kind)
     encoded = encode(snippet, params)
+    table = copy_table(snippet, vocab)
     root = PartialSuggestion(subtokens=(), log_prob=0.0, state=params.h_init)
     token_inputs: dict[int, GruProducts] = {}
 
@@ -186,7 +199,7 @@ def suggest(snippet: EncodedSnippet, params: ModelParams, vocab: Vocabulary,
             continue
         out = step(snippet, partial.state, params, encoded)
         children, done = expand(partial, out, snippet, params, vocab, limits, bar,
-                                token_inputs)
+                                token_inputs, table)
         completed.extend(done)
         for s in done:
             push = heapq.heappush if len(top) < k else heapq.heappushpop

@@ -82,7 +82,8 @@ def param_shapes(v: int, d: int, k1: int, k2: int, w1: int, w2: int, w3: int,
 class ModelParams:
     """All trainable tensors of the summarizer; ``param_shapes`` lists
     their names and shapes.  The conv model holds ``None`` for the copy
-    head.
+    head.  The view ``decoder.suggest`` decodes on holds the GRU and
+    ``h_init`` as plain arrays.
     """
 
     E: Tensor
@@ -93,7 +94,7 @@ class ModelParams:
     K_lambda: Tensor | None
     gru: GruParams
     b: Tensor
-    h_init: Tensor
+    h_init: Tensor | np.ndarray
     prelu_a1: Tensor
 
     @classmethod
@@ -290,6 +291,29 @@ def step_loss(step: StepOutput, target: str, snippet: EncodedSnippet,
 # -- merged generative distribution ----------------------------------------------
 
 
+@dataclass(frozen=True)
+class CopyTable:
+    """The candidates of a snippet's merged distributions, built once per
+    snippet: ``tokens[i]`` is candidate i, vocabulary tokens in id order
+    and then the snippet's out-of-vocabulary surface strings in order of
+    first position; ``index`` maps a candidate to i; and ``positions[j]``
+    is the candidate id of the snippet's j-th surface subtoken."""
+
+    tokens: list[str]
+    index: Mapping[str, int]
+    positions: np.ndarray
+
+
+def copy_table(snippet: EncodedSnippet, vocab: Vocabulary) -> CopyTable:
+    oov: dict[str, int] = {}
+    index = ChainMap(vocab.token_to_id, oov)
+    for token in snippet.surface:
+        if token not in index:
+            oov[token] = len(vocab) + len(oov)
+    positions = np.array([index[token] for token in snippet.surface], dtype=np.intp)
+    return CopyTable([*vocab.id_to_token, *oov], index, positions)
+
+
 class MergedDistribution(Mapping[str, float]):
     """Read-only map from candidate subtoken to probability: ``tokens[i]``
     has ``probs[i]``, vocabulary tokens in id order, then the snippet's
@@ -310,45 +334,48 @@ class MergedDistribution(Mapping[str, float]):
 
 
 def merged_distribution(step: StepOutput, snippet: EncodedSnippet,
-                        vocab: Vocabulary) -> MergedDistribution:
+                        vocab: Vocabulary, table: CopyTable | None = None,
+                        ) -> MergedDistribution:
     """Probability of each candidate subtoken in V union c.
 
     Vocabulary ids are keyed by their surface string; copy mass lands on
     the snippet's surface strings, added in position order, so identical
-    subtokens pool their probability.  The vocabulary head scores this one
-    step (T = 1).  Detached from the graph: decoding does not backprop.
+    subtokens pool their probability.  ``table`` is the snippet's
+    ``copy_table``, built here unless given; the conv model, which has no
+    copy head, has only the vocabulary's candidates.  The vocabulary head
+    scores this one step (T = 1).  Detached from the graph: decoding does
+    not backprop.
     """
     lam = float(step.lam.data) if step.lam is not None else 0.0
     probs = (1.0 - lam) * np.asarray(step.vocab_row().data, dtype=np.float64)
-    oov: dict[str, int] = {}
-    index = ChainMap(vocab.token_to_id, oov)
-    if step.kappa is not None:
-        for token in snippet.surface:
-            if token not in index:
-                oov[token] = len(vocab) + len(oov)
-        probs = np.concatenate([probs, np.zeros(len(oov))])
-        kappa = np.asarray(step.kappa.data, dtype=np.float64)
-        np.add.at(probs, [index[token] for token in snippet.surface], lam * kappa)
-    return MergedDistribution([*vocab.id_to_token, *oov], index, probs)
+    if step.kappa is None:
+        return MergedDistribution(vocab.id_to_token, vocab.token_to_id, probs)
+    table = copy_table(snippet, vocab) if table is None else table
+    probs = np.concatenate([probs, np.zeros(len(table.tokens) - len(vocab))])
+    kappa = np.asarray(step.kappa.data, dtype=np.float64)
+    np.add.at(probs, table.positions, lam * kappa)
+    return MergedDistribution(table.tokens, table.index, probs)
 
 
 # -- decoder state updates ---------------------------------------------------------
 
 
-def next_state(p: ModelParams, h_prev: Tensor, *, token_id: int | None = None,
+def next_state(p: ModelParams, h_prev: Tensor | np.ndarray, *, token_id: int | None = None,
                embedding: Tensor | None = None,
                nhat: Tensor | None = None, dropout_rate: float = 0.0,
                rng: np.random.Generator | None = None,
-               xs: GruProducts | None = None, hs: GruProducts | None = None) -> Tensor:
+               xs: GruProducts | None = None, hs: GruProducts | None = None,
+               ) -> Tensor | np.ndarray:
     """GRU state update.
 
     At test time the embedding of the emitted subtoken feeds the GRU:
     ``embedding`` if the caller gathered it, else ``token_id``'s row.
     During training, with probability equal to the dropout rate, the
     predicted embedding is used instead (scheduled-sampling-style).
-    A decode passes ``xs``, the GRU's input-side products of
-    ``token_id``'s embedding, and ``hs``, the state-side products of
-    ``h_prev``; then no embedding is gathered.
+    A decode's state is a plain array, and so is the new one; there the
+    row is ``E``'s array row.  A decode passes ``xs``, the GRU's
+    input-side products of ``token_id``'s embedding, and ``hs``, the
+    state-side products of ``h_prev``; then no embedding is gathered.
     """
     x = None
     if xs is None:
@@ -358,5 +385,5 @@ def next_state(p: ModelParams, h_prev: Tensor, *, token_id: int | None = None,
         )
         x = nhat if use_predicted else embedding
         if x is None:
-            x = rows(p.E, token_id)
+            x = rows(p.E, token_id) if isinstance(h_prev, Tensor) else p.E.data[token_id]
     return gru_step(x, h_prev, p.gru, xs, hs)

@@ -35,6 +35,9 @@ class Tensor:
     """A numpy array plus the bookkeeping needed for backpropagation."""
 
     __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward")
+    # numpy defers ``ndarray <op> Tensor`` to the reflected operators below
+    # instead of building an object array of per-element products.
+    __array_ufunc__ = None
 
     def __init__(self, data, requires_grad: bool = False,
                  _prev: tuple[Tensor, ...] = (), _backward=None):
@@ -59,9 +62,14 @@ class Tensor:
 
     # -- gradient propagation -----------------------------------------------
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add ``g`` to the gradient.  A first gradient is copied, unless
+        ``fresh`` says the op has just made ``g`` in this tensor's shape
+        and keeps no other reference to it: then an array of this tensor's
+        dtype is kept as it is.  A pass-through or a view must be copied,
+        or later sums into this gradient would write into another's."""
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+            self.grad = np.array(g, dtype=self.data.dtype, copy=None if fresh else True)
         else:
             self.grad += g
 
@@ -124,6 +132,9 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, _wrap(other))
 
+    def __rmatmul__(self, other):
+        return matmul(_wrap(other), self)
+
 
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -168,7 +179,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def neg(a: Tensor) -> Tensor:
     def backward(g):
         if a.requires_grad:
-            a._accumulate(-g)
+            a._accumulate(-g, fresh=True)
 
     return _make(-a.data, (a,), backward)
 
@@ -178,9 +189,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
+            a._accumulate(_unbroadcast(g * b.data, a.shape), fresh=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
+            b._accumulate(_unbroadcast(g * a.data, b.shape), fresh=True)
 
     return _make(data, (a, b), backward)
 
@@ -196,24 +207,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         if a.ndim == 1 and b.ndim == 1:          # dot -> scalar
             if a.requires_grad:
-                a._accumulate(g * b.data)
+                a._accumulate(g * b.data, fresh=True)
             if b.requires_grad:
-                b._accumulate(g * a.data)
+                b._accumulate(g * a.data, fresh=True)
         elif a.ndim == 1:                        # (m,) @ (m,n) -> (n,)
             if a.requires_grad:
-                a._accumulate(b.data @ g)
+                a._accumulate(b.data @ g, fresh=True)
             if b.requires_grad:
-                b._accumulate(np.outer(a.data, g))
+                b._accumulate(np.outer(a.data, g), fresh=True)
         elif b.ndim == 1:                        # (m,k) @ (k,) -> (m,)
             if a.requires_grad:
-                a._accumulate(np.outer(g, b.data))
+                a._accumulate(np.outer(g, b.data), fresh=True)
             if b.requires_grad:
-                b._accumulate(a.data.T @ g)
+                b._accumulate(a.data.T @ g, fresh=True)
         else:                                    # (m,k) @ (k,n) -> (m,n)
             if a.requires_grad:
-                a._accumulate(g @ b.data.T)
+                a._accumulate(g @ b.data.T, fresh=True)
             if b.requires_grad:
-                b._accumulate(a.data.T @ g)
+                b._accumulate(a.data.T @ g, fresh=True)
 
     return _make(data, (a, b), backward)
 
@@ -226,9 +237,9 @@ def matvec(m: Tensor, xs: Tensor) -> Tensor:
 
     def backward(g):
         if m.requires_grad:
-            m._accumulate(g.T @ xs.data)
+            m._accumulate(g.T @ xs.data, fresh=True)
         if xs.requires_grad:
-            xs._accumulate(g @ m.data)
+            xs._accumulate(g @ m.data, fresh=True)
 
     return _make(data, (m, xs), backward)
 
@@ -238,7 +249,7 @@ def matvec(m: Tensor, xs: Tensor) -> Tensor:
 def tsum(a: Tensor) -> Tensor:
     def backward(g):
         if a.requires_grad:
-            a._accumulate(np.full_like(a.data, float(g)))
+            a._accumulate(np.full_like(a.data, float(g)), fresh=True)
 
     return _make(a.data.sum(), (a,), backward)
 
@@ -251,7 +262,7 @@ def tmax(a: Tensor) -> Tensor:
         if a.requires_grad:
             ga = np.zeros_like(a.data)
             ga.flat[idx] = float(g)
-            a._accumulate(ga)
+            a._accumulate(ga, fresh=True)
 
     return _make(a.data.flat[idx], (a,), backward)
 
@@ -266,7 +277,7 @@ def pick(a: Tensor, index: int) -> Tensor:
         if a.requires_grad:
             ga = np.zeros_like(a.data)
             ga[idx] = float(g)
-            a._accumulate(ga)
+            a._accumulate(ga, fresh=True)
 
     return _make(a.data[idx], (a,), backward)
 
@@ -311,15 +322,20 @@ def stack(vectors: Sequence[Tensor]) -> Tensor:
 
 # -- nonlinearities -----------------------------------------------------------
 
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """The logistic function of an array, with one exponential that never
+    overflows: e = exp(-|x|) gives 1 / (1 + e) or e / (1 + e) by sign."""
     e = np.exp(-np.abs(x))
     d = 1.0 + e
-    out = np.where(x >= 0, 1.0 / d, e / d)
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    out = sigmoid_array(a.data)
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * out * (1.0 - out))
+            a._accumulate(g * out * (1.0 - out), fresh=True)
 
     return _make(out, (a,), backward)
 
@@ -329,7 +345,7 @@ def tanh(a: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * (1.0 - out * out))
+            a._accumulate(g * (1.0 - out * out), fresh=True)
 
     return _make(out, (a,), backward)
 
@@ -344,7 +360,7 @@ def prelu(x: Tensor, leak: Tensor) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate(g * np.where(xd > 0, 1.0, a))
+            x._accumulate(g * np.where(xd > 0, 1.0, a), fresh=True)
         if leak.requires_grad:
             leak._accumulate(np.sum(g * np.minimum(xd, 0.0)).reshape(leak.shape))
 
@@ -358,7 +374,7 @@ def log(a: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g / a.data)
+            a._accumulate(g / a.data, fresh=True)
 
     return _make(out, (a,), backward)
 
@@ -374,7 +390,7 @@ def softmax(v: Tensor) -> Tensor:
 
     def backward(g):
         if v.requires_grad:
-            v._accumulate(out * (g - np.vecdot(g, out)[..., None]))
+            v._accumulate(out * (g - np.vecdot(g, out)[..., None]), fresh=True)
 
     return _make(out, (v,), backward)
 
@@ -390,7 +406,7 @@ def l2_normalize(m: Tensor) -> Tensor:
             gm = g * scale
             if norm > 0.0:
                 gm = gm - (float(np.sum(g * m.data)) / (norm * (norm + L2_NORM_EPS) ** 2)) * m.data
-            m._accumulate(gm)
+            m._accumulate(gm, fresh=True)
 
     return _make(out, (m,), backward)
 
@@ -424,9 +440,9 @@ def conv1d_narrow(inp: Tensor, kernel: Tensor) -> Tensor:
             gi = np.zeros_like(inp.data)
             for j in range(width):
                 gi[j:j + positions] += g @ kernel.data[:, j, :].T
-            inp._accumulate(gi)
+            inp._accumulate(gi, fresh=True)
         if kernel.requires_grad:
             kernel._accumulate(np.stack(
-                [inp.data[j:j + positions].T @ g for j in range(width)], axis=1))
+                [inp.data[j:j + positions].T @ g for j in range(width)], axis=1), fresh=True)
 
     return _make(data, (inp, kernel), backward)

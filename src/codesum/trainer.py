@@ -194,8 +194,16 @@ class OptimizerState:
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], clip_norm: float) -> float:
-    """Scale all gradients so the joint norm is at most ``clip_norm``."""
+    """Scale all gradients so the joint norm is at most ``clip_norm``.
+
+    A NaN or Inf entry makes the norm non-finite, and so does a sum of
+    squares that overflows; either raises ``NonFiniteGradient`` before
+    any gradient is scaled.  The norm is the check: no second pass over
+    the gradients looks for NaN or Inf.
+    """
     total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+    if not math.isfinite(total):
+        raise NonFiniteGradient("gradient norm is not finite (NaN or Inf entries)")
     if total > clip_norm and total > 0.0:
         scale = clip_norm / total
         for g in grads.values():
@@ -207,11 +215,9 @@ def sgd_update(params: ModelParams, grads: dict[str, np.ndarray],
                opt_state: OptimizerState, cfg: TrainConfig) -> float:
     """One clipped RMSProp + Nesterov-momentum step, in place.
 
-    Returns the global gradient norm before clipping.
+    Returns the global gradient norm before clipping; a non-finite one
+    raises ``NonFiniteGradient`` and leaves the parameters as they were.
     """
-    for g in grads.values():
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient("gradient contains NaN or Inf")
     norm = clip_global_norm(grads, CLIP_NORM)
     rho, mu, lr, eps = RMS_DECAY, MOMENTUM, cfg.learning_rate, EPSILON
     for name, t in params.named_tensors():
@@ -361,6 +367,7 @@ def train(train_examples: Sequence[MethodExample],
         norms: list[float] = []
         epoch_nll = 0.0
         counted = 0
+        epoch_skipped = 0
         for idx in order:
             snippet, name = snippets[idx]
             view = params
@@ -368,14 +375,15 @@ def train(train_examples: Sequence[MethodExample],
                 view = masked_view(params, cfg.dropout_rate, rng)
             loss = example_loss(view, snippet, name, vocab, cfg, rng=rng)
             if not np.isfinite(float(loss.data)):
-                skipped += 1
+                epoch_skipped += 1
                 continue
             for _, t in params.named_tensors():
                 t.zero_grad()
             loss.backward()
             grads = _collect_grads(params)
+            # An example's one NaN/Inf scan; the update's norm is the window's.
             if any(not np.all(np.isfinite(g)) for g in grads.values()):
-                skipped += 1
+                epoch_skipped += 1
                 continue
             epoch_nll += float(loss.data)
             counted += 1
@@ -391,6 +399,8 @@ def train(train_examples: Sequence[MethodExample],
                 window_count = 0
         if window_count:
             norms.append(sgd_update(params, window, opt_state, cfg))
+        skipped += epoch_skipped
+        train_seconds = time.perf_counter() - tick
 
         f1_5 = exact_1 = None
         if valid_examples and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
@@ -416,6 +426,8 @@ def train(train_examples: Sequence[MethodExample],
             "valid_f1_at_5": f1_5,
             "valid_exact_at_1": exact_1,
             **_grad_norm_stats(norms),
+            "skipped": epoch_skipped,
+            "examples_per_s": len(order) / train_seconds,
             "seconds": time.perf_counter() - tick,
         }
         log.append(entry)

@@ -247,7 +247,8 @@ class TestTrainCommand:
         assert len(lines) == 3
         assert set(lines[0]) == {"epoch", "train_nll", "valid_f1_at_5",
                                  "valid_exact_at_1", "grad_norm_mean",
-                                 "grad_norm_max", "clipped_frac", "seconds"}
+                                 "grad_norm_max", "clipped_frac", "skipped",
+                                 "examples_per_s", "seconds"}
         last = capsys.readouterr().out.strip().splitlines()[-1]
         assert re.fullmatch(r"checkpoint: \S+ \(best epoch \d+, skipped examples 0\)", last)
 

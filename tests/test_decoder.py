@@ -285,6 +285,39 @@ class TestSuggest:
             assert t.requires_grad
             assert t.grad is None
 
+    @pytest.mark.parametrize("model_kind", ["copy_attention", "conv_attention"])
+    def test_child_states_are_arrays_made_without_tensors(self, rng, monkeypatch,
+                                                          model_kind):
+        vocab, params, snippet = tiny_setup(rng, extra_tokens=("a", "b"),
+                                            body=("a", "zzz"))
+        if model_kind == "conv_attention":  # the conv model has no copy head
+            params = ModelParams.from_named({n: t for n, t in params.named_tensors()
+                                             if n not in ("K_copy", "K_lambda")})
+        inside, states, created = [], [], []
+        real_init, real_next_state = Tensor.__init__, decoder.next_state
+
+        def recording_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            created.append(bool(inside))
+
+        def recording_next_state(*args, **kwargs):
+            inside.append(1)
+            try:
+                state = real_next_state(*args, **kwargs)
+            finally:
+                inside.pop()
+            states.append(state)
+            return state
+
+        monkeypatch.setattr(Tensor, "__init__", recording_init)
+        monkeypatch.setattr(decoder, "next_state", recording_next_state)
+        out = suggest(snippet, params, vocab, k=5, model_kind=model_kind)
+        monkeypatch.undo()
+
+        assert out and states and created  # the steps still run on Tensors
+        assert not any(created)  # ... and no next_state makes one
+        assert {type(state) for state in states} == {np.ndarray}
+
 
 KINDS = ["copy_attention", "conv_attention"]
 

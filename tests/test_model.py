@@ -1,6 +1,7 @@
 """Model behavior: attention features, both step kinds, loss, states."""
 
 import math
+from collections import ChainMap
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from codesum.model import (
     attention_weights,
     conv_attention_step,
     copy_attention_step,
+    copy_table,
     encode,
     encode_snippet,
     merged_distribution,
@@ -257,7 +259,43 @@ def dict_merged(step, snippet, vocab):
     return out
 
 
+def per_call_merged(step, snippet, vocab):
+    """(tokens, probs) as each call built its candidates before the copy
+    table: the OoV map and the position list made anew every step."""
+    lam = float(step.lam.data) if step.lam is not None else 0.0
+    probs = (1.0 - lam) * np.asarray(step.vocab_row().data, dtype=np.float64)
+    oov = {}
+    index = ChainMap(vocab.token_to_id, oov)
+    if step.kappa is not None:
+        for token in snippet.surface:
+            if token not in index:
+                oov[token] = len(vocab) + len(oov)
+        probs = np.concatenate([probs, np.zeros(len(oov))])
+        kappa = np.asarray(step.kappa.data, dtype=np.float64)
+        np.add.at(probs, [index[token] for token in snippet.surface], lam * kappa)
+    return [*vocab.id_to_token, *oov], probs
+
+
 class TestMergedDistribution:
+    @pytest.mark.parametrize("model_kind", ["conv_attention", "copy_attention"])
+    def test_one_copy_table_equals_the_per_call_form(self, rng, model_kind):
+        vocab = make_vocab(["a", "b", "c"])
+        p = make_params(len(vocab), d=3, k1=2, k2=2, w1=2, w2=1, w3=2, rng=rng,
+                        scale=0.8)
+        sn = encode_snippet(["zzz", "a", "yyy", "a", "zzz", "b", "zzz"], vocab)
+        table = copy_table(sn, vocab)
+        assert table.tokens == [*vocab.id_to_token, "zzz", "yyy"]
+        assert table.positions.dtype == np.intp
+        assert [table.tokens[i] for i in table.positions] == sn.surface
+        for h in (p.h_init, Tensor(rng.normal(size=2)), Tensor(rng.normal(size=2))):
+            out = step_fn(model_kind)(sn, h, p)
+            want_tokens, want_probs = per_call_merged(out, sn, vocab)
+            for merged in (merged_distribution(out, sn, vocab, table),
+                           merged_distribution(out, sn, vocab)):
+                assert merged.tokens == want_tokens
+                assert merged.probs.tobytes() == want_probs.tobytes()
+                assert all(merged.index[tok] == i for i, tok in enumerate(want_tokens))
+
     @pytest.mark.parametrize("model_kind", ["conv_attention", "copy_attention"])
     def test_equals_dict_loop_bitwise_and_in_order(self, rng, model_kind):
         # OoV strings, repeated surface tokens, and surface tokens that are

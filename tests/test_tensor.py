@@ -7,15 +7,21 @@ from codesum.errors import DimensionMismatch, KernelTooLong
 from codesum.tensorcore import (
     GruParams,
     Tensor,
+    add,
     conv1d_narrow,
     gru_step,
     input_products,
     l2_normalize,
+    matvec,
+    mul,
     prelu,
+    reshape,
     sigmoid,
     softmax,
     state_products,
+    tsum,
 )
+from codesum.tensorcore.tensor import sigmoid_array
 
 
 def einsum_conv1d(x, k, g):
@@ -134,6 +140,11 @@ class TestActivations:
                          np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
         assert sigmoid(Tensor(x)).data.tobytes() == three.tobytes()
 
+    def test_sigmoid_is_its_array_kernel(self, rng):
+        x = np.concatenate([[0.0, -0.0, 700.0, -700.0, 750.0, -750.0],
+                            rng.normal(scale=30.0, size=100)])
+        assert sigmoid(Tensor(x)).data.tobytes() == sigmoid_array(x).tobytes()
+
     def test_sigmoid_extremes(self):
         assert float(sigmoid(Tensor(50.0)).data) == pytest.approx(1.0)
         assert float(sigmoid(Tensor(-50.0)).data) == pytest.approx(0.0, abs=1e-20)
@@ -199,6 +210,21 @@ class TestGruStep:
         with pytest.raises(DimensionMismatch):
             gru_step(Tensor(np.zeros(4)), Tensor(np.zeros(3)), zero_gru(2, 3))
 
+    def test_over_arrays_equals_over_tensors(self, rng):
+        d, k = 3, 64
+        weights = {n: rng.normal(size=s) for n, s in [
+            ("W_xr", (d, k)), ("W_hr", (k, k)), ("W_xu", (d, k)), ("W_hu", (k, k)),
+            ("W_xc", (d, k)), ("W_hc", (k, k)), ("b_r", (k,)), ("b_u", (k,)), ("b_c", (k,))]}
+        tensors = GruParams(**{n: Tensor(w) for n, w in weights.items()})
+        arrays = GruParams(**weights)
+        x, h = rng.normal(size=d), rng.normal(size=k)
+        want = gru_step(Tensor(x), Tensor(h), tensors).data
+        for got in (gru_step(x, h, arrays),
+                    gru_step(None, h, arrays, input_products(x, arrays),
+                             state_products(h, arrays))):
+            assert type(got) is np.ndarray
+            assert got.tobytes() == want.tobytes()
+
     def test_given_products_equal_computed_ones(self, rng):
         d, k = 3, 4
         p = GruParams(**{n: Tensor(rng.normal(size=s)) for n, s in [
@@ -208,3 +234,81 @@ class TestGruStep:
         computed = gru_step(x, h, p).data
         given = gru_step(None, h, p, input_products(x, p), state_products(h, p)).data
         assert given.tobytes() == computed.tobytes()
+
+
+class TestArrayOperands:
+    """An ndarray on the left of an operator defers to the Tensor."""
+
+    @pytest.mark.parametrize("op, grad", [
+        (lambda a, t: a + t, lambda a: np.ones(3)),
+        (lambda a, t: a * t, lambda a: a),
+        (lambda a, t: a - t, lambda a: -np.ones(3)),
+    ], ids=["add", "mul", "sub"])
+    def test_result_is_a_tensor_with_gradients(self, rng, op, grad):
+        a, b = rng.normal(size=3), rng.normal(size=3)
+        t = Tensor(b, requires_grad=True)
+        out = op(a, t)
+        assert type(out) is Tensor and out.data.dtype == np.float64
+        assert out.data.tobytes() == op(a, b).tobytes()
+        tsum(out).backward()
+        np.testing.assert_array_equal(t.grad, grad(a))
+
+    def test_matmul(self, rng):
+        a, m = rng.normal(size=3), rng.normal(size=(3, 2))
+        t = Tensor(m, requires_grad=True)
+        out = a @ t
+        assert type(out) is Tensor
+        assert out.data.tobytes() == (a @ m).tobytes()
+        tsum(out).backward()
+        np.testing.assert_array_equal(t.grad, np.outer(a, np.ones(2)))
+
+
+class TestAccumulate:
+    """A leaf's first gradient is the array its op just made, not a copy;
+    a pass-through or a view is copied, so later sums stay its own."""
+
+    def recorded(self, monkeypatch):
+        made = []
+        real = Tensor._accumulate
+
+        def recording(self, g, fresh=False):
+            made.append((self, g))
+            real(self, g, fresh)
+
+        monkeypatch.setattr(Tensor, "_accumulate", recording)
+        return made
+
+    def test_fresh_product_is_kept(self, rng, monkeypatch):
+        m = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        xs = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        made = self.recorded(monkeypatch)
+        tsum(matvec(m, xs)).backward()
+        [g_m] = [g for t, g in made if t is m]
+        assert m.grad is g_m
+
+    def test_pass_through_and_view_are_copied(self, rng, monkeypatch):
+        a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        c = Tensor(rng.normal(size=6), requires_grad=True)
+        w1, w2, w3 = rng.normal(size=(2, 3)), rng.normal(size=(2, 3)), rng.normal(size=6)
+        made = self.recorded(monkeypatch)
+        # add passes its g to a and b; reshape passes c a view of its g.
+        # a and c then take a second sum, which must not reach s, b or r.
+        s = add(a, b)
+        r = reshape(c, (2, 3))
+        loss = (tsum(mul(add(s, r), Tensor(w1))) + tsum(mul(a, Tensor(w2)))
+                + tsum(mul(c, Tensor(w3))))
+        loss.backward()
+        for leaf in (a, b, c):
+            assert all(leaf.grad is not g for t, g in made if t is leaf)
+        np.testing.assert_array_equal(s.grad, w1)
+        np.testing.assert_array_equal(r.grad, w1)
+        np.testing.assert_array_equal(a.grad, w1 + w2)
+        np.testing.assert_array_equal(b.grad, w1)
+        np.testing.assert_array_equal(c.grad, w1.reshape(6) + w3)
+
+    def test_scalar_gradient_is_an_array(self):
+        lam = Tensor(0.5, requires_grad=True)
+        (lam * Tensor(3.0)).backward()
+        assert type(lam.grad) is np.ndarray and lam.grad.shape == ()
+        assert float(lam.grad) == 3.0

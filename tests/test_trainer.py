@@ -2,6 +2,7 @@
 
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -306,6 +307,20 @@ class TestSgdUpdate:
         with pytest.raises(NonFiniteGradient):
             sgd_update(params, grads, state, tiny_cfg())
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_gradient_changes_nothing(self, bad):
+        params = make_params(8)
+        state = OptimizerState.for_params(params)
+        before = {n: t.data.copy() for n, t in params.named_tensors()}
+        grads = {n: np.full(t.shape, 10.0) for n, t in params.named_tensors()}
+        grads["h_init"][1] = bad  # the norm would be clipped if it were finite
+        with pytest.raises(NonFiniteGradient):
+            sgd_update(params, grads, state, tiny_cfg())
+        assert grads["E"][0, 0] == 10.0  # not scaled before the raise
+        for name, t in params.named_tensors():
+            assert t.data.tobytes() == before[name].tobytes(), name
+            assert not np.any(state.sq[name]) and not np.any(state.mom[name]), name
+
     def test_step_norm_bound(self):
         # One clipped update from a fresh state cannot move farther than
         # lr * (1 + MOMENTUM) * CLIP_NORM / sqrt(EPSILON).
@@ -421,6 +436,7 @@ class TestTraining:
         examples = self.corpus(6)  # only examples[0] has "u0" in its body
         result = train(examples, [], tiny_cfg(epochs=2, eval_every=5))
         assert result.skipped_examples == 2  # once per epoch
+        assert [e["skipped"] for e in result.log] == [1, 1]
         assert len(result.log) == 2
         assert all(math.isfinite(e["train_nll"]) for e in result.log)
         for _, t in result.params.named_tensors():
@@ -480,6 +496,7 @@ class TestTraining:
         monkeypatch.setattr(trainer_mod, "_collect_grads", all_nan)
         result = train(self.corpus(6), [], tiny_cfg(epochs=1, eval_every=5))
         assert result.skipped_examples == 6
+        assert result.log[0]["skipped"] == 6
         assert result.log[0]["train_nll"] is None
         for key in ("grad_norm_mean", "grad_norm_max", "clipped_frac"):
             assert result.log[0][key] is None
@@ -515,10 +532,47 @@ class TestTraining:
         entry = result.log[0]
         assert set(entry) == {"epoch", "train_nll", "valid_f1_at_5",
                               "valid_exact_at_1", "grad_norm_mean",
-                              "grad_norm_max", "clipped_frac", "seconds"}
+                              "grad_norm_max", "clipped_frac", "skipped",
+                              "examples_per_s", "seconds"}
         assert 0.0 < entry["grad_norm_mean"] <= entry["grad_norm_max"]
         assert math.isfinite(entry["grad_norm_max"])
         assert 0.0 <= entry["clipped_frac"] <= 1.0
+        assert entry["skipped"] == 0
+        assert 0.0 < entry["examples_per_s"] < math.inf
+
+    def test_examples_per_s_leaves_out_validation(self, monkeypatch):
+        import codesum.trainer as trainer_mod
+
+        real_evaluate = trainer_mod.evaluate_model
+
+        def slow_evaluate(*args, **kwargs):
+            time.sleep(0.3)
+            return real_evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "evaluate_model", slow_evaluate)
+        examples = self.corpus(4)
+        entry = train(examples, examples[:2], tiny_cfg(epochs=1)).log[0]
+        assert len(examples) / entry["examples_per_s"] <= entry["seconds"] - 0.3
+
+    def test_each_gradient_is_scanned_for_nan_once(self, monkeypatch):
+        import codesum.trainer as trainer_mod
+
+        examples = self.corpus(4)
+        cfg = tiny_cfg(epochs=2, eval_every=5)
+        e_shape = (len(build_vocabulary(examples, min_count=cfg.min_count)), cfg.D)
+        scanned = []
+        real_isfinite = np.isfinite
+
+        def recording_isfinite(x, *args, **kwargs):
+            if np.shape(x) == e_shape:
+                scanned.append(1)
+            return real_isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod.np, "isfinite", recording_isfinite)
+        result = train(examples, [], cfg)
+        monkeypatch.undo()
+        assert result.skipped_examples == 0
+        assert len(scanned) == 2 * len(examples)  # one scan of E per example
 
     @pytest.mark.parametrize("clip_norm, clipped", [(1e-9, 1.0), (1e9, 0.0)])
     def test_grad_norm_fields_summarize_the_updates(self, monkeypatch, clip_norm,
