@@ -6,16 +6,18 @@ step on its state, and pushes the top successors back.  A partial whose
 log-probability falls below the current k-th best completed name is
 pruned, once k names have completed, and a child below it gets no state.
 The search stops after a fixed number of iterations or when the heap empties.
-``suggest`` reads the parameters through a view that shares their
-arrays: the encoder and heads are Tensors that require no gradient, so a
-decode builds no autograd graph, and the GRU, the first state and every
-child state are plain numpy arrays, so a child state is the GRU's
-arithmetic and nothing else.  Siblings share their parent's
-state-side GRU products, and a decode computes each token's input-side
-products once, keyed by token id in a dict that lives for one
-``suggest`` call; each state is bit-identical to one whose step computes
-all six products itself.  The candidates of every merged distribution
-come from one ``copy_table`` per snippet.
+``suggest`` reads the parameters through ``decode_view``, which shares
+their arrays: the encoder and heads are Tensors that require no
+gradient, so a decode builds no autograd graph, and the GRU, the first
+state and every child state are plain numpy arrays, so a child state is
+the GRU's arithmetic and nothing else.  A parent's open children advance
+in one GRU update over stacked rows: the parent's state-side products
+are shared by every row, and each row's input-side products come from a
+per-decode memo keyed by token id that lives for one ``suggest`` call.
+The update is elementwise once the products are known, so each row is
+bit-identical to the state a child computing all six products itself
+would get.  The candidates of every merged distribution come from one
+``copy_table`` per snippet.
 """
 
 from __future__ import annotations
@@ -52,6 +54,12 @@ class SearchLimits:
     successors: int = 50       # children pushed per expansion
     max_name_len: int = 10     # hard cap on subtokens per name
 
+    def __post_init__(self):
+        for name, low in (("max_steps", 0), ("heap_size", 1), ("successors", 1),
+                          ("max_name_len", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+
 
 @dataclass
 class StepRecord:
@@ -86,6 +94,15 @@ class Suggestion:
         return math.exp(self.log_prob)
 
 
+def decode_view(params: ModelParams) -> ModelParams:
+    """A view sharing the parameters' arrays, as a decode reads them:
+    Tensors that require no gradient for the encoder and heads, the arrays
+    themselves for the GRU and the first state."""
+    return ModelParams.from_named({
+        name: t.data if name == "h_init" or name.startswith("gru.") else Tensor(t.data)
+        for name, t in params.named_tensors()})
+
+
 def expand(partial: PartialSuggestion, out: StepOutput,
            snippet: EncodedSnippet, params: ModelParams, vocab: Vocabulary,
            limits: SearchLimits, bar: float | None = None,
@@ -95,19 +112,20 @@ def expand(partial: PartialSuggestion, out: StepOutput,
     """Children of a partial, split into open prefixes and completions.
 
     Successors are the at most ``limits.successors`` most probable entries
-    of the merged distribution, ties broken by token string.  Each open
-    child's state advances in test mode, unless its log-probability is
-    below ``bar``, the search's k-th best completion: then it is dropped.
-    ``token_inputs`` memoizes each token id's input-side GRU products; it
-    must not outlive the parameters' current values.  ``table`` is the
-    snippet's ``copy_table``.
+    of the merged distribution, ties broken by token string.  An open
+    child whose log-probability is below ``bar``, the search's k-th best
+    completion, is dropped; the others advance in test mode, all in one
+    ``next_state`` call over stacked rows, made even when no row is left.
+    ``params`` is a ``decode_view``.  ``token_inputs`` memoizes each token
+    id's input-side GRU products; it must not outlive the parameters'
+    current values.  ``table`` is the snippet's ``copy_table``.
     """
     token_inputs = {} if token_inputs is None else token_inputs
     merged = merged_distribution(out, snippet, vocab, table)
     probs, n = merged.probs, limits.successors
     if len(partial.subtokens) >= limits.max_name_len:
         candidates = [merged.index[NAME_END]]
-    elif 0 < n < len(probs):
+    elif n < len(probs):
         # Every entry tied with the n-th largest competes for the cut.
         nth = np.partition(probs, len(probs) - n)[len(probs) - n]
         candidates = np.flatnonzero(probs >= nth).tolist()
@@ -121,34 +139,36 @@ def expand(partial: PartialSuggestion, out: StepOutput,
     kappa = out.kappa.data.copy() if out.kappa is not None else None
     lam = float(out.lam.data) if out.lam is not None else None
     hs = state_products(partial.state, params.gru)
-    children: list[PartialSuggestion] = []
+    opened: list[tuple[str, float, int]] = []
     completed: list[Suggestion] = []
     for i in ranked:
         token, prob = merged.tokens[i], float(probs[i])
         if prob <= 0.0:
             continue
         log_prob = partial.log_prob + math.log(max(prob, 1e-300))
-        record = StepRecord(token=token, alpha=alpha, kappa=kappa, lam=lam)
         if token == NAME_END:
             if partial.subtokens:  # empty names are meaningless output
                 completed.append(Suggestion(
                     name=list(partial.subtokens),
                     log_prob=log_prob,
-                    steps=[*partial.steps, record],
+                    steps=[*partial.steps, StepRecord(token, alpha, kappa, lam)],
                 ))
             continue
         if bar is not None and log_prob < bar:
             continue
-        token_id = vocab.id(token)
+        # Candidates past the vocabulary are the snippet's OOV subtokens.
+        token_id = i if i < len(vocab) else vocab.unk_id
         if token_id not in token_inputs:
             token_inputs[token_id] = input_products(params.E.data[token_id], params.gru)
-        children.append(PartialSuggestion(
-            subtokens=(*partial.subtokens, token),
-            log_prob=log_prob,
-            state=next_state(params, partial.state, token_id=token_id,
-                             xs=token_inputs[token_id], hs=hs),
-            steps=(*partial.steps, record),
-        ))
+        opened.append((token, log_prob, token_id))
+    # Row j of each stacked product, and of the states, is child j's.
+    xs = tuple(np.array([token_inputs[t][j] for *_, t in opened])
+               .reshape(len(opened), len(partial.state)) for j in range(3))
+    states = next_state(params, partial.state, xs=xs, hs=hs)
+    children = [PartialSuggestion(subtokens=(*partial.subtokens, token),
+                                  log_prob=log_prob, state=state,
+                                  steps=(*partial.steps, StepRecord(token, alpha, kappa, lam)))
+                for (token, log_prob, _), state in zip(opened, states)]
     return children, completed
 
 
@@ -168,12 +188,7 @@ def suggest(snippet: EncodedSnippet, params: ModelParams, vocab: Vocabulary,
         raise ValueError(f"unknown state kind {state_kind!r}")
     if limits is None:
         limits = SearchLimits()
-    # A view sharing the parameters' arrays: Tensors that require no
-    # gradient for the encoder and heads, the arrays themselves for the GRU
-    # and the first state.
-    params = ModelParams.from_named({
-        name: t.data if name == "h_init" or name.startswith("gru.") else Tensor(t.data)
-        for name, t in params.named_tensors()})
+    params = decode_view(params)
     step = step_fn(model_kind)
     encoded = encode(snippet, params)
     table = copy_table(snippet, vocab)

@@ -373,9 +373,11 @@ def next_state(p: ModelParams, h_prev: Tensor | np.ndarray, *, token_id: int | N
     During training, with probability equal to the dropout rate, the
     predicted embedding is used instead (scheduled-sampling-style).
     A decode's state is a plain array, and so is the new one; there the
-    row is ``E``'s array row.  A decode passes ``xs``, the GRU's
-    input-side products of ``token_id``'s embedding, and ``hs``, the
-    state-side products of ``h_prev``; then no embedding is gathered.
+    row is ``E``'s array row.  A decode advances all of a parent's open
+    children at once: it passes ``xs``, the GRU's input-side products of
+    the children's embeddings stacked as ``(n, k2)`` rows, and ``hs``, the
+    state-side products of ``h_prev``; then no embedding is gathered and
+    row i of the ``(n, k2)`` result is child i's state.
     """
     x = None
     if xs is None:

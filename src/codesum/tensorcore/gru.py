@@ -7,7 +7,11 @@ on the arrays and the gates are the array kernels ``sigmoid`` and
 ``tanh`` wrap, so a child state costs its arithmetic and no Tensor.
 A step's state-side products (``h @ W_h*``) read only the previous state
 and its input-side products (``x @ W_x*``) only the input, so a caller
-stepping many children can compute each side once and pass it in.
+stepping many children can compute each side once and pass it in.  What
+is left is elementwise, so the children of one state advance in one
+call: input-side products stacked as ``(n, k2)`` rows broadcast against
+the parent's ``(k2,)`` state and state-side products, and row i of the
+result equals the step of row i alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -56,7 +60,8 @@ def gru_step(x: Operand | None, h_prev: Operand, p: GruParams,
     """One GRU update: reset and update gates, candidate state, blend.
 
     ``xs`` and ``hs`` are ``input_products(x, p)`` and
-    ``state_products(h_prev, p)``, computed here unless given.  The
+    ``state_products(h_prev, p)``, computed here unless given; with
+    ``x=None``, ``xs`` may hold ``(n, k2)`` rows, one child each.  The
     result is a Tensor if ``h_prev`` is one, else an array.
     """
     if (x is not None and x.shape != (p.W_xr.shape[0],)) or h_prev.shape != (p.W_hr.shape[0],):

@@ -403,9 +403,12 @@ def train(train_examples: Sequence[MethodExample],
         train_seconds = time.perf_counter() - tick
 
         f1_5 = exact_1 = None
+        valid_seconds = 0.0
         if valid_examples and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
+            valid_tick = time.perf_counter()
             report, _ = evaluate_model(params, vocab, valid_examples,
                                        model_kind=cfg.model_kind)
+            valid_seconds = time.perf_counter() - valid_tick
             f1_5, exact_1 = report.f1_at_5, report.exact_at_1
             if f1_5 > best_f1:
                 best_f1 = f1_5
@@ -428,6 +431,7 @@ def train(train_examples: Sequence[MethodExample],
             **_grad_norm_stats(norms),
             "skipped": epoch_skipped,
             "examples_per_s": len(order) / train_seconds,
+            "valid_seconds": valid_seconds,
             "seconds": time.perf_counter() - tick,
         }
         log.append(entry)

@@ -46,26 +46,21 @@ tr.sep td {{ border-top: 1px solid #ccc; }}
 """
 
 
-def _blend(rgb: tuple[int, int, int], weight: float) -> str:
-    w = min(max(weight, 0.0), 1.0)
-    r, g, b = (round(255 + (c - 255) * w) for c in rgb)
-    return f"rgb({r},{g},{b})"
-
-
-def _token_row(tokens: Sequence[str], weights: np.ndarray,
-               rgb: tuple[int, int, int], oov: set[str]) -> str:
-    spans = []
-    for tok, w in zip(tokens, weights):
-        classes = "tok oov" if tok in oov else "tok"
-        spans.append(
-            f'<span class="{classes}" style="background-color:{_blend(rgb, float(w))}">'
-            f"{html.escape(tok)}</span>")
-    return "".join(spans)
+def _token_row(cells: Sequence[tuple[str, str]], weights: np.ndarray,
+               rgb: tuple[int, int, int]) -> str:
+    """Each cell's span opening and closing, around its colour: the weight,
+    clamped to [0, 1], blends white into ``rgb``, rounding half to even."""
+    w = np.clip(np.asarray(weights, dtype=float), 0.0, 1.0)
+    colours = np.rint(255 + (np.array(rgb) - 255) * w[:, None]).astype(int).tolist()
+    return "".join(f"{head}rgb({r},{g},{b}){tail}"
+                   for (head, tail), (r, g, b) in zip(cells, colours))
 
 
 def render_attention_html(surface: Sequence[str], steps: Sequence[StepRecord],
                           title: str, oov_tokens: set[str]) -> str:
     """A standalone page for one suggestion's decoding trace."""
+    cells = [(f'<span class="{"tok oov" if tok in oov_tokens else "tok"}" '
+              'style="background-color:', f'">{html.escape(tok)}</span>') for tok in surface]
     rows: list[str] = []
     for i, step in enumerate(steps):
         label = step.token if step.token != "</s>" else "End"
@@ -78,10 +73,10 @@ def render_attention_html(surface: Sequence[str], steps: Sequence[StepRecord],
             f'<tr class="sep"><td class="label" rowspan="{span}">m{i + 1}: '
             f"{html.escape(label)}</td>"
             f'<td class="head">&alpha;</td>'
-            f"<td>{_token_row(surface, alpha_norm, ALPHA_RGB, oov_tokens)}</td>"
+            f"<td>{_token_row(cells, alpha_norm, ALPHA_RGB)}</td>"
             f'<td rowspan="{span}">{lam}</td></tr>')
         if step.kappa is not None:
             rows.append(
                 f'<tr><td class="head">&kappa;</td>'
-                f"<td>{_token_row(surface, step.kappa, KAPPA_RGB, oov_tokens)}</td></tr>")
+                f"<td>{_token_row(cells, step.kappa, KAPPA_RGB)}</td></tr>")
     return _PAGE.format(title=html.escape(title), rows="\n".join(rows))

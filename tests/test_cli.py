@@ -248,7 +248,10 @@ class TestTrainCommand:
         assert set(lines[0]) == {"epoch", "train_nll", "valid_f1_at_5",
                                  "valid_exact_at_1", "grad_norm_mean",
                                  "grad_norm_max", "clipped_frac", "skipped",
-                                 "examples_per_s", "seconds"}
+                                 "examples_per_s", "valid_seconds", "seconds"}
+        for line in lines:
+            assert 0.0 <= line["valid_seconds"] <= line["seconds"]
+            assert (line["valid_seconds"] > 0.0) == (line["valid_f1_at_5"] is not None)
         last = capsys.readouterr().out.strip().splitlines()[-1]
         assert re.fullmatch(r"checkpoint: \S+ \(best epoch \d+, skipped examples 0\)", last)
 

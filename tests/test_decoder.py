@@ -8,7 +8,8 @@ import pytest
 from conftest import make_params, make_vocab
 from codesum import decoder
 from codesum.corpus.vocabulary import NAME_END
-from codesum.decoder import PartialSuggestion, SearchLimits, expand, suggest
+from codesum.decoder import (PartialSuggestion, SearchLimits, decode_view, expand,
+                             suggest)
 from codesum.model import (
     ModelParams,
     StepOutput,
@@ -18,7 +19,7 @@ from codesum.model import (
     next_state,
     step_fn,
 )
-from codesum.tensorcore import Tensor
+from codesum.tensorcore import Tensor, input_products
 
 
 def tiny_setup(rng, extra_tokens=("a",), body=("a", "a"), scale=0.6):
@@ -27,6 +28,13 @@ def tiny_setup(rng, extra_tokens=("a",), body=("a", "a"), scale=0.6):
                          rng=rng, scale=scale)
     snippet = encode_snippet(list(body), vocab)
     return vocab, params, snippet
+
+
+def view_setup(rng, **kwargs):
+    """``tiny_setup`` with the parameters as a decode reads them, the form
+    ``expand`` takes."""
+    vocab, params, snippet = tiny_setup(rng, **kwargs)
+    return vocab, decode_view(params), snippet
 
 
 def exhaustive_top_k(snippet, params, vocab, k, max_len, model_kind="copy_attention"):
@@ -67,9 +75,30 @@ def exhaustive_top_k(snippet, params, vocab, k, max_len, model_kind="copy_attent
     return ranked[:k]
 
 
+class TestSearchLimits:
+    @pytest.mark.parametrize("field, value", [
+        ("max_steps", -1), ("heap_size", 0), ("heap_size", -1), ("successors", 0),
+        ("successors", -1), ("max_name_len", 0), ("max_name_len", -1),
+    ])
+    def test_cap_that_would_corrupt_the_search_is_rejected(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be >= "):
+            SearchLimits(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_steps", 0), ("heap_size", 1), ("successors", 1), ("max_name_len", 1),
+    ])
+    def test_smallest_cap_is_accepted(self, rng, field, value):
+        limits = SearchLimits(**{field: value})
+        assert getattr(limits, field) == value
+        vocab, params, snippet = tiny_setup(rng, extra_tokens=("a", "b"))
+        out = suggest(snippet, params, vocab, k=3, limits=limits)
+        assert (out == []) == (field == "max_steps")
+        assert all(0 < len(s.name) <= limits.max_name_len for s in out)
+
+
 class TestExpand:
     def test_child_log_prob_adds_token_log_prob(self, rng):
-        vocab, params, snippet = tiny_setup(rng)
+        vocab, params, snippet = view_setup(rng)
         out = copy_attention_step(snippet, params.h_init, params)
         merged = merged_distribution(out, snippet, vocab)
         root = PartialSuggestion(subtokens=(), log_prob=-1.5, state=params.h_init)
@@ -82,7 +111,7 @@ class TestExpand:
             assert s.name == [] or s.log_prob <= 0.0
 
     def test_successor_cap_one_is_greedy(self, rng):
-        vocab, params, snippet = tiny_setup(rng)
+        vocab, params, snippet = view_setup(rng)
         out = copy_attention_step(snippet, params.h_init, params)
         merged = merged_distribution(out, snippet, vocab)
         best_tok = max(sorted(merged), key=lambda t: merged[t])
@@ -94,7 +123,7 @@ class TestExpand:
             assert children[0].subtokens == (best_tok,)
 
     def test_cap_beyond_alphabet_changes_nothing(self, rng):
-        vocab, params, snippet = tiny_setup(rng)
+        vocab, params, snippet = view_setup(rng)
         out = copy_attention_step(snippet, params.h_init, params)
         merged = merged_distribution(out, snippet, vocab)
         root = PartialSuggestion(subtokens=("x",), log_prob=0.0,
@@ -107,7 +136,7 @@ class TestExpand:
         assert len(a[1]) == len(b[1])
 
     def test_empty_name_completion_dropped(self, rng):
-        vocab, params, snippet = tiny_setup(rng)
+        vocab, params, snippet = view_setup(rng)
         out = copy_attention_step(snippet, params.h_init, params)
         root = PartialSuggestion(subtokens=(), log_prob=0.0, state=params.h_init)
         _, completed = expand(root, out, snippet, params, vocab,
@@ -115,7 +144,7 @@ class TestExpand:
         assert completed == []
 
     def test_length_cap_allows_only_end(self, rng):
-        vocab, params, snippet = tiny_setup(rng)
+        vocab, params, snippet = view_setup(rng)
         out = copy_attention_step(snippet, params.h_init, params)
         long_prefix = tuple("t" for _ in range(10))
         partial = PartialSuggestion(subtokens=long_prefix, log_prob=-1.0,
@@ -141,6 +170,7 @@ class TestExpand:
         # A zero table leaves the head softmax(b), which keeps the ties.
         params.E.data[:] = 0.0
         params.b.data[:] = np.log(dist)
+        params = decode_view(params)
         out = StepOutput(alpha=Tensor(np.full(3, 1 / 3)), nhat=Tensor(np.zeros(3)),
                          params=params)
         merged = merged_distribution(out, snippet, vocab)
@@ -153,7 +183,7 @@ class TestExpand:
         assert [s.name for s in completed] == [["x"]]
 
     def test_bar_drops_children_before_their_state(self, rng, monkeypatch):
-        vocab, params, snippet = tiny_setup(rng, extra_tokens=("a", "b", "c"),
+        vocab, params, snippet = view_setup(rng, extra_tokens=("a", "b", "c"),
                                             body=("a", "zzz"))
         out = copy_attention_step(snippet, params.h_init, params)
         root = PartialSuggestion(subtokens=("x",), log_prob=-0.5, state=params.h_init)
@@ -163,22 +193,42 @@ class TestExpand:
         kept = [c for c in all_children if c.log_prob >= bar]
         assert 0 < len(kept) < len(all_children)
 
-        calls = []
+        rows = []
         real_next_state = decoder.next_state
 
-        def counting_next_state(*args, **kwargs):
-            calls.append(kwargs["token_id"])
-            return real_next_state(*args, **kwargs)
+        def counting_next_state(p, h_prev, *, xs, hs):
+            rows.append([len(x) for x in xs])
+            return real_next_state(p, h_prev, xs=xs, hs=hs)
 
         monkeypatch.setattr(decoder, "next_state", counting_next_state)
         children, completed = expand(root, out, snippet, params, vocab, limits, bar)
-        assert len(calls) == len(kept)
+        assert rows == [[len(kept)] * 3]
         assert [(c.subtokens, c.log_prob) for c in children] == \
             [(c.subtokens, c.log_prob) for c in kept]
         for got, want in zip(children, kept):
-            assert got.state.data.tobytes() == want.state.data.tobytes()
+            assert got.state.tobytes() == want.state.tobytes()
         assert [(s.name, s.log_prob) for s in completed] == \
             [(s.name, s.log_prob) for s in all_completed]
+
+    def test_one_state_update_per_expansion_even_with_no_open_child(
+            self, rng, monkeypatch):
+        vocab, params, snippet = view_setup(rng)
+        out = copy_attention_step(snippet, params.h_init, params)
+        partial = PartialSuggestion(subtokens=("t", "t"), log_prob=-1.0,
+                                    state=params.h_init)
+        calls = []
+        real_next_state = decoder.next_state
+
+        def recording_next_state(*args, **kwargs):
+            state = real_next_state(*args, **kwargs)
+            calls.append(state.shape)
+            return state
+
+        monkeypatch.setattr(decoder, "next_state", recording_next_state)
+        children, completed = expand(partial, out, snippet, params, vocab,
+                                     SearchLimits(max_name_len=2))
+        assert children == [] and len(completed) == 1
+        assert calls == [(0, len(params.h_init))]
 
 
 class TestSuggest:
@@ -343,6 +393,20 @@ def decoded(suggestions):
             for s in suggestions]
 
 
+def product_table(params):
+    """Each token id keyed by the bytes of its input-side GRU products, so
+    a stacked row of products names the token it was made for."""
+    view = decode_view(params)
+    table = {b"".join(x.tobytes() for x in input_products(row, view.gru)): t
+             for t, row in enumerate(view.E.data)}
+    assert len(table) == len(view.E.data)  # no two tokens share products
+    return table
+
+
+def row_tokens(table, xs):
+    return [table[b"".join(x[j].tobytes() for x in xs)] for j in range(len(xs[0]))]
+
+
 class TestSharedGruProducts:
     """Siblings share their parent's state-side GRU products, and a decode
     computes each token's input-side products once."""
@@ -357,11 +421,13 @@ class TestSharedGruProducts:
                       limits=self.limits)
 
         real_next_state = decoder.next_state
-        child_tokens = []
+        table, child_tokens = product_table(params), []
 
-        def plain_next_state(p, h_prev, *, token_id, **shared):
-            child_tokens.append(token_id)
-            return real_next_state(p, h_prev, token_id=token_id)
+        def plain_next_state(p, h_prev, *, xs, hs):
+            token_ids = row_tokens(table, xs)
+            child_tokens.extend(token_ids)
+            return np.array([real_next_state(p, h_prev, token_id=t) for t in token_ids]
+                            ).reshape(len(token_ids), len(h_prev))
 
         monkeypatch.setattr(decoder, "next_state", plain_next_state)
         want = suggest(snippet, params, vocab, k=5, model_kind=model_kind,
@@ -390,14 +456,15 @@ class TestSharedGruProducts:
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         expansions, child_tokens = [], []
         real_expand, real_next_state = decoder.expand, decoder.next_state
+        table = product_table(params)
 
         def counting_expand(*args, **kwargs):
             expansions.append(1)
             return real_expand(*args, **kwargs)
 
-        def recording_next_state(*args, **kwargs):
-            child_tokens.append(kwargs["token_id"])
-            return real_next_state(*args, **kwargs)
+        def recording_next_state(p, h_prev, *, xs, hs):
+            child_tokens.extend(row_tokens(table, xs))
+            return real_next_state(p, h_prev, xs=xs, hs=hs)
 
         monkeypatch.setattr(decoder, "expand", counting_expand)
         monkeypatch.setattr(decoder, "next_state", recording_next_state)
@@ -410,6 +477,45 @@ class TestSharedGruProducts:
             assert len(child_tokens) > len(set(child_tokens)) > 1
             assert calls["input_products"] == len(set(child_tokens))
             assert calls["state_products"] == len(expansions) > 1
+
+    @pytest.mark.parametrize("model_kind", KINDS)
+    def test_one_stacked_update_per_expansion(self, rng, monkeypatch, model_kind):
+        vocab, params, snippet = sharing_setup(rng, model_kind)
+        max_len = 2
+        # Per expansion: its prefix length, then each update's token ids and
+        # states, then its open children.
+        expansions = []
+        real_expand, real_next_state = decoder.expand, decoder.next_state
+        table = product_table(params)
+
+        def recording_expand(partial, *args, **kwargs):
+            updates = []
+            expansions.append((len(partial.subtokens), updates))
+            children, completed = real_expand(partial, *args, **kwargs)
+            updates.append(children)
+            return children, completed
+
+        def recording_next_state(p, h_prev, *, xs, hs):
+            states = real_next_state(p, h_prev, xs=xs, hs=hs)
+            expansions[-1][1].append((row_tokens(table, xs), states))
+            return states
+
+        monkeypatch.setattr(decoder, "expand", recording_expand)
+        monkeypatch.setattr(decoder, "next_state", recording_next_state)
+        assert suggest(snippet, params, vocab, k=5, model_kind=model_kind,
+                       limits=SearchLimits(max_steps=30, max_name_len=max_len))
+        assert len(expansions) > 1
+        for length, ((token_ids, states), children) in expansions:
+            assert states.shape == (len(children), 3)
+            # An OOV child, copied from the snippet, feeds the unknown token.
+            assert token_ids == [vocab.id(c.subtokens[-1]) for c in children]
+            for row, child in zip(states, children):
+                assert child.state.tobytes() == row.tobytes()
+            if length == max_len:
+                assert children == []
+        assert any(length == max_len for length, _ in expansions)  # zero-row updates
+        emitted = {c.subtokens[-1] for _, (_, children) in expansions for c in children}
+        assert ("zzz" in emitted) == (model_kind == "copy_attention")
 
     @pytest.mark.parametrize("model_kind", KINDS)
     def test_memo_does_not_outlive_a_call(self, rng, model_kind):

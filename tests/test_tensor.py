@@ -225,6 +225,22 @@ class TestGruStep:
             assert type(got) is np.ndarray
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("k", [13, 64])
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_stacked_products_equal_per_row_steps(self, rng, n, k):
+        d = 3
+        p = GruParams(**{name: rng.normal(size=s) for name, s in [
+            ("W_xr", (d, k)), ("W_hr", (k, k)), ("W_xu", (d, k)), ("W_hu", (k, k)),
+            ("W_xc", (d, k)), ("W_hc", (k, k)), ("b_r", (k,)), ("b_u", (k,)), ("b_c", (k,))]})
+        h = rng.normal(size=k)
+        hs = state_products(h, p)
+        rows = [input_products(rng.normal(size=d), p) for _ in range(n)]
+        stacked = tuple(np.array([xs[j] for xs in rows]).reshape(n, k) for j in range(3))
+        got = gru_step(None, h, p, stacked, hs)
+        want = np.array([gru_step(None, h, p, xs, hs) for xs in rows]).reshape(n, k)
+        assert got.shape == (n, k)
+        assert got.tobytes() == want.tobytes()
+
     def test_given_products_equal_computed_ones(self, rng):
         d, k = 3, 4
         p = GruParams(**{n: Tensor(rng.normal(size=s)) for n, s in [

@@ -533,12 +533,13 @@ class TestTraining:
         assert set(entry) == {"epoch", "train_nll", "valid_f1_at_5",
                               "valid_exact_at_1", "grad_norm_mean",
                               "grad_norm_max", "clipped_frac", "skipped",
-                              "examples_per_s", "seconds"}
+                              "examples_per_s", "valid_seconds", "seconds"}
         assert 0.0 < entry["grad_norm_mean"] <= entry["grad_norm_max"]
         assert math.isfinite(entry["grad_norm_max"])
         assert 0.0 <= entry["clipped_frac"] <= 1.0
         assert entry["skipped"] == 0
         assert 0.0 < entry["examples_per_s"] < math.inf
+        assert 0.0 < entry["valid_seconds"] <= entry["seconds"]
 
     def test_examples_per_s_leaves_out_validation(self, monkeypatch):
         import codesum.trainer as trainer_mod
@@ -553,6 +554,23 @@ class TestTraining:
         examples = self.corpus(4)
         entry = train(examples, examples[:2], tiny_cfg(epochs=1)).log[0]
         assert len(examples) / entry["examples_per_s"] <= entry["seconds"] - 0.3
+
+    def test_valid_seconds_is_the_validation_time(self, monkeypatch):
+        import codesum.trainer as trainer_mod
+
+        real_evaluate = trainer_mod.evaluate_model
+
+        def slow_evaluate(*args, **kwargs):
+            time.sleep(0.3)
+            return real_evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "evaluate_model", slow_evaluate)
+        examples = self.corpus(4)
+        first, second = train(examples, examples[:2], tiny_cfg(epochs=2, eval_every=2)).log
+        assert first["valid_f1_at_5"] is None and first["valid_seconds"] == 0.0
+        assert second["valid_f1_at_5"] is not None
+        train_seconds = len(examples) / second["examples_per_s"]
+        assert 0.3 <= second["valid_seconds"] <= second["seconds"] - train_seconds
 
     def test_each_gradient_is_scanned_for_nan_once(self, monkeypatch):
         import codesum.trainer as trainer_mod
