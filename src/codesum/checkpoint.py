@@ -153,7 +153,10 @@ def load(path: str | Path) -> tuple[ModelParams, Vocabulary, TrainConfig]:
             raise TruncatedPayload(
                 f"{path}: tensor {name} needs bytes up to {end}, "
                 f"payload has {len(payload)}")
-        arr = np.frombuffer(payload[start:end], dtype=dtype).reshape(shape)
+        try:  # an empty shape may still hold an extent no array can have
+            arr = np.frombuffer(payload[start:end], dtype=dtype).reshape(shape)
+        except ValueError as exc:
+            raise _manifest_error(f"tensor {name} has shape {shape}: {exc}") from exc
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"{path}: tensor {name} holds NaN or Inf")
         tensors[name] = np.array(arr, copy=True)

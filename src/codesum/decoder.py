@@ -7,17 +7,17 @@ log-probability falls below the current k-th best completed name is
 pruned, once k names have completed, and a child below it gets no state.
 The search stops after a fixed number of iterations or when the heap empties.
 ``suggest`` reads the parameters through ``decode_view``, which shares
-their arrays: the encoder and heads are Tensors that require no
-gradient, so a decode builds no autograd graph, and the GRU, the first
-state and every child state are plain numpy arrays, so a child state is
-the GRU's arithmetic and nothing else.  A parent's open children advance
-in one GRU update over stacked rows: the parent's state-side products
-are shared by every row, and each row's input-side products come from a
-per-decode memo keyed by token id that lives for one ``suggest`` call.
-The update is elementwise once the products are known, so each row is
-bit-identical to the state a child computing all six products itself
-would get.  The candidates of every merged distribution come from one
-``copy_table`` per snippet.
+their arrays: the encoder is Tensors that require no gradient, run once
+per snippet, so a decode builds no autograd graph; the rest are plain
+numpy arrays, so steps, heads and child states run the array kernels
+under the Tensor ops and make no Tensor.  Successors are ranked with
+numpy.  A parent's open children advance in one GRU update over stacked
+rows: the parent's state-side products are shared by every row, and the
+input-side products are one batched product over the children's
+embedding rows, each row bit-identical to a child's own.  An open child
+is a light record; its prefix and attention record are built only when
+it is popped.  The candidates of every merged distribution come from
+one ``copy_table`` per snippet of the copy model.
 """
 
 from __future__ import annotations
@@ -35,13 +35,14 @@ from .model import (
     EncodedSnippet,
     ModelParams,
     StepOutput,
+    as_array,
     copy_table,
     encode,
     merged_distribution,
     next_state,
     step_fn,
 )
-from .tensorcore import GruProducts, Tensor, input_products, state_products
+from .tensorcore import Tensor, input_products, state_products
 
 
 @dataclass
@@ -81,6 +82,27 @@ class PartialSuggestion:
     steps: tuple[StepRecord, ...] = ()
 
 
+@dataclass(slots=True, eq=False)
+class OpenChild:
+    """A child an expansion leaves open: its parent, last token, state and
+    the attention snapshot (alpha, kappa, lam) it shares with its siblings.
+    Its prefix and steps are built by ``popped``."""
+
+    log_prob: float
+    parent: PartialSuggestion
+    token: str
+    state: np.ndarray
+    snapshot: tuple
+
+    @property
+    def subtokens(self) -> tuple[str, ...]:
+        return (*self.parent.subtokens, self.token)
+
+    def popped(self) -> PartialSuggestion:
+        return PartialSuggestion(self.subtokens, self.log_prob, self.state,
+                                 (*self.parent.steps, StepRecord(self.token, *self.snapshot)))
+
+
 @dataclass
 class Suggestion:
     """A completed, ranked name."""
@@ -96,80 +118,70 @@ class Suggestion:
 
 def decode_view(params: ModelParams) -> ModelParams:
     """A view sharing the parameters' arrays, as a decode reads them:
-    Tensors that require no gradient for the encoder and heads, the arrays
-    themselves for the GRU and the first state."""
+    Tensors that require no gradient for the encoder, which ``encode``
+    reads once per snippet, and the arrays themselves for the heads, the
+    bias, the GRU and the first state."""
     return ModelParams.from_named({
-        name: t.data if name == "h_init" or name.startswith("gru.") else Tensor(t.data)
+        name: Tensor(t.data) if name in ("E", "K_l1", "K_l2", "prelu_a1") else t.data
         for name, t in params.named_tensors()})
 
 
 def expand(partial: PartialSuggestion, out: StepOutput,
            snippet: EncodedSnippet, params: ModelParams, vocab: Vocabulary,
            limits: SearchLimits, bar: float | None = None,
-           token_inputs: dict[int, GruProducts] | None = None,
            table: CopyTable | None = None,
-           ) -> tuple[list[PartialSuggestion], list[Suggestion]]:
+           ) -> tuple[list[OpenChild], list[Suggestion]]:
     """Children of a partial, split into open prefixes and completions.
 
     Successors are the at most ``limits.successors`` most probable entries
-    of the merged distribution, ties broken by token string.  An open
-    child whose log-probability is below ``bar``, the search's k-th best
-    completion, is dropped; the others advance in test mode, all in one
-    ``next_state`` call over stacked rows, made even when no row is left.
-    ``params`` is a ``decode_view``.  ``token_inputs`` memoizes each token
-    id's input-side GRU products; it must not outlive the parameters'
-    current values.  ``table`` is the snippet's ``copy_table``.
+    of the merged distribution, ties broken by token string, ranked by a
+    partition and one stable argsort.  An open child whose log-probability
+    is below ``bar``, the search's k-th best completion, is dropped; the
+    others advance in test mode, all in one ``next_state`` call over
+    stacked rows, made even when no row is left, whose input-side
+    products are one batched product over the children's embedding rows.
+    Open children are ``OpenChild`` records.  ``params`` is a
+    ``decode_view``; ``table`` is the snippet's ``copy_table``.
     """
-    token_inputs = {} if token_inputs is None else token_inputs
     merged = merged_distribution(out, snippet, vocab, table)
     probs, n = merged.probs, limits.successors
     if len(partial.subtokens) >= limits.max_name_len:
-        candidates = [merged.index[NAME_END]]
-    elif n < len(probs):
-        # Every entry tied with the n-th largest competes for the cut.
-        nth = np.partition(probs, len(probs) - n)[len(probs) - n]
-        candidates = np.flatnonzero(probs >= nth).tolist()
+        ranked = [merged.index[NAME_END]]
     else:
-        candidates = range(len(probs))
-    ranked = sorted(candidates, key=lambda i: (-probs[i], merged.tokens[i]))[:n]
+        # Every entry tied with the n-th largest competes for the cut.
+        nth = np.partition(probs, len(probs) - n)[len(probs) - n] if n < len(probs) else 0.0
+        candidates = np.flatnonzero(probs >= nth)
+        order = candidates[np.argsort(-probs[candidates], kind="stable")]
+        ranked = order[:n].tolist()
+        if np.any(probs[order[1:]] == probs[order[:-1]]):  # argsort left exact ties by id
+            ranked = sorted(order.tolist(), key=lambda i: (-probs[i], merged.tokens[i]))[:n]
 
     # Siblings share one snapshot of the step's attention, and the
     # parent's state-side GRU products.
-    alpha = out.alpha.data.copy()
-    kappa = out.kappa.data.copy() if out.kappa is not None else None
-    lam = float(out.lam.data) if out.lam is not None else None
+    snapshot = (as_array(out.alpha), None if out.kappa is None else as_array(out.kappa),
+                None if out.lam is None else float(as_array(out.lam)))
     hs = state_products(partial.state, params.gru)
-    opened: list[tuple[str, float, int]] = []
+    opened: list[tuple[int, str, float]] = []
     completed: list[Suggestion] = []
-    for i in ranked:
-        token, prob = merged.tokens[i], float(probs[i])
+    for i, prob in zip(ranked, probs[ranked].tolist()):
         if prob <= 0.0:
             continue
-        log_prob = partial.log_prob + math.log(max(prob, 1e-300))
+        token, log_prob = merged.tokens[i], partial.log_prob + math.log(max(prob, 1e-300))
         if token == NAME_END:
             if partial.subtokens:  # empty names are meaningless output
                 completed.append(Suggestion(
-                    name=list(partial.subtokens),
-                    log_prob=log_prob,
-                    steps=[*partial.steps, StepRecord(token, alpha, kappa, lam)],
-                ))
-            continue
-        if bar is not None and log_prob < bar:
-            continue
-        # Candidates past the vocabulary are the snippet's OOV subtokens.
-        token_id = i if i < len(vocab) else vocab.unk_id
-        if token_id not in token_inputs:
-            token_inputs[token_id] = input_products(params.E.data[token_id], params.gru)
-        opened.append((token, log_prob, token_id))
-    # Row j of each stacked product, and of the states, is child j's.
-    xs = tuple(np.array([token_inputs[t][j] for *_, t in opened])
-               .reshape(len(opened), len(partial.state)) for j in range(3))
+                    name=list(partial.subtokens), log_prob=log_prob,
+                    steps=[*partial.steps, StepRecord(token, *snapshot)]))
+        elif bar is None or log_prob >= bar:
+            opened.append((i, token, log_prob))
+    # Candidates past the vocabulary are the snippet's OOV subtokens.
+    ids = np.array([i for i, *_ in opened], dtype=np.intp)
+    ids[ids >= len(vocab)] = vocab.unk_id
+    # Row j of each input-side product, and of the states, is child j's.
+    xs = input_products(np.take(as_array(params.E), ids, axis=0), params.gru)
     states = next_state(params, partial.state, xs=xs, hs=hs)
-    children = [PartialSuggestion(subtokens=(*partial.subtokens, token),
-                                  log_prob=log_prob, state=state,
-                                  steps=(*partial.steps, StepRecord(token, alpha, kappa, lam)))
-                for (token, log_prob, _), state in zip(opened, states)]
-    return children, completed
+    return [OpenChild(log_prob, partial, token, state, snapshot)
+            for (_, token, log_prob), state in zip(opened, states)], completed
 
 
 def suggest(snippet: EncodedSnippet, params: ModelParams, vocab: Vocabulary,
@@ -190,13 +202,12 @@ def suggest(snippet: EncodedSnippet, params: ModelParams, vocab: Vocabulary,
         limits = SearchLimits()
     params = decode_view(params)
     step = step_fn(model_kind)
-    encoded = encode(snippet, params)
-    table = copy_table(snippet, vocab)
+    encoded = tuple(t.data for t in encode(snippet, params))
+    table = copy_table(snippet, vocab) if model_kind == "copy_attention" else None
     root = PartialSuggestion(subtokens=(), log_prob=0.0, state=params.h_init)
-    token_inputs: dict[int, GruProducts] = {}
 
     counter = itertools.count()  # heap tie-breaker: earlier pushes first
-    heap: list[tuple[float, int, PartialSuggestion]] = [(0.0, next(counter), root)]
+    heap: list[tuple[float, int, PartialSuggestion | OpenChild]] = [(0.0, next(counter), root)]
     # Each prefix is expanded at most once, so each name completes at most
     # once.  ``top`` is a min-heap of the k best completed log-probs.
     completed: list[Suggestion] = []
@@ -208,13 +219,13 @@ def suggest(snippet: EncodedSnippet, params: ModelParams, vocab: Vocabulary,
     for _ in range(limits.max_steps):
         if not heap:
             break
-        neg_lp, _, partial = heapq.heappop(heap)
+        _, _, node = heapq.heappop(heap)
         bar = kth_best()
-        if bar is not None and partial.log_prob < bar:
+        if bar is not None and node.log_prob < bar:
             continue
+        partial = node if node is root else node.popped()
         out = step(snippet, partial.state, params, encoded)
-        children, done = expand(partial, out, snippet, params, vocab, limits, bar,
-                                token_inputs, table)
+        children, done = expand(partial, out, snippet, params, vocab, limits, bar, table)
         completed.extend(done)
         for s in done:
             push = heapq.heappush if len(top) < k else heapq.heappushpop

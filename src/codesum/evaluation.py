@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -177,6 +177,17 @@ def evaluate_model(params: ModelParams, vocab: Vocabulary,
 # -- tf-idf baseline ---------------------------------------------------------------
 
 
+def _by_similarity(sims: np.ndarray, head: int = 64) -> Iterator[int]:
+    """Doc ids by descending similarity, ties in training order, as the
+    full stable sort gives them: the ``head`` largest and every tie of the
+    last come from a partition, and the rest only if they are read."""
+    docs = np.arange(len(sims))
+    if head < len(sims):
+        docs = np.flatnonzero(sims >= np.partition(sims, -head)[-head])
+    yield from docs[np.argsort(-sims[docs], kind="stable")].tolist()
+    yield from np.argsort(-sims, kind="stable")[len(docs):].tolist()
+
+
 class TfIdfIndex:
     """Nearest-neighbor name suggestion over tf-idf body vectors.
 
@@ -235,7 +246,7 @@ class TfIdfIndex:
 
         ranked: list[tuple[tuple[str, ...], float]] = []
         seen: set[tuple[str, ...]] = set()
-        for doc in np.argsort(-sims, kind="stable").tolist():
+        for doc in _by_similarity(sims):
             if sims[doc] <= 0.0:
                 break
             name = self.names[doc]

@@ -24,6 +24,7 @@ from .errors import DimensionMismatch, VariantDisabled
 from .tensorcore import (
     GruParams,
     GruProducts,
+    Operand,
     Tensor,
     constant,
     conv1d_narrow,
@@ -41,6 +42,8 @@ from .tensorcore import (
     stack,
     tmax,
 )
+from .tensorcore.tensor import (conv1d_narrow_array, l2_normalize_array, sigmoid_array,
+                                softmax_array)
 
 # Down-weights the vocabulary head's UNK when the copy head could have
 # produced the exact target.
@@ -82,19 +85,19 @@ def param_shapes(v: int, d: int, k1: int, k2: int, w1: int, w2: int, w3: int,
 class ModelParams:
     """All trainable tensors of the summarizer; ``param_shapes`` lists
     their names and shapes.  The conv model holds ``None`` for the copy
-    head.  The view ``decoder.suggest`` decodes on holds the GRU and
-    ``h_init`` as plain arrays.
+    head.  The view ``decoder.suggest`` decodes on holds everything but
+    the encoder (``E``, ``K_l1``, ``K_l2``, ``prelu_a1``) as plain arrays.
     """
 
     E: Tensor
     K_l1: Tensor
     K_l2: Tensor
-    K_att: Tensor
-    K_copy: Tensor | None
-    K_lambda: Tensor | None
+    K_att: Operand
+    K_copy: Operand | None
+    K_lambda: Operand | None
     gru: GruParams
-    b: Tensor
-    h_init: Tensor | np.ndarray
+    b: Operand
+    h_init: Operand
     prelu_a1: Tensor
 
     @classmethod
@@ -155,20 +158,28 @@ def encode_snippet(body: list[str], vocab: Vocabulary) -> EncodedSnippet:
     return EncodedSnippet(ids=ids, surface=surface, pad_id=vocab.pad_id)
 
 
+def as_array(x: Operand) -> np.ndarray:
+    """A Tensor's array, or an array as it is."""
+    return x.data if isinstance(x, Tensor) else x
+
+
 @dataclass
 class StepOutput:
     """One decoding step: attention records, the predicted embedding, and
-    the parameters the step ran on, which its vocabulary head reads."""
+    the parameters the step ran on, which its vocabulary head reads; arrays
+    when the step ran on an array state and encoding, as a decode does."""
 
-    alpha: Tensor                # (Len(c),) attention over input positions
-    nhat: Tensor                 # (D,) predicted embedding
+    alpha: Operand                # (Len(c),) attention over input positions
+    nhat: Operand                 # (D,) predicted embedding
     params: ModelParams
-    kappa: Tensor | None = None  # (Len(c),) copy attention (copy model only)
-    lam: Tensor | None = None    # scalar gate in (0, 1) (copy model only)
+    kappa: Operand | None = None  # (Len(c),) copy attention (copy model only)
+    lam: Operand | None = None    # scalar gate in (0, 1) (copy model only)
 
-    def vocab_row(self) -> Tensor:
+    def vocab_row(self) -> Operand:
         """This step's (|V|,) vocabulary distribution: ``vocab_head`` with T = 1."""
-        return rows(vocab_head(stack([self.nhat]), self.params), 0)
+        if isinstance(self.nhat, Tensor):
+            return rows(vocab_head(stack([self.nhat]), self.params), 0)
+        return vocab_head(self.nhat[None], self.params)[0]
 
 
 def padding_split(w1: int, w2: int, w3: int) -> tuple[int, int]:
@@ -192,54 +203,66 @@ def encode(snippet: EncodedSnippet, p: ModelParams) -> tuple[Tensor, Tensor]:
     return conv1d_narrow(l1, p.K_l2), rows(c_emb, np.arange(left, left + len(snippet)))
 
 
-def attention_features(snippet: EncodedSnippet, h_prev: Tensor, p: ModelParams,
-                       encoded: Tensor | None = None) -> Tensor:
+def attention_features(snippet: EncodedSnippet, h_prev: Operand, p: ModelParams,
+                       encoded: Operand | None = None) -> Operand:
     """Per-position attention features: ``encode``'s features, computed
     here unless ``encoded`` is given, gated elementwise per position by the
-    decoder state, then L2-normalized as a whole matrix."""
+    decoder state, then L2-normalized as a whole matrix; an array for an
+    array state, by the array kernels the Tensor ops run."""
     k2 = p.dims[2]
     if h_prev.shape != (k2,):
         raise DimensionMismatch(f"state has shape {h_prev.shape}, expected ({k2},)")
     if encoded is None:
         encoded = encode(snippet, p)[0]
-    return l2_normalize(encoded * h_prev)
+    if isinstance(h_prev, Tensor):
+        return l2_normalize(encoded * h_prev)
+    return l2_normalize_array(as_array(encoded) * h_prev)
 
 
-def attention_weights(l_feat: Tensor, kernel: Tensor) -> Tensor:
-    """softmax(conv(L_feat, kernel)); length is exactly Len(c)."""
-    logits = conv1d_narrow(l_feat, kernel)
-    return softmax(reshape(logits, (logits.shape[0],)))
+def attention_weights(l_feat: Operand, kernel: Operand) -> Operand:
+    """softmax(conv(L_feat, kernel)); length is exactly Len(c); an array for array features."""
+    if isinstance(l_feat, Tensor):
+        logits = conv1d_narrow(l_feat, kernel)
+        return softmax(reshape(logits, (logits.shape[0],)))
+    return softmax_array(conv1d_narrow_array(l_feat, as_array(kernel))[:, 0])
 
 
-def vocab_head(nhats: Tensor, p: ModelParams) -> Tensor:
+def vocab_head(nhats: Operand, p: ModelParams) -> Operand:
     """softmax(E n̂ + b) for each row n̂ of the (T, D) stack ``nhats``: the
     (T, |V|) vocabulary distributions of T steps.  Each row's logits are
     the vector product ``E @ n̂``, so a row equals the head of its step
-    alone bit for bit, and ``E``'s gradient is one product over all rows."""
-    return softmax(matvec(p.E, nhats) + p.b)
+    alone bit for bit, and ``E``'s gradient is one product over all rows;
+    an array stack gets the same arithmetic on arrays."""
+    if isinstance(nhats, Tensor):
+        return softmax(matvec(p.E, nhats) + p.b)
+    return softmax_array(np.stack([as_array(p.E) @ x for x in nhats]) + as_array(p.b))
 
 
-def conv_attention_step(snippet: EncodedSnippet, h_prev: Tensor, p: ModelParams,
-                        encoded: tuple[Tensor, Tensor] | None = None) -> StepOutput:
-    """Vocabulary-only attention step."""
+def conv_attention_step(snippet: EncodedSnippet, h_prev: Operand, p: ModelParams,
+                        encoded: tuple[Operand, Operand] | None = None) -> StepOutput:
+    """Vocabulary-only attention step; on an array state and encoding, as in
+    a decode, array kernels only, so the step makes no Tensor."""
     features, embedding = encode(snippet, p) if encoded is None else encoded
     alpha = attention_weights(attention_features(snippet, h_prev, p, features), p.K_att)
-    return StepOutput(alpha=alpha, nhat=matmul(alpha, embedding), params=p)
+    return StepOutput(alpha=alpha, nhat=alpha @ embedding, params=p)
 
 
-def copy_attention_step(snippet: EncodedSnippet, h_prev: Tensor, p: ModelParams,
-                        encoded: tuple[Tensor, Tensor] | None = None) -> StepOutput:
-    """Attention step with the copy head and its meta-attention gate."""
+def copy_attention_step(snippet: EncodedSnippet, h_prev: Operand, p: ModelParams,
+                        encoded: tuple[Operand, Operand] | None = None) -> StepOutput:
+    """Attention step with the copy head and its meta-attention gate; on
+    arrays, array kernels only, as ``conv_attention_step``."""
     if p.K_copy is None or p.K_lambda is None:
         raise VariantDisabled("copy head parameters are not present")
     features, embedding = encode(snippet, p) if encoded is None else encoded
     l_feat = attention_features(snippet, h_prev, p, features)
     alpha = attention_weights(l_feat, p.K_att)
     kappa = attention_weights(l_feat, p.K_copy)
-    lam_logits = conv1d_narrow(l_feat, p.K_lambda)
-    lam = tmax(sigmoid(reshape(lam_logits, (lam_logits.shape[0],))))
-    return StepOutput(alpha=alpha, nhat=matmul(alpha, embedding), params=p,
-                      kappa=kappa, lam=lam)
+    if isinstance(l_feat, Tensor):
+        lam_logits = conv1d_narrow(l_feat, p.K_lambda)
+        lam = tmax(sigmoid(reshape(lam_logits, (lam_logits.shape[0],))))
+    else:
+        lam = sigmoid_array(conv1d_narrow_array(l_feat, as_array(p.K_lambda))[:, 0]).max()
+    return StepOutput(alpha=alpha, nhat=alpha @ embedding, params=p, kappa=kappa, lam=lam)
 
 
 def step_fn(model_kind: str):
@@ -344,15 +367,15 @@ def merged_distribution(step: StepOutput, snippet: EncodedSnippet,
     ``copy_table``, built here unless given; the conv model, which has no
     copy head, has only the vocabulary's candidates.  The vocabulary head
     scores this one step (T = 1).  Detached from the graph: decoding does
-    not backprop.
+    not backprop.  The step may hold Tensors or, as in a decode, arrays.
     """
-    lam = float(step.lam.data) if step.lam is not None else 0.0
-    probs = (1.0 - lam) * np.asarray(step.vocab_row().data, dtype=np.float64)
+    lam = float(as_array(step.lam)) if step.lam is not None else 0.0
+    probs = (1.0 - lam) * np.asarray(as_array(step.vocab_row()), dtype=np.float64)
     if step.kappa is None:
         return MergedDistribution(vocab.id_to_token, vocab.token_to_id, probs)
     table = copy_table(snippet, vocab) if table is None else table
     probs = np.concatenate([probs, np.zeros(len(table.tokens) - len(vocab))])
-    kappa = np.asarray(step.kappa.data, dtype=np.float64)
+    kappa = np.asarray(as_array(step.kappa), dtype=np.float64)
     np.add.at(probs, table.positions, lam * kappa)
     return MergedDistribution(table.tokens, table.index, probs)
 

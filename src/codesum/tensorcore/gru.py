@@ -48,6 +48,10 @@ class GruParams:
 
 
 def input_products(x: Operand, p: GruParams) -> GruProducts:
+    """``x @ W_x*``; for (n, D) array rows, batched vector-matrix products
+    whose row i is ``x[i]``'s bit for bit, which a plain ``x @ W`` is not."""
+    if isinstance(x, np.ndarray) and x.ndim == 2:
+        return tuple(np.matmul(x[:, None, :], w)[:, 0, :] for w in (p.W_xr, p.W_xu, p.W_xc))
     return x @ p.W_xr, x @ p.W_xu, x @ p.W_xc
 
 

@@ -379,14 +379,18 @@ def log(a: Tensor) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def softmax(v: Tensor) -> Tensor:
-    """Stable softmax of a vector, or of each row of a matrix as of that
+def softmax_array(x: np.ndarray) -> np.ndarray:
+    """Stable softmax over the last axis: each row of a matrix as of that
     vector alone, bit for bit; output is nonnegative and sums to one."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax(v: Tensor) -> Tensor:
+    """``softmax_array`` of a vector or of each row of a matrix."""
     if v.ndim not in (1, 2):
         raise DimensionMismatch("softmax expects a vector or a matrix")
-    shifted = v.data - v.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = softmax_array(v.data)
 
     def backward(g):
         if v.requires_grad:
@@ -395,15 +399,19 @@ def softmax(v: Tensor) -> Tensor:
     return _make(out, (v,), backward)
 
 
-def l2_normalize(m: Tensor) -> Tensor:
+def l2_normalize_array(m: np.ndarray) -> np.ndarray:
     """Divide a matrix by its whole-matrix (Frobenius) norm plus a guard."""
-    norm = float(np.sqrt(np.sum(m.data * m.data)))
-    scale = 1.0 / (norm + L2_NORM_EPS)
-    out = m.data * scale
+    return m * (1.0 / (float(np.sqrt(np.sum(m * m))) + L2_NORM_EPS))
+
+
+def l2_normalize(m: Tensor) -> Tensor:
+    """``l2_normalize_array`` of a matrix."""
+    out = l2_normalize_array(m.data)
 
     def backward(g):
         if m.requires_grad:
-            gm = g * scale
+            norm = float(np.sqrt(np.sum(m.data * m.data)))
+            gm = g * (1.0 / (norm + L2_NORM_EPS))
             if norm > 0.0:
                 gm = gm - (float(np.sum(g * m.data)) / (norm * (norm + L2_NORM_EPS) ** 2)) * m.data
             m._accumulate(gm, fresh=True)
@@ -413,13 +421,29 @@ def l2_normalize(m: Tensor) -> Tensor:
 
 # -- convolution ---------------------------------------------------------------
 
+def _windows(x: np.ndarray, width: int) -> np.ndarray:
+    """(width, L - width + 1, D) view whose entry j is ``x[j:j + L - width + 1]``."""
+    x = np.ascontiguousarray(x)
+    return np.ndarray((width, len(x) - width + 1, x.shape[1]), x.dtype, x, 0,
+                      x.strides[:1] + x.strides)
+
+
+def conv1d_narrow_array(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Narrow 1-D convolution of an (L, Din) array by a (Din, w, Dout)
+    kernel: the w shifted products ``x[j:j + L - w + 1] @ kernel[:, j, :]``
+    as one batched product over strided windows, summed in offset order."""
+    return np.matmul(_windows(x, kernel.shape[1]), kernel.transpose(1, 0, 2)).sum(axis=0)
+
+
 def conv1d_narrow(inp: Tensor, kernel: Tensor) -> Tensor:
     """Narrow 1-D convolution along the sequence axis.
 
     ``inp`` is (L, Din), ``kernel`` is (Din, w, Dout); the result is
     (L - w + 1, Dout) with out[p, o] = sum_j sum_i inp[p+j, i] * kernel[i, j, o].
-    Both passes sum ``w`` shifted matrix products, one per kernel offset,
-    so they run on BLAS; this reorders the definition's additions.
+    The forward pass and the kernel's gradient run the ``w`` shifted
+    products, one per kernel offset, as one batched BLAS product; the
+    input's gradient adds them one offset at a time, in offset order.
+    This reorders the definition's additions.
     """
     if inp.ndim != 2 or kernel.ndim != 3:
         raise DimensionMismatch(f"conv1d_narrow got input {inp.shape}, kernel {kernel.shape}")
@@ -433,16 +457,16 @@ def conv1d_narrow(inp: Tensor, kernel: Tensor) -> Tensor:
         raise KernelTooLong(f"kernel width {width} exceeds input length {length}")
 
     positions = length - width + 1
-    data = sum(inp.data[j:j + positions] @ kernel.data[:, j, :] for j in range(width))
+    data = conv1d_narrow_array(inp.data, kernel.data)
 
     def backward(g):
         if inp.requires_grad:
             gi = np.zeros_like(inp.data)
-            for j in range(width):
+            for j in range(width):  # a batched product would hold w shifted gi-sized rows
                 gi[j:j + positions] += g @ kernel.data[:, j, :].T
             inp._accumulate(gi, fresh=True)
         if kernel.requires_grad:
-            kernel._accumulate(np.stack(
-                [inp.data[j:j + positions].T @ g for j in range(width)], axis=1), fresh=True)
+            gk = np.matmul(_windows(inp.data, width).transpose(0, 2, 1), g)
+            kernel._accumulate(gk.transpose(1, 0, 2).copy(), fresh=True)
 
     return _make(data, (inp, kernel), backward)

@@ -66,6 +66,10 @@ BAD_MANIFESTS = {
     "fractional-extent": _first_tensor(shape=[1.0]),
     "string-offset": _first_tensor(byte_offset="0"),
     "fractional-offset": _first_tensor(byte_offset=0.5),
+    # No bytes, but an extent no array can have.
+    "empty-oversized-extent": _first_tensor(shape=[0, 10**30]),
+    "oversized-empty-extent": _first_tensor(shape=[10**30, 0]),
+    "intp-overflow-empty-extent": _first_tensor(shape=[2**63, 0]),
     "tensors-not-a-list": lambda m: {**m, "tensors": 7},
     "config-not-an-object": lambda m: {**m, "config": ["model_kind"]},
     "manifest-not-an-object": lambda m: "config vocabulary tensors",

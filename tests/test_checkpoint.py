@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import BAD_MANIFESTS, make_params, make_vocab, read_parts, write_parts
 from codesum.checkpoint import MAGIC, VERSION, load, save
@@ -271,3 +273,75 @@ class TestCorruption:
         # all four checkpoint errors are distinct classes
         kinds = {BadMagic, UnsupportedVersion, CorruptManifest, TruncatedPayload}
         assert len(kinds) == 4
+
+
+# Any JSON value Python's json module writes and reads back.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6)
+FUZZ = settings(max_examples=60, deadline=None)
+
+
+@pytest.fixture(scope="module")
+def valid_checkpoint(tmp_path_factory):
+    """(bytes of a valid checkpoint, a path to write variants to)."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    _, _, path = write_checkpoint(tmp)
+    return path.read_bytes(), tmp / "variant.ckpt"
+
+
+def manifest_paths(value, path=()):
+    """The path of every value inside a manifest, containers included."""
+    yield path
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, inner in items:
+        yield from manifest_paths(inner, (*path, key))
+
+
+def loads_or_rejects(path):
+    """``load`` returns, or raises the checkpoint error family only."""
+    try:
+        load(path)
+    except CheckpointError:
+        pass
+
+
+class TestFuzzedCheckpoints:
+    @FUZZ
+    @given(data=st.data())
+    def test_truncation(self, valid_checkpoint, data):
+        blob, path = valid_checkpoint
+        path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
+        with pytest.raises(CheckpointError):
+            load(path)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_byte_flips(self, valid_checkpoint, data):
+        blob, path = valid_checkpoint
+        flipped = bytearray(blob)
+        for _ in range(data.draw(st.integers(1, 3))):
+            flipped[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+        path.write_bytes(bytes(flipped))
+        loads_or_rejects(path)
+
+    @FUZZ
+    @given(data=st.data(), value=JSON_VALUES)
+    def test_manifest_value_replaced_by_any_json(self, valid_checkpoint, data, value):
+        blob, path = valid_checkpoint
+        path.write_bytes(blob)
+        version, manifest, payload = read_parts(path)
+        where = data.draw(st.sampled_from(list(manifest_paths(manifest))))
+        if where:
+            *parents, last = where
+            owner = manifest
+            for key in parents:
+                owner = owner[key]
+            owner[last] = value
+        else:
+            manifest = value
+        write_parts(path, version, manifest, payload)
+        loads_or_rejects(path)

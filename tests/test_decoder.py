@@ -182,6 +182,32 @@ class TestExpand:
         assert [c.subtokens[-1] for c in children] == ["e", "a", "b"]
         assert [s.name for s in completed] == [["x"]]
 
+    @pytest.mark.parametrize("order", ["dcbae", "abcde"])
+    def test_ties_inside_the_top_n_break_by_token_string(self, rng, order):
+        # Exact ties at ranks 1-2 and 4-6, all above a cut at 7; one id
+        # order runs against string order, so an order by id is wrong once.
+        vocab = make_vocab(list(order))
+        params = make_params(len(vocab), d=3, rng=rng)
+        snippet = encode_snippet(["a"], vocab)
+        dist = np.full(len(vocab), 0.001)
+        dist[vocab.id("e")] = dist[vocab.id("c")] = 0.3
+        dist[vocab.id(NAME_END)] = 0.15
+        for tok in "dba":
+            dist[vocab.id(tok)] = 0.05
+        params.E.data[:] = 0.0
+        params.b.data[:] = np.log(dist)
+        params = decode_view(params)
+        out = StepOutput(alpha=np.full(3, 1 / 3), nhat=np.zeros(3), params=params)
+        merged = merged_distribution(out, snippet, vocab)
+        root = PartialSuggestion(subtokens=("x",), log_prob=0.0, state=params.h_init)
+        children, completed = expand(root, out, snippet, params, vocab,
+                                     SearchLimits(successors=7))
+        assert [c.subtokens[-1] for c in children][:5] == ["c", "e", "a", "b", "d"]
+        assert [s.name for s in completed] == [["x"]]
+        full_sort = sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))[:7]
+        assert [c.subtokens[-1] for c in children] == \
+            [tok for tok, _ in full_sort if tok != NAME_END]
+
     def test_bar_drops_children_before_their_state(self, rng, monkeypatch):
         vocab, params, snippet = view_setup(rng, extra_tokens=("a", "b", "c"),
                                             body=("a", "zzz"))
@@ -364,12 +390,77 @@ class TestSuggest:
         out = suggest(snippet, params, vocab, k=5, model_kind=model_kind)
         monkeypatch.undo()
 
-        assert out and states and created  # the steps still run on Tensors
+        assert out and states and created  # encode still runs on Tensors
         assert not any(created)  # ... and no next_state makes one
         assert {type(state) for state in states} == {np.ndarray}
 
 
 KINDS = ["copy_attention", "conv_attention"]
+
+
+@pytest.mark.parametrize("model_kind", KINDS)
+def test_no_tensor_is_made_inside_expand_or_a_step(rng, monkeypatch, model_kind):
+    vocab, params, snippet = sharing_setup(rng, model_kind)
+    inside, created, steps = [], [], []
+    real_init, real_expand, real_step_fn = Tensor.__init__, decoder.expand, decoder.step_fn
+
+    def recording_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        created.append(bool(inside))
+
+    def inside_of(fn):
+        def wrapper(*args, **kwargs):
+            inside.append(1)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapper
+
+    def recording_step(snippet, h_prev, p, encoded):
+        steps.append(type(h_prev))
+        return inside_of(real_step_fn(model_kind))(snippet, h_prev, p, encoded)
+
+    monkeypatch.setattr(Tensor, "__init__", recording_init)
+    monkeypatch.setattr(decoder, "expand", inside_of(real_expand))
+    monkeypatch.setattr(decoder, "step_fn", lambda kind: recording_step)
+    out = suggest(snippet, params, vocab, k=5, model_kind=model_kind,
+                  limits=SearchLimits(max_steps=30))
+    monkeypatch.undo()
+
+    assert out and len(steps) > 1 and set(steps) == {np.ndarray}
+    assert created and not any(created)  # the view and encode make the Tensors
+
+
+@pytest.mark.parametrize("model_kind", KINDS)
+def test_step_records_only_for_popped_children_and_completions(rng, monkeypatch,
+                                                               model_kind):
+    vocab, params, snippet = sharing_setup(rng, model_kind)
+    records, expansions = [], []
+    real_record, real_expand = decoder.StepRecord, decoder.expand
+
+    def recording_record(*args):
+        records.append(real_record(*args))
+        return records[-1]
+
+    def recording_expand(*args, **kwargs):
+        children, completed = real_expand(*args, **kwargs)
+        expansions.append((len(children), len(completed)))
+        return children, completed
+
+    monkeypatch.setattr(decoder, "StepRecord", recording_record)
+    monkeypatch.setattr(decoder, "expand", recording_expand)
+    want = suggest(snippet, params, vocab, k=5, model_kind=model_kind,
+                   limits=SearchLimits(max_steps=30))
+    monkeypatch.undo()
+
+    # Every expansion but the root's pops one child; each completion ends a name.
+    n_children = sum(n for n, _ in expansions)
+    n_completions = sum(n for _, n in expansions)
+    assert len(records) <= len(expansions) - 1 + n_completions < n_children
+    got = suggest(snippet, params, vocab, k=5, model_kind=model_kind,
+                  limits=SearchLimits(max_steps=30))
+    assert decoded(got) == decoded(want)
 
 
 def sharing_setup(rng, model_kind):
@@ -408,8 +499,9 @@ def row_tokens(table, xs):
 
 
 class TestSharedGruProducts:
-    """Siblings share their parent's state-side GRU products, and a decode
-    computes each token's input-side products once."""
+    """Siblings share their parent's state-side GRU products, and an
+    expansion takes its open children's input-side products in one
+    batched product."""
 
     limits = SearchLimits(max_steps=30)
 
@@ -437,46 +529,54 @@ class TestSharedGruProducts:
         assert decoded(got) == decoded(want)
 
     @pytest.mark.parametrize("model_kind", KINDS)
-    def test_products_once_per_expansion_and_per_distinct_token(
+    def test_one_batched_input_product_per_expansion(
             self, rng, monkeypatch, model_kind):
         from codesum.tensorcore import gru as gru_module
 
         vocab, params, snippet = sharing_setup(rng, model_kind)
-        calls = {"input_products": 0, "state_products": 0}
+        view = decode_view(params)
+        calls = {"input_products": [], "state_products": []}
 
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
+        def recording(name, fn):
+            def wrapper(x, p):
+                products = fn(x, p)
+                calls[name].append((x, products))
+                return products
             return wrapper
 
         # The GRU module too, so products computed inside gru_step count.
         for module in (decoder, gru_module):
             for name in calls:
-                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        expansions, child_tokens = [], []
-        real_expand, real_next_state = decoder.expand, decoder.next_state
-        table = product_table(params)
+                monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+        expansions = []
+        real_expand = decoder.expand
 
-        def counting_expand(*args, **kwargs):
-            expansions.append(1)
-            return real_expand(*args, **kwargs)
+        def recording_expand(partial, *args, **kwargs):
+            before = {name: len(made) for name, made in calls.items()}
+            children, completed = real_expand(partial, *args, **kwargs)
+            expansions.append((partial, children, {name: made[before[name]:]
+                                                   for name, made in calls.items()}))
+            return children, completed
 
-        def recording_next_state(p, h_prev, *, xs, hs):
-            child_tokens.extend(row_tokens(table, xs))
-            return real_next_state(p, h_prev, xs=xs, hs=hs)
-
-        monkeypatch.setattr(decoder, "expand", counting_expand)
-        monkeypatch.setattr(decoder, "next_state", recording_next_state)
-        for _ in range(2):  # counted per call: nothing is kept between calls
-            expansions.clear()
-            child_tokens.clear()
-            calls.update(input_products=0, state_products=0)
-            assert suggest(snippet, params, vocab, k=5, model_kind=model_kind,
-                           limits=self.limits)
-            assert len(child_tokens) > len(set(child_tokens)) > 1
-            assert calls["input_products"] == len(set(child_tokens))
-            assert calls["state_products"] == len(expansions) > 1
+        monkeypatch.setattr(decoder, "expand", recording_expand)
+        assert suggest(snippet, params, vocab, k=5, model_kind=model_kind,
+                       limits=self.limits)
+        assert len(expansions) > 1
+        assert sum(len(made) for made in calls.values()) == 2 * len(expansions)
+        child_tokens = []
+        for partial, children, made in expansions:
+            (inputs, products), = made["input_products"]
+            (state, _), = made["state_products"]
+            assert state is partial.state
+            # An OOV child, copied from the snippet, feeds the unknown token.
+            token_ids = [vocab.id(c.subtokens[-1]) for c in children]
+            child_tokens.extend(token_ids)
+            assert inputs.shape == (len(children), view.E.shape[1])
+            assert inputs.tobytes() == view.E.data[token_ids].tobytes()
+            for row, token_id in enumerate(token_ids):
+                want = input_products(view.E.data[token_id], view.gru)
+                assert [x[row].tobytes() for x in products] == [w.tobytes() for w in want]
+        assert len(child_tokens) > len(set(child_tokens)) > 1
 
     @pytest.mark.parametrize("model_kind", KINDS)
     def test_one_stacked_update_per_expansion(self, rng, monkeypatch, model_kind):

@@ -22,6 +22,7 @@ from codesum.evaluation import (
     shuffle_ablation,
     subtoken_prf,
 )
+from codesum.evaluation import _by_similarity
 
 
 # -- independent oracle: deliberately different implementation style --------
@@ -290,6 +291,30 @@ class TestTfIdf:
         for body in queries:
             for k in (1, 3, 10):
                 assert index.suggest(body, k) == loop_tfidf_suggest(corpus, body, k)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_past_the_partition_head_matches_the_loop_oracle(self, seed):
+        # Past 64 documents the ranking starts from a partition's head.
+        # Few words make long ties; one name shared by most documents
+        # leaves the head short of k distinct names, so the rest is read.
+        rng = np.random.default_rng(seed)
+        corpus = [
+            MethodExample(name=["get"] if rng.random() < 0.8 else [f"n{i}"],
+                          body=["{", *rng.choice(list("abcd"), size=rng.integers(0, 4)).tolist()],
+                          file_path=str(i), project="p")
+            for i in range(300)]
+        index = TfIdfIndex(corpus)
+        for body in [ex.body for ex in corpus[:10]] + [["a", "a", "b"], ["zzz"]]:
+            for k in (1, 3, 10):
+                assert index.suggest(body, k) == loop_tfidf_suggest(corpus, body, k)
+
+    @pytest.mark.parametrize("head", [1, 5, 64, 200])
+    def test_similarity_order_is_the_full_stable_sort(self, rng, head):
+        sims = rng.choice([0.0, 0.1, 0.25, 0.5, 1.0], size=120) * rng.choice([1.0, 0.5], size=120)
+        want = np.argsort(-sims, kind="stable").tolist()
+        assert list(_by_similarity(sims, head)) == want
+        order = _by_similarity(sims, head)
+        assert [next(order) for _ in range(min(head, 120))] == want[:min(head, 120)]
 
     def test_self_query_ranks_first(self, rng):
         corpus = make_corpus(rng)

@@ -114,6 +114,48 @@ class TestEncodeOnce:
             assert want.vocab_row().data.tobytes() == got.vocab_row().data.tobytes()
 
 
+class TestArraySteps:
+    """A decode's step: array state, array encoding, decode-view parameters."""
+
+    @pytest.mark.parametrize("words, d", [(40, 5), (2446, 128)])
+    @pytest.mark.parametrize("model_kind", ["conv_attention", "copy_attention"])
+    def test_step_and_vocab_row_on_arrays_equal_the_tensor_forms_bitwise(
+            self, rng, model_kind, words, d):
+        from codesum.decoder import decode_view
+
+        vocab = make_vocab([f"w{i}" for i in range(words)])
+        p = make_params(len(vocab), d=d, k1=3, k2=4, w1=2, w2=3, w3=2, rng=rng)
+        if model_kind == "conv_attention":
+            p = ModelParams.from_named({n: t for n, t in p.named_tensors()
+                                        if n not in ("K_copy", "K_lambda")})
+        view = decode_view(p)
+        sn = encode_snippet(["w1", "zzz", "w7", "w1"], vocab)
+        step = step_fn(model_kind)
+        encoded = encode(sn, p)
+        arrays = tuple(t.data for t in encode(sn, view))
+        for h in (p.h_init.data, rng.normal(size=4)):
+            want = step(sn, Tensor(h), p, encoded)
+            got = step(sn, h, view, arrays)
+            for field in ("alpha", "nhat", "kappa", "lam"):
+                a, b = getattr(want, field), getattr(got, field)
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert not isinstance(b, Tensor), field
+                    assert np.asarray(b).tobytes() == a.data.tobytes(), field
+            row = got.vocab_row()
+            assert type(row) is np.ndarray
+            assert row.tobytes() == want.vocab_row().data.tobytes()
+            assert merged_distribution(got, sn, vocab).probs.tobytes() == \
+                merged_distribution(want, sn, vocab).probs.tobytes()
+
+    def test_array_stack_head_equals_the_tensor_head_bitwise(self, rng):
+        p = make_params(60, d=7, rng=rng)
+        nhats = rng.normal(size=(5, 7))
+        got = vocab_head(nhats, p)
+        assert type(got) is np.ndarray
+        assert got.tobytes() == vocab_head(Tensor(nhats), p).data.tobytes()
+
+
 class TestVocabHead:
     @pytest.mark.parametrize("words, d", [(40, 5), (2446, 128)])
     @pytest.mark.parametrize("model_kind", ["conv_attention", "copy_attention"])

@@ -21,7 +21,8 @@ from codesum.tensorcore import (
     state_products,
     tsum,
 )
-from codesum.tensorcore.tensor import sigmoid_array
+from codesum.tensorcore.tensor import (conv1d_narrow_array, l2_normalize_array, sigmoid_array,
+                                      softmax_array)
 
 
 def einsum_conv1d(x, k, g):
@@ -100,6 +101,29 @@ class TestConv1dNarrow:
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("length, d_in, width, d_out", [
+        (109, 128, 18, 32), (92, 32, 19, 16), (74, 16, 2, 1), (55, 128, 24, 8),
+        (32, 8, 29, 8), (9, 3, 2, 2), (6, 2, 1, 3), (4, 2, 4, 1),
+    ])
+    def test_batched_offsets_equal_the_per_offset_loop_bitwise(
+            self, rng, length, d_in, width, d_out):
+        x = Tensor(rng.normal(size=(length, d_in)), requires_grad=True)
+        k = Tensor(rng.normal(size=(d_in, width, d_out)), requires_grad=True)
+        g = rng.normal(size=(length - width + 1, d_out))
+        out = conv1d_narrow(x, k)
+        out.backward(g)
+        # The w shifted products, one at a time, summed in offset order.
+        positions, xd, kd = length - width + 1, x.data, k.data
+        want_out = sum(xd[j:j + positions] @ kd[:, j, :] for j in range(width))
+        want_x = np.zeros_like(xd)
+        for j in range(width):
+            want_x[j:j + positions] += g @ kd[:, j, :].T
+        want_k = np.stack([xd[j:j + positions].T @ g for j in range(width)], axis=1)
+        for got, want in ((out.data, want_out), (x.grad, want_x), (k.grad, want_k)):
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+        assert conv1d_narrow_array(xd, kd).tobytes() == want_out.tobytes()
+
 
 class TestActivations:
     def test_softmax_symmetry(self):
@@ -145,6 +169,10 @@ class TestActivations:
                             rng.normal(scale=30.0, size=100)])
         assert sigmoid(Tensor(x)).data.tobytes() == sigmoid_array(x).tobytes()
 
+    def test_softmax_is_its_array_kernel(self, rng):
+        for v in (rng.normal(size=9) * 10, rng.normal(size=(4, 9)) * 10):
+            assert softmax(Tensor(v)).data.tobytes() == softmax_array(v).tobytes()
+
     def test_sigmoid_extremes(self):
         assert float(sigmoid(Tensor(50.0)).data) == pytest.approx(1.0)
         assert float(sigmoid(Tensor(-50.0)).data) == pytest.approx(0.0, abs=1e-20)
@@ -159,6 +187,10 @@ class TestL2Normalize:
     def test_zero_matrix(self):
         out = l2_normalize(Tensor(np.zeros((3, 2)))).data
         np.testing.assert_allclose(out, 0.0)
+
+    def test_is_its_array_kernel(self, rng):
+        for m in (rng.normal(size=(5, 3)) * 5, np.zeros((2, 2))):
+            assert l2_normalize(Tensor(m)).data.tobytes() == l2_normalize_array(m).tobytes()
 
     def test_unit_norm_output(self, rng):
         m = rng.normal(size=(3, 4)) * 5
@@ -240,6 +272,22 @@ class TestGruStep:
         want = np.array([gru_step(None, h, p, xs, hs) for xs in rows]).reshape(n, k)
         assert got.shape == (n, k)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d, k", [(3, 2), (4, 3), (2, 2), (128, 16)])
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_batched_input_products_equal_per_row_products_bitwise(self, rng, n, d, k):
+        # One batched vector-matrix product per weight, never a plain
+        # (n, D) @ (D, k) product, which may differ in the last bits.
+        p = GruParams(**{name: rng.normal(size=s) for name, s in [
+            ("W_xr", (d, k)), ("W_hr", (k, k)), ("W_xu", (d, k)), ("W_hu", (k, k)),
+            ("W_xc", (d, k)), ("W_hc", (k, k)), ("b_r", (k,)), ("b_u", (k,)), ("b_c", (k,))]})
+        for _ in range(20):
+            x = rng.normal(size=(n, d))
+            got = input_products(x, p)
+            for w, products in zip((p.W_xr, p.W_xu, p.W_xc), got):
+                assert products.shape == (n, k)
+                want = np.array([row @ w for row in x]).reshape(n, k)
+                assert products.tobytes() == want.tobytes()
 
     def test_given_products_equal_computed_ones(self, rng):
         d, k = 3, 4
