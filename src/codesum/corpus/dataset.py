@@ -69,11 +69,14 @@ def load_jsonl(path: str | Path) -> list[MethodExample]:
             try:
                 obj = json.loads(line.decode("utf-8"))
                 name, body = obj["name"], obj["body"]
+                file, project = obj.get("file", ""), obj.get("project", "")
                 if not (isinstance(name, list) and isinstance(body, list)
-                        and all(isinstance(t, str) for t in name + body)):
-                    raise TypeError("name and body must be lists of strings")
-                out.append(MethodExample(name=name, body=body, file_path=obj.get("file", ""),
-                                         project=obj.get("project", "")))
+                        and all(isinstance(t, str) for t in [*name, *body, file, project])):
+                    raise TypeError("name and body must be lists of strings, "
+                                    "file and project strings")
+                if not name:
+                    raise ValueError("name must be nonempty")
+                out.append(MethodExample(name=name, body=body, file_path=file, project=project))
             except KeyError as exc:
                 raise MalformedDataset(
                     f"{path}, line {lineno}: record has no {exc} field") from exc

@@ -7,12 +7,12 @@ log-probability falls below the current k-th best completed name is
 pruned, once k names have completed, and a child below it gets no state.
 The search stops after a fixed number of iterations or when the heap empties.
 ``suggest`` reads the parameters through ``decode_view``, which shares
-their arrays: the encoder is Tensors that require no gradient, run once
-per snippet, so a decode builds no autograd graph; the rest are plain
-numpy arrays, so steps, heads and child states run the array kernels
-under the Tensor ops and make no Tensor.  Successors are ranked with
-numpy.  A parent's open children advance in one GRU update over stacked
-rows: the parent's state-side products are shared by every row, and the
+their arrays: the encoder's kernels are Tensors that require no gradient,
+run once per snippet, so a decode builds no autograd graph; the rest,
+``E`` included, are plain numpy arrays, and the model's ops return plain
+arrays for them, so steps, heads and child states make no Tensor.
+Successors are ranked with numpy.  A parent's open children advance in
+one GRU update over stacked rows: the parent's state-side products are shared by every row, and the
 input-side products are one batched product over the children's
 embedding rows, each row bit-identical to a child's own.  An open child
 is a light record; its prefix and attention record are built only when
@@ -35,14 +35,13 @@ from .model import (
     EncodedSnippet,
     ModelParams,
     StepOutput,
-    as_array,
     copy_table,
     encode,
     merged_distribution,
     next_state,
     step_fn,
 )
-from .tensorcore import Tensor, input_products, state_products
+from .tensorcore import Tensor, as_array, input_products, state_products
 
 
 @dataclass
@@ -118,11 +117,14 @@ class Suggestion:
 
 def decode_view(params: ModelParams) -> ModelParams:
     """A view sharing the parameters' arrays, as a decode reads them:
-    Tensors that require no gradient for the encoder, which ``encode``
-    reads once per snippet, and the arrays themselves for the heads, the
-    bias, the GRU and the first state."""
+    Tensors that require no gradient for the encoder's kernels, which
+    ``encode`` reads once per snippet, and the arrays themselves for the
+    embeddings, the heads, the bias, the GRU and the first state."""
+    # The kernels would decode the same as arrays; they stay Tensors only
+    # because benchmarks/test_bench_smoke.py asserts that a decode makes
+    # Tensors.
     return ModelParams.from_named({
-        name: Tensor(t.data) if name in ("E", "K_l1", "K_l2", "prelu_a1") else t.data
+        name: Tensor(t.data) if name in ("K_l1", "K_l2", "prelu_a1") else t.data
         for name, t in params.named_tensors()})
 
 
@@ -178,7 +180,7 @@ def expand(partial: PartialSuggestion, out: StepOutput,
     ids = np.array([i for i, *_ in opened], dtype=np.intp)
     ids[ids >= len(vocab)] = vocab.unk_id
     # Row j of each input-side product, and of the states, is child j's.
-    xs = input_products(np.take(as_array(params.E), ids, axis=0), params.gru)
+    xs = input_products(np.take(params.E, ids, axis=0), params.gru)
     states = next_state(params, partial.state, xs=xs, hs=hs)
     return [OpenChild(log_prob, partial, token, state, snapshot)
             for (_, token, log_prob), state in zip(opened, states)], completed
@@ -202,7 +204,7 @@ def suggest(snippet: EncodedSnippet, params: ModelParams, vocab: Vocabulary,
         limits = SearchLimits()
     params = decode_view(params)
     step = step_fn(model_kind)
-    encoded = tuple(t.data for t in encode(snippet, params))
+    encoded = tuple(as_array(t) for t in encode(snippet, params))
     table = copy_table(snippet, vocab) if model_kind == "copy_attention" else None
     root = PartialSuggestion(subtokens=(), log_prob=0.0, state=params.h_init)
 

@@ -26,6 +26,7 @@ from .tensorcore import (
     GruProducts,
     Operand,
     Tensor,
+    as_array,
     constant,
     conv1d_narrow,
     gru_step,
@@ -39,11 +40,8 @@ from .tensorcore import (
     rows,
     sigmoid,
     softmax,
-    stack,
     tmax,
 )
-from .tensorcore.tensor import (conv1d_narrow_array, l2_normalize_array, sigmoid_array,
-                                softmax_array)
 
 # Down-weights the vocabulary head's UNK when the copy head could have
 # produced the exact target.
@@ -86,10 +84,10 @@ class ModelParams:
     """All trainable tensors of the summarizer; ``param_shapes`` lists
     their names and shapes.  The conv model holds ``None`` for the copy
     head.  The view ``decoder.suggest`` decodes on holds everything but
-    the encoder (``E``, ``K_l1``, ``K_l2``, ``prelu_a1``) as plain arrays.
+    the encoder's kernels (``K_l1``, ``K_l2``, ``prelu_a1``) as plain arrays.
     """
 
-    E: Tensor
+    E: Operand
     K_l1: Tensor
     K_l2: Tensor
     K_att: Operand
@@ -158,16 +156,11 @@ def encode_snippet(body: list[str], vocab: Vocabulary) -> EncodedSnippet:
     return EncodedSnippet(ids=ids, surface=surface, pad_id=vocab.pad_id)
 
 
-def as_array(x: Operand) -> np.ndarray:
-    """A Tensor's array, or an array as it is."""
-    return x.data if isinstance(x, Tensor) else x
-
-
 @dataclass
 class StepOutput:
     """One decoding step: attention records, the predicted embedding, and
     the parameters the step ran on, which its vocabulary head reads; arrays
-    when the step ran on an array state and encoding, as a decode does."""
+    when the step ran on arrays only, as a decode does."""
 
     alpha: Operand                # (Len(c),) attention over input positions
     nhat: Operand                 # (D,) predicted embedding
@@ -177,9 +170,7 @@ class StepOutput:
 
     def vocab_row(self) -> Operand:
         """This step's (|V|,) vocabulary distribution: ``vocab_head`` with T = 1."""
-        if isinstance(self.nhat, Tensor):
-            return rows(vocab_head(stack([self.nhat]), self.params), 0)
-        return vocab_head(self.nhat[None], self.params)[0]
+        return reshape(vocab_head(reshape(self.nhat, (1, -1)), self.params), (-1,))
 
 
 def padding_split(w1: int, w2: int, w3: int) -> tuple[int, int]:
@@ -188,17 +179,13 @@ def padding_split(w1: int, w2: int, w3: int) -> tuple[int, int]:
     return math.ceil(total / 2), total - math.ceil(total / 2)
 
 
-def encode(snippet: EncodedSnippet, p: ModelParams) -> tuple[Tensor, Tensor]:
+def encode(snippet: EncodedSnippet, p: ModelParams) -> tuple[Tensor, Operand]:
     """conv(K_l2) over conv(K_l1) + PReLU of the padded embedding matrix:
     the attention features before the decoder state gates them; and the
-    snippet's own (Len(c), D) rows of that one gather from ``E``."""
+    snippet's own (Len(c), D) rows of that one gather from ``E``, an array
+    when ``E`` is one, as in a decode view."""
     left, right = padding_split(*p.dims[3:])
-    padded = np.concatenate([
-        np.full(left, snippet.pad_id, dtype=np.intp),
-        snippet.ids,
-        np.full(right, snippet.pad_id, dtype=np.intp),
-    ])
-    c_emb = rows(p.E, padded)
+    c_emb = rows(p.E, np.pad(snippet.ids, (left, right), constant_values=snippet.pad_id))
     l1 = prelu(conv1d_narrow(c_emb, p.K_l1), p.prelu_a1)
     return conv1d_narrow(l1, p.K_l2), rows(c_emb, np.arange(left, left + len(snippet)))
 
@@ -207,24 +194,19 @@ def attention_features(snippet: EncodedSnippet, h_prev: Operand, p: ModelParams,
                        encoded: Operand | None = None) -> Operand:
     """Per-position attention features: ``encode``'s features, computed
     here unless ``encoded`` is given, gated elementwise per position by the
-    decoder state, then L2-normalized as a whole matrix; an array for an
-    array state, by the array kernels the Tensor ops run."""
+    decoder state, then L2-normalized as a whole matrix; an array when
+    the state and features are arrays."""
     k2 = p.dims[2]
     if h_prev.shape != (k2,):
         raise DimensionMismatch(f"state has shape {h_prev.shape}, expected ({k2},)")
     if encoded is None:
         encoded = encode(snippet, p)[0]
-    if isinstance(h_prev, Tensor):
-        return l2_normalize(encoded * h_prev)
-    return l2_normalize_array(as_array(encoded) * h_prev)
+    return l2_normalize(encoded * h_prev)
 
 
 def attention_weights(l_feat: Operand, kernel: Operand) -> Operand:
-    """softmax(conv(L_feat, kernel)); length is exactly Len(c); an array for array features."""
-    if isinstance(l_feat, Tensor):
-        logits = conv1d_narrow(l_feat, kernel)
-        return softmax(reshape(logits, (logits.shape[0],)))
-    return softmax_array(conv1d_narrow_array(l_feat, as_array(kernel))[:, 0])
+    """softmax(conv(L_feat, kernel)); length is exactly Len(c); an array for arrays."""
+    return softmax(reshape(conv1d_narrow(l_feat, kernel), (-1,)))
 
 
 def vocab_head(nhats: Operand, p: ModelParams) -> Operand:
@@ -232,16 +214,14 @@ def vocab_head(nhats: Operand, p: ModelParams) -> Operand:
     (T, |V|) vocabulary distributions of T steps.  Each row's logits are
     the vector product ``E @ n̂``, so a row equals the head of its step
     alone bit for bit, and ``E``'s gradient is one product over all rows;
-    an array stack gets the same arithmetic on arrays."""
-    if isinstance(nhats, Tensor):
-        return softmax(matvec(p.E, nhats) + p.b)
-    return softmax_array(np.stack([as_array(p.E) @ x for x in nhats]) + as_array(p.b))
+    an array for an array stack and array ``E`` and ``b``."""
+    return softmax(matvec(p.E, nhats) + p.b)
 
 
 def conv_attention_step(snippet: EncodedSnippet, h_prev: Operand, p: ModelParams,
                         encoded: tuple[Operand, Operand] | None = None) -> StepOutput:
-    """Vocabulary-only attention step; on an array state and encoding, as in
-    a decode, array kernels only, so the step makes no Tensor."""
+    """Vocabulary-only attention step; on an array state, encoding and
+    heads, as in a decode, it makes no Tensor."""
     features, embedding = encode(snippet, p) if encoded is None else encoded
     alpha = attention_weights(attention_features(snippet, h_prev, p, features), p.K_att)
     return StepOutput(alpha=alpha, nhat=alpha @ embedding, params=p)
@@ -250,18 +230,14 @@ def conv_attention_step(snippet: EncodedSnippet, h_prev: Operand, p: ModelParams
 def copy_attention_step(snippet: EncodedSnippet, h_prev: Operand, p: ModelParams,
                         encoded: tuple[Operand, Operand] | None = None) -> StepOutput:
     """Attention step with the copy head and its meta-attention gate; on
-    arrays, array kernels only, as ``conv_attention_step``."""
+    arrays it makes no Tensor, as ``conv_attention_step``."""
     if p.K_copy is None or p.K_lambda is None:
         raise VariantDisabled("copy head parameters are not present")
     features, embedding = encode(snippet, p) if encoded is None else encoded
     l_feat = attention_features(snippet, h_prev, p, features)
     alpha = attention_weights(l_feat, p.K_att)
     kappa = attention_weights(l_feat, p.K_copy)
-    if isinstance(l_feat, Tensor):
-        lam_logits = conv1d_narrow(l_feat, p.K_lambda)
-        lam = tmax(sigmoid(reshape(lam_logits, (lam_logits.shape[0],))))
-    else:
-        lam = sigmoid_array(conv1d_narrow_array(l_feat, as_array(p.K_lambda))[:, 0]).max()
+    lam = tmax(sigmoid(reshape(conv1d_narrow(l_feat, p.K_lambda), (-1,))))
     return StepOutput(alpha=alpha, nhat=alpha @ embedding, params=p, kappa=kappa, lam=lam)
 
 
@@ -383,24 +359,24 @@ def merged_distribution(step: StepOutput, snippet: EncodedSnippet,
 # -- decoder state updates ---------------------------------------------------------
 
 
-def next_state(p: ModelParams, h_prev: Tensor | np.ndarray, *, token_id: int | None = None,
-               embedding: Tensor | None = None,
-               nhat: Tensor | None = None, dropout_rate: float = 0.0,
+def next_state(p: ModelParams, h_prev: Operand, *, token_id: int | None = None,
+               embedding: Operand | None = None,
+               nhat: Operand | None = None, dropout_rate: float = 0.0,
                rng: np.random.Generator | None = None,
                xs: GruProducts | None = None, hs: GruProducts | None = None,
-               ) -> Tensor | np.ndarray:
+               ) -> Operand:
     """GRU state update.
 
     At test time the embedding of the emitted subtoken feeds the GRU:
     ``embedding`` if the caller gathered it, else ``token_id``'s row.
     During training, with probability equal to the dropout rate, the
     predicted embedding is used instead (scheduled-sampling-style).
-    A decode's state is a plain array, and so is the new one; there the
-    row is ``E``'s array row.  A decode advances all of a parent's open
-    children at once: it passes ``xs``, the GRU's input-side products of
-    the children's embeddings stacked as ``(n, k2)`` rows, and ``hs``, the
-    state-side products of ``h_prev``; then no embedding is gathered and
-    row i of the ``(n, k2)`` result is child i's state.
+    A decode's state and ``E`` are plain arrays, and so is the new state.
+    A decode advances all of a parent's open children at once: it passes
+    ``xs``, the GRU's input-side products of the children's embeddings
+    stacked as ``(n, k2)`` rows, and ``hs``, the state-side products of
+    ``h_prev``; then no embedding is gathered and row i of the
+    ``(n, k2)`` result is child i's state.
     """
     x = None
     if xs is None:
@@ -410,5 +386,5 @@ def next_state(p: ModelParams, h_prev: Tensor | np.ndarray, *, token_id: int | N
         )
         x = nhat if use_predicted else embedding
         if x is None:
-            x = rows(p.E, token_id) if isinstance(h_prev, Tensor) else p.E.data[token_id]
+            x = rows(p.E, token_id)
     return gru_step(x, h_prev, p.gru, xs, hs)

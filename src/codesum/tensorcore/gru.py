@@ -2,9 +2,9 @@
 
 ``gru_step`` is the one definition of the update.  Over Tensors it
 records its graph, as training needs.  Over plain numpy arrays, the form
-a decode keeps its states in, the same ``+``, ``*`` and ``1.0 - u`` run
-on the arrays and the gates are the array kernels ``sigmoid`` and
-``tanh`` wrap, so a child state costs its arithmetic and no Tensor.
+a decode keeps its states in, the same ``+``, ``*`` and ``1.0 - u`` and
+the same ``sigmoid`` and ``tanh`` ops run on the arrays and return
+arrays, so a child state costs its arithmetic and no Tensor.
 A step's state-side products (``h @ W_h*``) read only the previous state
 and its input-side products (``x @ W_x*``) only the input, so a caller
 stepping many children can compute each side once and pass it in.  What
@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DimensionMismatch
-from .tensor import Tensor, sigmoid, sigmoid_array, tanh
+from .tensor import Operand, sigmoid, tanh
 
-Operand = Tensor | np.ndarray  # a Tensor, or a decode's plain array
 GruProducts = tuple[Operand, Operand, Operand]  # reset, update and candidate terms
 
 
@@ -66,15 +65,14 @@ def gru_step(x: Operand | None, h_prev: Operand, p: GruParams,
     ``xs`` and ``hs`` are ``input_products(x, p)`` and
     ``state_products(h_prev, p)``, computed here unless given; with
     ``x=None``, ``xs`` may hold ``(n, k2)`` rows, one child each.  The
-    result is a Tensor if ``h_prev`` is one, else an array.
+    result is a Tensor if an operand is one, else an array.
     """
     if (x is not None and x.shape != (p.W_xr.shape[0],)) or h_prev.shape != (p.W_hr.shape[0],):
         raise DimensionMismatch(f"gru_step got x {getattr(x, 'shape', None)}, "
                                 f"h {h_prev.shape} for params {p.W_xr.shape}")
-    gate, squash = (sigmoid, tanh) if isinstance(h_prev, Tensor) else (sigmoid_array, np.tanh)
     xr, xu, xc = input_products(x, p) if xs is None else xs
     hr, hu, hc = state_products(h_prev, p) if hs is None else hs
-    r = gate(xr + hr + p.b_r)
-    u = gate(xu + hu + p.b_u)
-    c = squash(xc + r * hc + p.b_c)
+    r = sigmoid(xr + hr + p.b_r)
+    u = sigmoid(xu + hu + p.b_u)
+    c = tanh(xc + r * hc + p.b_c)
     return (1.0 - u) * h_prev + u * c

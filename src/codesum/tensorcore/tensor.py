@@ -8,6 +8,13 @@ reductions.  Each op records a backward closure; ``Tensor.backward``
 replays them in reverse topological order and accumulates gradients into
 the ``grad`` field of every tensor created with ``requires_grad=True``.
 
+The ops a decode calls (``rows``, ``conv1d_narrow``, ``l2_normalize``,
+``softmax``, ``sigmoid``, ``tanh``, ``tmax``, ``reshape``, ``stack`` and
+``matvec``) also take plain arrays.  When no operand is a Tensor they
+return the plain array they computed and make no Tensor, so the model's
+one forward definition serves training and decoding alike.  An array
+next to a Tensor is a constant: it gets no gradient.
+
 The gradient contract is checked against central finite differences in
 the test suite; see ``gradcheck.gradient_check``.
 """
@@ -136,6 +143,9 @@ class Tensor:
         return matmul(_wrap(other), self)
 
 
+Operand = Tensor | np.ndarray  # a Tensor, or a plain array such as a decode's
+
+
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -155,11 +165,23 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _make(data, prev: tuple[Tensor, ...], backward) -> Tensor:
-    live = tuple(p for p in prev if p.requires_grad)
-    if not live:
-        return Tensor(data)
-    return Tensor(data, _prev=live, _backward=backward)
+def as_array(x: Operand) -> np.ndarray:
+    """A Tensor's array, or an array as it is."""
+    return x.data if isinstance(x, Tensor) else x
+
+
+def _live(x) -> bool:
+    """Whether ``x`` takes a gradient: a Tensor that requires one."""
+    return isinstance(x, Tensor) and x.requires_grad
+
+
+def _make(data, prev: tuple, backward) -> Operand:
+    """The op's result: ``data`` itself when no operand is a Tensor, else
+    a Tensor whose graph keeps the operands that take a gradient."""
+    if Tensor not in map(type, prev):
+        return data
+    live = tuple(p for p in prev if _live(p))
+    return Tensor(data, _prev=live, _backward=backward if live else None)
 
 
 # -- elementwise arithmetic ------------------------------------------------
@@ -229,17 +251,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def matvec(m: Tensor, xs: Tensor) -> Tensor:
+def matvec(m: Operand, xs: Operand) -> Operand:
     """``m @ x`` for each row ``x`` of ``xs``: (n, k) with (T, k) gives (T, n).
     Each row is the product ``matmul(m, x)`` makes, bit for bit; the
     backward pass is one matrix product per operand over all T rows."""
-    data = np.stack([m.data @ x for x in xs.data])
+    md, xd = as_array(m), as_array(xs)
+    data = np.stack([md @ x for x in xd])
 
     def backward(g):
-        if m.requires_grad:
-            m._accumulate(g.T @ xs.data, fresh=True)
-        if xs.requires_grad:
-            xs._accumulate(g @ m.data, fresh=True)
+        if _live(m):
+            m._accumulate(g.T @ xd, fresh=True)
+        if _live(xs):
+            xs._accumulate(g @ md, fresh=True)
 
     return _make(data, (m, xs), backward)
 
@@ -254,17 +277,18 @@ def tsum(a: Tensor) -> Tensor:
     return _make(a.data.sum(), (a,), backward)
 
 
-def tmax(a: Tensor) -> Tensor:
+def tmax(a: Operand) -> Operand:
     """Maximum over all entries; the gradient flows to the first argmax."""
-    idx = int(np.argmax(a.data))
+    ad = as_array(a)
+    idx = int(np.argmax(ad))
 
     def backward(g):
         if a.requires_grad:
-            ga = np.zeros_like(a.data)
+            ga = np.zeros_like(ad)
             ga.flat[idx] = float(g)
             a._accumulate(ga, fresh=True)
 
-    return _make(a.data.flat[idx], (a,), backward)
+    return _make(np.asarray(ad.flat[idx]), (a,), backward)
 
 
 def pick(a: Tensor, index: int) -> Tensor:
@@ -284,17 +308,17 @@ def pick(a: Tensor, index: int) -> Tensor:
 
 # -- shape plumbing -----------------------------------------------------------
 
-def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
+def reshape(a: Operand, shape: Sequence[int]) -> Operand:
     shape = tuple(shape)
 
     def backward(g):
         if a.requires_grad:
             a._accumulate(g.reshape(a.shape))
 
-    return _make(a.data.reshape(shape), (a,), backward)
+    return _make(as_array(a).reshape(shape), (a,), backward)
 
 
-def rows(table: Tensor, ids: int | Sequence[int] | np.ndarray) -> Tensor:
+def rows(table: Operand, ids: int | Sequence[int] | np.ndarray) -> Operand:
     """Copies of rows of a matrix, or of one row by one id (embedding
     lookup); backward scatter-adds in place."""
     idx = np.asarray(ids, dtype=np.intp)
@@ -307,31 +331,28 @@ def rows(table: Tensor, ids: int | Sequence[int] | np.ndarray) -> Tensor:
                 table.grad = np.zeros_like(table.data)
             np.add.at(table.grad, idx, g)
 
-    return _make(np.take(table.data, idx, axis=0), (table,), backward)
+    return _make(np.take(as_array(table), idx, axis=0), (table,), backward)
 
 
-def stack(vectors: Sequence[Tensor]) -> Tensor:
+def stack(vectors: Sequence[Operand]) -> Operand:
     """Vectors of one length as the rows of a matrix."""
     def backward(g):
         for row, v in zip(g, vectors):
-            if v.requires_grad:
+            if _live(v):
                 v._accumulate(row)
 
-    return _make(np.stack([v.data for v in vectors]), tuple(vectors), backward)
+    return _make(np.stack([as_array(v) for v in vectors]), tuple(vectors), backward)
 
 
 # -- nonlinearities -----------------------------------------------------------
 
-def sigmoid_array(x: np.ndarray) -> np.ndarray:
-    """The logistic function of an array, with one exponential that never
-    overflows: e = exp(-|x|) gives 1 / (1 + e) or e / (1 + e) by sign."""
+def sigmoid(a: Operand) -> Operand:
+    """The logistic function, with one exponential that never overflows:
+    e = exp(-|x|) gives 1 / (1 + e) or e / (1 + e) by sign."""
+    x = as_array(a)
     e = np.exp(-np.abs(x))
     d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out = sigmoid_array(a.data)
+    out = np.where(x >= 0, 1.0 / d, e / d)
 
     def backward(g):
         if a.requires_grad:
@@ -340,8 +361,8 @@ def sigmoid(a: Tensor) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
+def tanh(a: Operand) -> Operand:
+    out = np.tanh(as_array(a))
 
     def backward(g):
         if a.requires_grad:
@@ -379,18 +400,14 @@ def log(a: Tensor) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def softmax_array(x: np.ndarray) -> np.ndarray:
-    """Stable softmax over the last axis: each row of a matrix as of that
-    vector alone, bit for bit; output is nonnegative and sums to one."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def softmax(v: Tensor) -> Tensor:
-    """``softmax_array`` of a vector or of each row of a matrix."""
+def softmax(v: Operand) -> Operand:
+    """Stable softmax of a vector or of each row of a matrix: each row as
+    of that vector alone, bit for bit; output is nonnegative and sums to one."""
     if v.ndim not in (1, 2):
         raise DimensionMismatch("softmax expects a vector or a matrix")
-    out = softmax_array(v.data)
+    x = as_array(v)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
         if v.requires_grad:
@@ -399,21 +416,17 @@ def softmax(v: Tensor) -> Tensor:
     return _make(out, (v,), backward)
 
 
-def l2_normalize_array(m: np.ndarray) -> np.ndarray:
+def l2_normalize(m: Operand) -> Operand:
     """Divide a matrix by its whole-matrix (Frobenius) norm plus a guard."""
-    return m * (1.0 / (float(np.sqrt(np.sum(m * m))) + L2_NORM_EPS))
-
-
-def l2_normalize(m: Tensor) -> Tensor:
-    """``l2_normalize_array`` of a matrix."""
-    out = l2_normalize_array(m.data)
+    md = as_array(m)
+    norm = float(np.sqrt(np.sum(md * md)))
+    out = md * (1.0 / (norm + L2_NORM_EPS))
 
     def backward(g):
         if m.requires_grad:
-            norm = float(np.sqrt(np.sum(m.data * m.data)))
             gm = g * (1.0 / (norm + L2_NORM_EPS))
             if norm > 0.0:
-                gm = gm - (float(np.sum(g * m.data)) / (norm * (norm + L2_NORM_EPS) ** 2)) * m.data
+                gm = gm - (float(np.sum(g * md)) / (norm * (norm + L2_NORM_EPS) ** 2)) * md
             m._accumulate(gm, fresh=True)
 
     return _make(out, (m,), backward)
@@ -428,14 +441,7 @@ def _windows(x: np.ndarray, width: int) -> np.ndarray:
                       x.strides[:1] + x.strides)
 
 
-def conv1d_narrow_array(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Narrow 1-D convolution of an (L, Din) array by a (Din, w, Dout)
-    kernel: the w shifted products ``x[j:j + L - w + 1] @ kernel[:, j, :]``
-    as one batched product over strided windows, summed in offset order."""
-    return np.matmul(_windows(x, kernel.shape[1]), kernel.transpose(1, 0, 2)).sum(axis=0)
-
-
-def conv1d_narrow(inp: Tensor, kernel: Tensor) -> Tensor:
+def conv1d_narrow(inp: Operand, kernel: Operand) -> Operand:
     """Narrow 1-D convolution along the sequence axis.
 
     ``inp`` is (L, Din), ``kernel`` is (Din, w, Dout); the result is
@@ -457,16 +463,17 @@ def conv1d_narrow(inp: Tensor, kernel: Tensor) -> Tensor:
         raise KernelTooLong(f"kernel width {width} exceeds input length {length}")
 
     positions = length - width + 1
-    data = conv1d_narrow_array(inp.data, kernel.data)
+    xd, kd = as_array(inp), as_array(kernel)
+    data = np.matmul(_windows(xd, width), kd.transpose(1, 0, 2)).sum(axis=0)
 
     def backward(g):
-        if inp.requires_grad:
-            gi = np.zeros_like(inp.data)
+        if _live(inp):
+            gi = np.zeros_like(xd)
             for j in range(width):  # a batched product would hold w shifted gi-sized rows
-                gi[j:j + positions] += g @ kernel.data[:, j, :].T
+                gi[j:j + positions] += g @ kd[:, j, :].T
             inp._accumulate(gi, fresh=True)
-        if kernel.requires_grad:
-            gk = np.matmul(_windows(inp.data, width).transpose(0, 2, 1), g)
+        if _live(kernel):
+            gk = np.matmul(_windows(xd, width).transpose(0, 2, 1), g)
             kernel._accumulate(gk.transpose(1, 0, 2).copy(), fresh=True)
 
     return _make(data, (inp, kernel), backward)

@@ -1,4 +1,5 @@
-"""Shared builders for model-level tests and checkpoint manifest edits."""
+"""Shared builders for model-level tests, checkpoint manifest edits and
+fuzzed dataset lines."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from codesum.checkpoint import MAGIC
 from codesum.corpus.vocabulary import SPECIAL_TOKENS, Vocabulary
@@ -74,6 +76,28 @@ BAD_MANIFESTS = {
     "config-not-an-object": lambda m: {**m, "config": ["model_kind"]},
     "manifest-not-an-object": lambda m: "config vocabulary tensors",
 }
+
+
+# Subtokens a dataset record may hold: short text, the vocabulary's specials.
+TOKENS = st.text(max_size=6) | st.sampled_from(SPECIAL_TOKENS)
+# Any JSON value Python's json module writes and reads back.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | TOKENS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def dataset_lines(files=st.nothing()):
+    """One line of a dataset file: arbitrary bytes, any JSON value, or a
+    record whose fields are lists of subtokens or any JSON value; its
+    ``file`` may be drawn from ``files``."""
+    tokens = st.lists(TOKENS, max_size=3) | JSON_VALUES
+    label = files | TOKENS | JSON_VALUES
+    record = st.fixed_dictionaries({"name": tokens, "body": tokens},
+                                   optional={"file": label, "project": label})
+    return (st.binary(max_size=24).map(lambda b: b.replace(b"\n", b" "))
+            | (JSON_VALUES | record).map(lambda v: json.dumps(v).encode()))
 
 
 @pytest.fixture

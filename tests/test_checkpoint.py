@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BAD_MANIFESTS, make_params, make_vocab, read_parts, write_parts
+from conftest import BAD_MANIFESTS, JSON_VALUES, make_params, make_vocab, read_parts, write_parts
 from codesum.checkpoint import MAGIC, VERSION, load, save
 from codesum.decoder import suggest
 from codesum.errors import (
@@ -275,12 +275,6 @@ class TestCorruption:
         assert len(kinds) == 4
 
 
-# Any JSON value Python's json module writes and reads back.
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
-                                                                max_size=3),
-    max_leaves=6)
 FUZZ = settings(max_examples=60, deadline=None)
 
 

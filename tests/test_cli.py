@@ -11,8 +11,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import BAD_MANIFESTS, read_parts, write_parts
+from conftest import BAD_MANIFESTS, dataset_lines, read_parts, write_parts
 import codesum
 from codesum import checkpoint, cli
 from codesum.cli import main
@@ -392,7 +394,11 @@ class TestEvaluateCommand:
         lineno = good.count(b"\n") + 1
         bad = tmp_path / "bad.jsonl"
         out = tmp_path / "new.ckpt"
-        for line in (b"{not json", b'{"body": ["x"]}', b'{"name": ["a"]}'):
+        for line in (b"{not json", b'{"body": ["x"]}', b'{"name": ["a"]}',
+                     b'{"name": ["a"], "body": ["x"], "file": ["a"]}',
+                     b'{"name": ["a"], "body": ["x"], "file": 3}',
+                     b'{"name": ["a"], "body": ["x"], "project": 3}',
+                     b'{"name": [], "body": ["x"]}'):
             bad.write_bytes(good + line + b"\n")
             for argv in (["train", "--model", "copy", "--out", str(out)],
                          ["evaluate", "--ckpt", str(ckpt)]):
@@ -572,3 +578,46 @@ class TestSuggestCommand:
         # the snippet's "<" operator token must be escaped in the page
         assert "&lt;" in html_text
         assert "<b>" not in html_text
+
+
+# Twenty files, so that the file-level split gives validation a file too.
+SPLIT_FILES = [f"F{i}.java" for i in range(20)]
+TINY_FLAGS = ["--D", "4", "--k1", "2", "--k2", "2", "--w1", "2", "--w2", "2", "--w3", "2",
+              "--dropout-rate", "0.0", "--epochs", "1", "--min-count", "1",
+              "--eval-every", "1"]
+
+
+def split_records() -> bytes:
+    """One good record per file of ``SPLIT_FILES``."""
+    return b"".join(json.dumps({"name": [f"get{i % 3}"], "body": ["return", f"x{i % 4}", ";"],
+                                "file": f, "project": "p"}).encode() + b"\n"
+                    for i, f in enumerate(SPLIT_FILES))
+
+
+@pytest.fixture(scope="module")
+def split_checkpoint(tmp_path_factory):
+    """A directory holding a tiny copy checkpoint trained on ``split_records``."""
+    tmp = tmp_path_factory.mktemp("fuzzed-datasets")
+    data = tmp / "good.jsonl"
+    data.write_bytes(split_records())
+    assert main(["train", "--data", str(data), "--model", "copy",
+                 "--out", str(tmp / "good.ckpt"), *TINY_FLAGS]) == 0
+    return tmp
+
+
+class TestFuzzedDatasets:
+    """``train`` and ``evaluate`` on a good dataset with fuzzed lines added
+    either succeed or reject the data (exit 2); they never fail inside (exit 1)."""
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(dataset_lines(st.sampled_from(SPLIT_FILES)), min_size=1, max_size=3))
+    def test_train_and_evaluate_never_exit_1(self, split_checkpoint, capsys, lines):
+        data = split_checkpoint / "fuzzed.jsonl"
+        data.write_bytes(split_records() + b"\n".join(lines) + b"\n")
+        for argv in (["train", "--model", "copy", "--out", str(split_checkpoint / "new.ckpt"),
+                      *TINY_FLAGS],
+                     ["evaluate", "--ckpt", str(split_checkpoint / "good.ckpt")]):
+            capsys.readouterr()
+            code = main([*argv, "--data", str(data)])
+            assert code in (0, 2), capsys.readouterr().err

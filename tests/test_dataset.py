@@ -3,8 +3,9 @@
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from conftest import dataset_lines
 from codesum.corpus.dataset import (
     MethodExample,
     load_jsonl,
@@ -84,6 +85,12 @@ class TestJsonl:
         (b'{"name": "getx", "body": []}', "not a method record"),
         (b'{"name": ["a", 1], "body": []}', "not a method record"),
         (b'{"name": ["\xff"], "body": []}', "not a method record"),
+        (b'{"name": ["a"], "body": [], "file": ["a"]}', "not a method record"),
+        (b'{"name": ["a"], "body": [], "file": 3}', "not a method record"),
+        (b'{"name": ["a"], "body": [], "project": {"p": 1}}', "not a method record"),
+        (b'{"name": ["a"], "body": [], "project": null}', "not a method record"),
+        # build-corpus never writes one: split_identifier never returns [].
+        (b'{"name": [], "body": ["x"]}', "not a method record (name must be nonempty)"),
     ])
     def test_malformed_line_names_file_and_line(self, tmp_path, line, why):
         path = tmp_path / "data.jsonl"
@@ -99,6 +106,19 @@ class TestJsonl:
         with pytest.raises(MalformedDataset,
                            match=re.escape(f"{path}, line 1: not a method record")):
             load_jsonl(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lines=st.lists(dataset_lines(), min_size=1, max_size=4))
+    def test_any_lines_give_records_or_malformed(self, tmp_path_factory, lines):
+        path = tmp_path_factory.getbasetemp() / "fuzzed.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        try:
+            examples = load_jsonl(path)
+        except MalformedDataset:
+            return
+        for ex in examples:
+            assert ex.name and all(type(t) is str for t in ex.name + ex.body)
+            assert type(ex.file_path) is str and type(ex.project) is str
 
 
 class TestSplitDataset:

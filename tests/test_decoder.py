@@ -489,8 +489,8 @@ def product_table(params):
     a stacked row of products names the token it was made for."""
     view = decode_view(params)
     table = {b"".join(x.tobytes() for x in input_products(row, view.gru)): t
-             for t, row in enumerate(view.E.data)}
-    assert len(table) == len(view.E.data)  # no two tokens share products
+             for t, row in enumerate(view.E)}
+    assert len(table) == len(view.E)  # no two tokens share products
     return table
 
 
@@ -572,9 +572,9 @@ class TestSharedGruProducts:
             token_ids = [vocab.id(c.subtokens[-1]) for c in children]
             child_tokens.extend(token_ids)
             assert inputs.shape == (len(children), view.E.shape[1])
-            assert inputs.tobytes() == view.E.data[token_ids].tobytes()
+            assert inputs.tobytes() == view.E[token_ids].tobytes()
             for row, token_id in enumerate(token_ids):
-                want = input_products(view.E.data[token_id], view.gru)
+                want = input_products(view.E[token_id], view.gru)
                 assert [x[row].tobytes() for x in products] == [w.tobytes() for w in want]
         assert len(child_tokens) > len(set(child_tokens)) > 1
 

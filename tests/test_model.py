@@ -149,9 +149,11 @@ class TestArraySteps:
                 merged_distribution(want, sn, vocab).probs.tobytes()
 
     def test_array_stack_head_equals_the_tensor_head_bitwise(self, rng):
+        from codesum.decoder import decode_view
+
         p = make_params(60, d=7, rng=rng)
         nhats = rng.normal(size=(5, 7))
-        got = vocab_head(nhats, p)
+        got = vocab_head(nhats, decode_view(p))
         assert type(got) is np.ndarray
         assert got.tobytes() == vocab_head(Tensor(nhats), p).data.tobytes()
 

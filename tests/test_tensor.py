@@ -9,6 +9,7 @@ from codesum.tensorcore import (
     Tensor,
     add,
     conv1d_narrow,
+    gradient_check,
     gru_step,
     input_products,
     l2_normalize,
@@ -16,13 +17,15 @@ from codesum.tensorcore import (
     mul,
     prelu,
     reshape,
+    rows,
     sigmoid,
     softmax,
+    stack,
     state_products,
+    tanh,
+    tmax,
     tsum,
 )
-from codesum.tensorcore.tensor import (conv1d_narrow_array, l2_normalize_array, sigmoid_array,
-                                      softmax_array)
 
 
 def einsum_conv1d(x, k, g):
@@ -122,7 +125,8 @@ class TestConv1dNarrow:
         for got, want in ((out.data, want_out), (x.grad, want_x), (k.grad, want_k)):
             assert got.shape == want.shape and got.flags.c_contiguous
             assert got.tobytes() == want.tobytes()
-        assert conv1d_narrow_array(xd, kd).tobytes() == want_out.tobytes()
+        on_arrays = conv1d_narrow(xd, kd)
+        assert type(on_arrays) is np.ndarray and on_arrays.tobytes() == want_out.tobytes()
 
 
 class TestActivations:
@@ -164,14 +168,18 @@ class TestActivations:
                          np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
         assert sigmoid(Tensor(x)).data.tobytes() == three.tobytes()
 
-    def test_sigmoid_is_its_array_kernel(self, rng):
+    def test_sigmoid_on_an_array_is_the_tensor_op(self, rng):
         x = np.concatenate([[0.0, -0.0, 700.0, -700.0, 750.0, -750.0],
                             rng.normal(scale=30.0, size=100)])
-        assert sigmoid(Tensor(x)).data.tobytes() == sigmoid_array(x).tobytes()
+        got = sigmoid(x)
+        assert type(got) is np.ndarray
+        assert got.tobytes() == sigmoid(Tensor(x)).data.tobytes()
 
-    def test_softmax_is_its_array_kernel(self, rng):
+    def test_softmax_on_an_array_is_the_tensor_op(self, rng):
         for v in (rng.normal(size=9) * 10, rng.normal(size=(4, 9)) * 10):
-            assert softmax(Tensor(v)).data.tobytes() == softmax_array(v).tobytes()
+            got = softmax(v)
+            assert type(got) is np.ndarray
+            assert got.tobytes() == softmax(Tensor(v)).data.tobytes()
 
     def test_sigmoid_extremes(self):
         assert float(sigmoid(Tensor(50.0)).data) == pytest.approx(1.0)
@@ -188,9 +196,11 @@ class TestL2Normalize:
         out = l2_normalize(Tensor(np.zeros((3, 2)))).data
         np.testing.assert_allclose(out, 0.0)
 
-    def test_is_its_array_kernel(self, rng):
+    def test_on_an_array_is_the_tensor_op(self, rng):
         for m in (rng.normal(size=(5, 3)) * 5, np.zeros((2, 2))):
-            assert l2_normalize(Tensor(m)).data.tobytes() == l2_normalize_array(m).tobytes()
+            got = l2_normalize(m)
+            assert type(got) is np.ndarray
+            assert got.tobytes() == l2_normalize(Tensor(m)).data.tobytes()
 
     def test_unit_norm_output(self, rng):
         m = rng.normal(size=(3, 4)) * 5
@@ -325,6 +335,86 @@ class TestArrayOperands:
         assert out.data.tobytes() == (a @ m).tobytes()
         tsum(out).backward()
         np.testing.assert_array_equal(t.grad, np.outer(a, np.ones(2)))
+
+
+def decode_op_cases(rng):
+    """The ops a decode calls, each with array operands: name -> (op, operands)."""
+    x, v = rng.normal(size=(7, 3)), rng.normal(size=4)
+    return {
+        "rows": (lambda t: rows(t, [3, 0, 3]), (rng.normal(size=(6, 4)),)),
+        "rows_one_id": (lambda t: rows(t, 2), (rng.normal(size=(6, 4)),)),
+        "conv1d_narrow": (conv1d_narrow, (x, rng.normal(size=(3, 2, 4)))),
+        "l2_normalize": (l2_normalize, (rng.normal(size=(5, 3)) * 5,)),
+        "softmax": (softmax, (rng.normal(size=9) * 10,)),
+        "softmax_rows": (softmax, (rng.normal(size=(2, 9)) * 10,)),
+        "sigmoid": (sigmoid, (x * 30.0,)),
+        "tanh": (tanh, (x,)),
+        "tmax": (tmax, (x,)),
+        "reshape": (lambda a: reshape(a, (21,)), (x,)),
+        "stack": (lambda *vs: stack(vs), (v, rng.normal(size=4), -v)),
+        "matvec": (matvec, (rng.normal(size=(5, 3)), rng.normal(size=(4, 3)))),
+    }
+
+
+CASE_NAMES = sorted(decode_op_cases(np.random.default_rng(0)))
+
+
+def count_tensors(monkeypatch):
+    made = []
+    real = Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting)
+    return made
+
+
+class TestOpsOnPlainArrays:
+    """With no Tensor operand an op returns the array it computed, byte for
+    byte the Tensor op's data, and makes no Tensor; an array next to a
+    Tensor is a constant."""
+
+    @pytest.mark.parametrize("name", CASE_NAMES)
+    def test_array_result_is_the_tensor_ops_data(self, rng, monkeypatch, name):
+        op, operands = decode_op_cases(rng)[name]
+        made = count_tensors(monkeypatch)
+        got = op(*operands)
+        assert made == []
+        monkeypatch.undo()
+        want = op(*(Tensor(a) for a in operands))
+        assert type(got) is np.ndarray and type(want) is Tensor
+        assert got.dtype == want.data.dtype and got.shape == want.shape
+        assert got.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("name", ["conv1d_narrow", "stack", "matvec"])
+    @pytest.mark.parametrize("tensor_at", [0, 1])
+    def test_gradient_free_tensor_next_to_an_array(self, rng, name, tensor_at):
+        op, operands = decode_op_cases(rng)[name]
+        mixed = [Tensor(a) if i == tensor_at else a for i, a in enumerate(operands)]
+        got = op(*mixed)
+        assert type(got) is Tensor and not got.requires_grad and got._prev == ()
+        assert got.data.tobytes() == op(*operands).tobytes()
+
+    @pytest.mark.parametrize("name", ["conv1d_narrow", "stack", "matvec"])
+    @pytest.mark.parametrize("tensor_at", [0, 1])
+    def test_array_next_to_a_trained_tensor_is_a_constant(self, rng, name, tensor_at):
+        op, operands = decode_op_cases(rng)[name]
+        weights = rng.normal(size=op(*operands).shape)
+        leaf = Tensor(operands[tensor_at].copy(), requires_grad=True)
+        arrays = [a.copy() for a in operands]
+
+        def build(wrap):
+            return tsum(mul(op(*[leaf if i == tensor_at else wrap(a)
+                                 for i, a in enumerate(arrays)]), Tensor(weights)))
+
+        gradient_check(lambda: build(lambda a: a), {"leaf": leaf})
+        build(lambda a: a).backward()
+        with_arrays, leaf.grad = leaf.grad, None
+        build(Tensor).backward()  # the same operands as constant Tensors
+        assert with_arrays.tobytes() == leaf.grad.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays, operands))
 
 
 class TestAccumulate:
