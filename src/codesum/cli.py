@@ -219,7 +219,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (FileNotFoundError, IsADirectoryError, CodesumError) as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, CodesumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal failure

@@ -27,7 +27,6 @@ from .tensorcore import (
     Operand,
     Tensor,
     as_array,
-    constant,
     conv1d_narrow,
     gru_step,
     l2_normalize,
@@ -268,7 +267,7 @@ def step_loss_from_ids(step: StepOutput, target_id: int,
         prob = r_target
     else:
         mu = UNK_PENALTY if penalize_unk else 1.0
-        copy_mass = matmul(step.kappa, constant(copy_indicator))
+        copy_mass = matmul(step.kappa, copy_indicator)
         prob = step.lam * copy_mass + (1.0 - step.lam) * (mu * r_target)
     return -log(prob + LOSS_FLOOR)
 

@@ -4,16 +4,20 @@ Only the operations the summarization model actually needs are provided:
 elementwise arithmetic with numpy broadcasting, a few matrix products,
 narrow 1-D convolution, softmax/sigmoid/tanh/PReLU, whole-matrix L2
 normalization, row gathering for embedding lookups, stacking, and scalar
-reductions.  Each op records a backward closure; ``Tensor.backward``
-replays them in reverse topological order and accumulates gradients into
-the ``grad`` field of every tensor created with ``requires_grad=True``.
+reductions.
 
-The ops a decode calls (``rows``, ``conv1d_narrow``, ``l2_normalize``,
-``softmax``, ``sigmoid``, ``tanh``, ``tmax``, ``reshape``, ``stack`` and
-``matvec``) also take plain arrays.  When no operand is a Tensor they
-return the plain array they computed and make no Tensor, so the model's
-one forward definition serves training and decoding alike.  An array
-next to a Tensor is a constant: it gets no gradient.
+Every op is a forward pass plus one vector-Jacobian product (VJP) per
+operand.  It computes its result from its operands' arrays and hands
+``_make`` that result and, for each operand, the function that maps the
+result's gradient to the operand's.  Each op takes Tensors, plain arrays
+and, for the arithmetic, Python numbers.  When no operand is a Tensor,
+``_make`` returns the array itself and makes no Tensor, so the model's one
+forward definition serves training and decoding alike.  Otherwise it
+records a node over the operands that take a gradient; an array or a
+number next to a Tensor takes none.  ``Tensor.backward`` replays the
+nodes in reverse topological order and adds each VJP into its operand's
+``grad``, where ``Tensor._accumulate`` decides when a gradient is copied.
+A VJP that adds its gradient in place itself returns ``None``.
 
 The gradient contract is checked against central finite differences in
 the test suite; see ``gradcheck.gradient_check``.
@@ -50,7 +54,8 @@ class Tensor:
                  _prev: tuple[Tensor, ...] = (), _backward=None):
         self.data = _as_float_array(data)
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad or (bool(_prev) and any(p.requires_grad for p in _prev))
+        # ``_make`` puts only operands that take a gradient in ``_prev``.
+        self.requires_grad = requires_grad or bool(_prev)
         self._prev = _prev
         self._backward = _backward
 
@@ -69,14 +74,15 @@ class Tensor:
 
     # -- gradient propagation -----------------------------------------------
 
-    def _accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
-        """Add ``g`` to the gradient.  A first gradient is copied, unless
-        ``fresh`` says the op has just made ``g`` in this tensor's shape
-        and keeps no other reference to it: then an array of this tensor's
-        dtype is kept as it is.  A pass-through or a view must be copied,
-        or later sums into this gradient would write into another's."""
+    def _accumulate(self, g: np.ndarray, upstream: np.ndarray) -> None:
+        """Add ``g``, a VJP of the gradient ``upstream``, to the gradient.
+        A first ``g`` that owns its data and is not ``upstream`` passed
+        through was just made by the VJP, and is kept as an array of this
+        tensor's dtype; a pass-through or a view is copied, or later sums
+        into this gradient would write into another's."""
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=None if fresh else True)
+            made = g is not upstream and g.base is None
+            self.grad = np.array(g, dtype=self.data.dtype, copy=None if made else True)
         else:
             self.grad += g
 
@@ -105,7 +111,8 @@ class Tensor:
             for p in node._prev:
                 if id(p) not in seen and p.requires_grad:
                     stack.append((p, False))
-        self._accumulate(np.asarray(grad, dtype=self.data.dtype))
+        seed = np.asarray(grad, dtype=self.data.dtype)
+        self._accumulate(seed, seed)  # copied: the caller keeps the seed
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -113,7 +120,7 @@ class Tensor:
     # -- operator sugar -----------------------------------------------------
 
     def __add__(self, other):
-        return add(self, _wrap(other))
+        return add(self, other)
 
     __radd__ = __add__
 
@@ -121,38 +128,29 @@ class Tensor:
         return neg(self)
 
     def __sub__(self, other):
-        return add(self, neg(_wrap(other)))
+        return add(self, neg(other))
 
     def __rsub__(self, other):
-        return add(_wrap(other), neg(self))
+        return add(other, neg(self))
 
     def __mul__(self, other):
-        return mul(self, _wrap(other))
+        return mul(self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Tensor):
             raise TypeError("division only supported by python scalars")
-        return mul(self, _wrap(1.0 / float(other)))
+        return mul(self, 1.0 / float(other))
 
     def __matmul__(self, other):
-        return matmul(self, _wrap(other))
+        return matmul(self, other)
 
     def __rmatmul__(self, other):
-        return matmul(_wrap(other), self)
+        return matmul(other, self)
 
 
 Operand = Tensor | np.ndarray  # a Tensor, or a plain array such as a decode's
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def constant(x) -> Tensor:
-    """A tensor that never receives a gradient."""
-    return Tensor(x, requires_grad=False)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -170,85 +168,65 @@ def as_array(x: Operand) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else x
 
 
-def _live(x) -> bool:
-    """Whether ``x`` takes a gradient: a Tensor that requires one."""
-    return isinstance(x, Tensor) and x.requires_grad
-
-
-def _make(data, prev: tuple, backward) -> Operand:
-    """The op's result: ``data`` itself when no operand is a Tensor, else
-    a Tensor whose graph keeps the operands that take a gradient."""
-    if Tensor not in map(type, prev):
+def _make(data, *operand_vjps) -> Operand:
+    """The op's result from its operands, each followed by its VJP:
+    ``data`` itself when no operand is a Tensor, else a Tensor whose node
+    keeps the operands that take a gradient, with their VJPs."""
+    if Tensor not in map(type, operand_vjps):
         return data
-    live = tuple(p for p in prev if _live(p))
-    return Tensor(data, _prev=live, _backward=backward if live else None)
+    pairs = iter(operand_vjps)
+    live = [(x, vjp) for x, vjp in zip(pairs, pairs) if type(x) is Tensor and x.requires_grad]
+
+    def backward(g):
+        for x, vjp in live:
+            gx = vjp(g)
+            if gx is not None:
+                x._accumulate(gx, g)
+
+    return Tensor(data, _prev=tuple([x for x, _ in live]), _backward=backward if live else None)
+
+
+def _one_hot(like: np.ndarray, idx: int, g) -> np.ndarray:
+    """Zeros shaped as ``like`` with the scalar ``g`` at flat index ``idx``."""
+    out = np.zeros_like(like)
+    out.flat[idx] = float(g)
+    return out
 
 
 # -- elementwise arithmetic ------------------------------------------------
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data + b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
-
-    return _make(data, (a, b), backward)
+def add(a: Operand, b: Operand) -> Operand:
+    return _make(as_array(a) + as_array(b),
+                 a, lambda g: _unbroadcast(g, a.shape), b, lambda g: _unbroadcast(g, b.shape))
 
 
-def neg(a: Tensor) -> Tensor:
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(-g, fresh=True)
-
-    return _make(-a.data, (a,), backward)
+def neg(a: Operand) -> Operand:
+    return _make(-as_array(a), a, lambda g: -g)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape), fresh=True)
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape), fresh=True)
-
-    return _make(data, (a, b), backward)
+def mul(a: Operand, b: Operand) -> Operand:
+    ad, bd = as_array(a), as_array(b)
+    return _make(ad * bd, a, lambda g: _unbroadcast(g * bd, a.shape),
+                 b, lambda g: _unbroadcast(g * ad, b.shape))
 
 
 # -- matrix products ---------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Operand, b: Operand) -> Operand:
     """Matrix product for the 1-D/2-D combinations numpy's ``@`` allows."""
-    if a.ndim not in (1, 2) or b.ndim not in (1, 2):
-        raise DimensionMismatch(f"matmul needs 1-D or 2-D operands, got {a.shape} @ {b.shape}")
-    data = a.data @ b.data
-
-    def backward(g):
-        if a.ndim == 1 and b.ndim == 1:          # dot -> scalar
-            if a.requires_grad:
-                a._accumulate(g * b.data, fresh=True)
-            if b.requires_grad:
-                b._accumulate(g * a.data, fresh=True)
-        elif a.ndim == 1:                        # (m,) @ (m,n) -> (n,)
-            if a.requires_grad:
-                a._accumulate(b.data @ g, fresh=True)
-            if b.requires_grad:
-                b._accumulate(np.outer(a.data, g), fresh=True)
-        elif b.ndim == 1:                        # (m,k) @ (k,) -> (m,)
-            if a.requires_grad:
-                a._accumulate(np.outer(g, b.data), fresh=True)
-            if b.requires_grad:
-                b._accumulate(a.data.T @ g, fresh=True)
-        else:                                    # (m,k) @ (k,n) -> (m,n)
-            if a.requires_grad:
-                a._accumulate(g @ b.data.T, fresh=True)
-            if b.requires_grad:
-                b._accumulate(a.data.T @ g, fresh=True)
-
-    return _make(data, (a, b), backward)
+    ad, bd = as_array(a), as_array(b)
+    if np.ndim(ad) not in (1, 2) or np.ndim(bd) not in (1, 2):
+        raise DimensionMismatch(
+            f"matmul needs 1-D or 2-D operands, got {np.shape(ad)} @ {np.shape(bd)}")
+    if ad.ndim == 1 and bd.ndim == 1:    # dot -> scalar
+        vjp_a, vjp_b = (lambda g: g * bd), (lambda g: g * ad)
+    elif ad.ndim == 1:                   # (m,) @ (m,n) -> (n,)
+        vjp_a, vjp_b = (lambda g: bd @ g), (lambda g: np.outer(ad, g))
+    elif bd.ndim == 1:                   # (m,k) @ (k,) -> (m,)
+        vjp_a, vjp_b = (lambda g: np.outer(g, bd)), (lambda g: ad.T @ g)
+    else:                                # (m,k) @ (k,n) -> (m,n)
+        vjp_a, vjp_b = (lambda g: g @ bd.T), (lambda g: ad.T @ g)
+    return _make(ad @ bd, a, vjp_a, b, vjp_b)
 
 
 def matvec(m: Operand, xs: Operand) -> Operand:
@@ -256,92 +234,58 @@ def matvec(m: Operand, xs: Operand) -> Operand:
     Each row is the product ``matmul(m, x)`` makes, bit for bit; the
     backward pass is one matrix product per operand over all T rows."""
     md, xd = as_array(m), as_array(xs)
-    data = np.stack([md @ x for x in xd])
-
-    def backward(g):
-        if _live(m):
-            m._accumulate(g.T @ xd, fresh=True)
-        if _live(xs):
-            xs._accumulate(g @ md, fresh=True)
-
-    return _make(data, (m, xs), backward)
+    return _make(np.stack([md @ x for x in xd]), m, lambda g: g.T @ xd, xs, lambda g: g @ md)
 
 
 # -- reductions ---------------------------------------------------------------
 
-def tsum(a: Tensor) -> Tensor:
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(np.full_like(a.data, float(g)), fresh=True)
-
-    return _make(a.data.sum(), (a,), backward)
+def tsum(a: Operand) -> Operand:
+    ad = as_array(a)
+    return _make(np.asarray(ad.sum()), a, lambda g: np.full_like(ad, float(g)))
 
 
 def tmax(a: Operand) -> Operand:
     """Maximum over all entries; the gradient flows to the first argmax."""
     ad = as_array(a)
     idx = int(np.argmax(ad))
-
-    def backward(g):
-        if a.requires_grad:
-            ga = np.zeros_like(ad)
-            ga.flat[idx] = float(g)
-            a._accumulate(ga, fresh=True)
-
-    return _make(np.asarray(ad.flat[idx]), (a,), backward)
+    return _make(np.asarray(ad.flat[idx]), a, lambda g: _one_hot(ad, idx, g))
 
 
-def pick(a: Tensor, index: int) -> Tensor:
-    """One entry of a 1-D tensor as a scalar."""
+def pick(a: Operand, index: int) -> Operand:
+    """One entry of a vector as a scalar."""
     if a.ndim != 1:
         raise DimensionMismatch("pick expects a vector")
-    idx = int(index)
-
-    def backward(g):
-        if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            ga[idx] = float(g)
-            a._accumulate(ga, fresh=True)
-
-    return _make(a.data[idx], (a,), backward)
+    ad, idx = as_array(a), int(index)
+    return _make(np.asarray(ad[idx]), a, lambda g: _one_hot(ad, idx, g))
 
 
 # -- shape plumbing -----------------------------------------------------------
 
 def reshape(a: Operand, shape: Sequence[int]) -> Operand:
-    shape = tuple(shape)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(a.shape))
-
-    return _make(as_array(a).reshape(shape), (a,), backward)
+    return _make(as_array(a).reshape(shape), a, lambda g: g.reshape(a.shape))
 
 
 def rows(table: Operand, ids: int | Sequence[int] | np.ndarray) -> Operand:
     """Copies of rows of a matrix, or of one row by one id (embedding
-    lookup); backward scatter-adds in place."""
+    lookup).  Backward scatter-adds into the table's gradient in place:
+    a dense gradient would be table-sized on every gather."""
     idx = np.asarray(ids, dtype=np.intp)
     if table.ndim != 2:
         raise DimensionMismatch("rows expects a matrix table")
+    td = as_array(table)
 
-    def backward(g):
-        if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, idx, g)
+    def vjp(g):
+        if table.grad is None:
+            table.grad = np.zeros_like(td)
+        np.add.at(table.grad, idx, g)
 
-    return _make(np.take(as_array(table), idx, axis=0), (table,), backward)
+    return _make(np.take(td, idx, axis=0), table, vjp)
 
 
 def stack(vectors: Sequence[Operand]) -> Operand:
     """Vectors of one length as the rows of a matrix."""
-    def backward(g):
-        for row, v in zip(g, vectors):
-            if _live(v):
-                v._accumulate(row)
-
-    return _make(np.stack([as_array(v) for v in vectors]), tuple(vectors), backward)
+    return _make(np.stack([as_array(v) for v in vectors]),
+                 *(x for i, v in enumerate(vectors) for x in (v, lambda g, i=i: g[i])))
 
 
 # -- nonlinearities -----------------------------------------------------------
@@ -353,51 +297,29 @@ def sigmoid(a: Operand) -> Operand:
     e = np.exp(-np.abs(x))
     d = 1.0 + e
     out = np.where(x >= 0, 1.0 / d, e / d)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * out * (1.0 - out), fresh=True)
-
-    return _make(out, (a,), backward)
+    return _make(out, a, lambda g: g * out * (1.0 - out))
 
 
 def tanh(a: Operand) -> Operand:
     out = np.tanh(as_array(a))
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * (1.0 - out * out), fresh=True)
-
-    return _make(out, (a,), backward)
+    return _make(out, a, lambda g: g * (1.0 - out * out))
 
 
-def prelu(x: Tensor, leak: Tensor) -> Tensor:
+def prelu(x: Operand, leak: Operand) -> Operand:
     """max(x, 0) + leak * min(x, 0) with a trainable scalar leak."""
-    if leak.data.size != 1:
+    if np.size(as_array(leak)) != 1:
         raise DimensionMismatch("prelu leak must be a scalar")
-    xd = x.data
-    a = float(leak.data)
-    out = np.where(xd > 0, xd, a * xd)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * np.where(xd > 0, 1.0, a), fresh=True)
-        if leak.requires_grad:
-            leak._accumulate(np.sum(g * np.minimum(xd, 0.0)).reshape(leak.shape))
-
-    return _make(out, (x, leak), backward)
+    xd, a = as_array(x), float(as_array(leak))
+    return _make(np.where(xd > 0, xd, a * xd),
+                 x, lambda g: g * np.where(xd > 0, 1.0, a),
+                 leak, lambda g: np.sum(g * np.minimum(xd, 0.0)).reshape(leak.shape))
 
 
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0):
+def log(a: Operand) -> Operand:
+    ad = as_array(a)
+    if np.any(ad <= 0):
         raise ValueError("log of a non-positive value")
-    out = np.log(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g / a.data, fresh=True)
-
-    return _make(out, (a,), backward)
+    return _make(np.log(ad), a, lambda g: g / ad)
 
 
 def softmax(v: Operand) -> Operand:
@@ -408,28 +330,21 @@ def softmax(v: Operand) -> Operand:
     x = as_array(v)
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     out = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        if v.requires_grad:
-            v._accumulate(out * (g - np.vecdot(g, out)[..., None]), fresh=True)
-
-    return _make(out, (v,), backward)
+    return _make(out, v, lambda g: out * (g - np.vecdot(g, out)[..., None]))
 
 
 def l2_normalize(m: Operand) -> Operand:
     """Divide a matrix by its whole-matrix (Frobenius) norm plus a guard."""
     md = as_array(m)
     norm = float(np.sqrt(np.sum(md * md)))
-    out = md * (1.0 / (norm + L2_NORM_EPS))
 
-    def backward(g):
-        if m.requires_grad:
-            gm = g * (1.0 / (norm + L2_NORM_EPS))
-            if norm > 0.0:
-                gm = gm - (float(np.sum(g * md)) / (norm * (norm + L2_NORM_EPS) ** 2)) * md
-            m._accumulate(gm, fresh=True)
+    def vjp(g):
+        gm = g * (1.0 / (norm + L2_NORM_EPS))
+        if norm > 0.0:
+            gm = gm - (float(np.sum(g * md)) / (norm * (norm + L2_NORM_EPS) ** 2)) * md
+        return gm
 
-    return _make(out, (m,), backward)
+    return _make(md * (1.0 / (norm + L2_NORM_EPS)), m, vjp)
 
 
 # -- convolution ---------------------------------------------------------------
@@ -464,16 +379,16 @@ def conv1d_narrow(inp: Operand, kernel: Operand) -> Operand:
 
     positions = length - width + 1
     xd, kd = as_array(inp), as_array(kernel)
-    data = np.matmul(_windows(xd, width), kd.transpose(1, 0, 2)).sum(axis=0)
 
-    def backward(g):
-        if _live(inp):
-            gi = np.zeros_like(xd)
-            for j in range(width):  # a batched product would hold w shifted gi-sized rows
-                gi[j:j + positions] += g @ kd[:, j, :].T
-            inp._accumulate(gi, fresh=True)
-        if _live(kernel):
-            gk = np.matmul(_windows(xd, width).transpose(0, 2, 1), g)
-            kernel._accumulate(gk.transpose(1, 0, 2).copy(), fresh=True)
+    def vjp_inp(g):
+        gi = np.zeros_like(xd)
+        for j in range(width):  # a batched product would hold w shifted gi-sized rows
+            gi[j:j + positions] += g @ kd[:, j, :].T
+        return gi
 
-    return _make(data, (inp, kernel), backward)
+    def vjp_kernel(g):
+        gk = np.matmul(_windows(xd, width).transpose(0, 2, 1), g)
+        return gk.transpose(1, 0, 2).copy()
+
+    return _make(np.matmul(_windows(xd, width), kd.transpose(1, 0, 2)).sum(axis=0),
+                 inp, vjp_inp, kernel, vjp_kernel)

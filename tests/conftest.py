@@ -1,5 +1,5 @@
-"""Shared builders for model-level tests, checkpoint manifest edits and
-fuzzed dataset lines."""
+"""Shared builders for model-level tests, checkpoint manifest edits, a
+Tensor counter, fuzzed dataset lines and fuzzed Java text."""
 
 from __future__ import annotations
 
@@ -98,6 +98,37 @@ def dataset_lines(files=st.nothing()):
                                    optional={"file": label, "project": label})
     return (st.binary(max_size=24).map(lambda b: b.replace(b"\n", b" "))
             | (JSON_VALUES | record).map(lambda v: json.dumps(v).encode()))
+
+
+def count_tensors(monkeypatch) -> list[Tensor]:
+    """From now on, every Tensor made, in order."""
+    made = []
+    real = Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting)
+    return made
+
+
+# Pieces of Java source: declarations, headers, braces, literals, comments
+# and lexically odd fragments, so that joined they reach the extractor's
+# type, method, override and brace paths as well as the lexer's.
+JAVA_PIECES = st.sampled_from([
+    "class A ", "interface I ", "enum E ", "record R(int a) ", "extends A ",
+    "implements I ", "void f() ", "int get_x(int a, String b) ", "<T> T g() ",
+    "A() ", "abstract ", "public ", "static ", "@Override ", "@Deprecated ", "X.class ",
+    "new A() ", "if (a) ", "return a; ", "int x = 1; ", "throws E ", "default ",
+    "{ ", "} ", "( ", ") ", "; ", ", ", "< ", "> ", "= ", ". ", "@", '"s{"', "'}'",
+    "// }\n", "/* { */", "/*", '"', "\\", "\n", "\t", "0x1F", "1e", "\u00e9", "\ufffd",
+])
+
+
+def java_text():
+    """Text made of Java pieces and arbitrary characters."""
+    return st.lists(JAVA_PIECES | st.text(max_size=3), max_size=40).map("".join)
 
 
 @pytest.fixture

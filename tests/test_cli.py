@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import BAD_MANIFESTS, dataset_lines, read_parts, write_parts
+from conftest import BAD_MANIFESTS, dataset_lines, java_text, read_parts, write_parts
 import codesum
 from codesum import checkpoint, cli
 from codesum.cli import main
@@ -621,3 +621,63 @@ class TestFuzzedDatasets:
             capsys.readouterr()
             code = main([*argv, "--data", str(data)])
             assert code in (0, 2), capsys.readouterr().err
+
+
+class TestFuzzedJava:
+    """``build-corpus`` over fuzzed Java files and ``suggest`` over a fuzzed
+    snippet either succeed or reject the input (exit 2); they never fail
+    inside (exit 1), and a corpus that was built loads as a dataset."""
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(texts=st.lists(java_text(), min_size=1, max_size=3))
+    def test_build_corpus_never_exits_1(self, tmp_path_factory, capsys, texts):
+        tmp = tmp_path_factory.mktemp("fuzzed-java")
+        src = tmp / "src"
+        src.mkdir()
+        for i, text in enumerate(texts):
+            (src / f"F{i}.java").write_text(text, encoding="utf-8", errors="surrogatepass")
+        capsys.readouterr()
+        code = main(["build-corpus", "--src", str(src), "--out", str(tmp / "d.jsonl")])
+        assert code in (0, 2), capsys.readouterr().err
+        if code == 0:
+            load_jsonl(tmp / "d.jsonl")
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=java_text())
+    def test_suggest_never_exits_1(self, split_checkpoint, capsys, text):
+        snippet = split_checkpoint / "fuzzed.java"
+        snippet.write_text(text, encoding="utf-8", errors="surrogatepass")
+        capsys.readouterr()
+        code = main(["suggest", "--ckpt", str(split_checkpoint / "good.ckpt"),
+                     "--snippet", str(snippet)])
+        assert code in (0, 2), capsys.readouterr().err
+
+
+class TestPathThroughAFile:
+    """A path whose parent is a regular file is bad input (exit 2), as a
+    missing file is, for every path option of every command."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("evaluate", "--ckpt"), ("evaluate", "--data"), ("evaluate", "--out"),
+        ("evaluate", "--per-example"), ("suggest", "--ckpt"), ("suggest", "--snippet"),
+        ("suggest", "--viz"), ("train", "--data"), ("train", "--log"), ("train", "--out"),
+    ])
+    def test_exits_2(self, split_checkpoint, tmp_path, capsys, command, flag):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("not a directory\n")
+        snippet = tmp_path / "snippet.java"
+        snippet.write_text("{ return x0 ; }")
+        ckpt, data = str(split_checkpoint / "good.ckpt"), str(split_checkpoint / "good.jsonl")
+        options = {"evaluate": {"--ckpt": ckpt, "--data": data},
+                   "suggest": {"--ckpt": ckpt, "--snippet": str(snippet)},
+                   "train": {"--data": data, "--out": str(tmp_path / "new.ckpt")}}[command]
+        options[flag] = str(plain / "x")
+        argv = [command, *(x for option in options.items() for x in option)]
+        if command == "train":
+            argv += ["--model", "copy", *TINY_FLAGS]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Not a directory" in err, err

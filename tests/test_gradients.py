@@ -6,7 +6,6 @@ import pytest
 from codesum.tensorcore import (
     GruParams,
     Tensor,
-    constant,
     conv1d_narrow,
     gradient_check,
     gru_step,
@@ -53,7 +52,7 @@ def test_gradcheck_catches_wrong_gradients(rng):
 
     def unstable():
         state["flip"] = -state["flip"]
-        return tsum(mul(x, constant(np.full(4, state["flip"]))))
+        return tsum(mul(x, np.full(4, state["flip"])))
 
     with pytest.raises(GradientMismatch):
         gradient_check(unstable, {"x": x})
@@ -90,7 +89,7 @@ class TestElementwiseGrads:
         a = Tensor(0.3, requires_grad=True)
 
         def build():
-            return tsum(mul(prelu(x, a), constant(rng2)))
+            return tsum(mul(prelu(x, a), rng2))
 
         rng2 = np.random.default_rng(9).normal(size=8)
         gradient_check(build, {"x": x, "a": a})
@@ -117,7 +116,7 @@ class TestLinalgGrads:
         ids = np.array([0, 2, 2, 4])
 
         def build():
-            return tsum(mul(rows(table, ids), constant(w)))
+            return tsum(mul(rows(table, ids), w))
 
         w = np.random.default_rng(3).normal(size=(4, 3))
         gradient_check(build, {"table": table})
@@ -137,7 +136,7 @@ class TestStructuredGrads:
         k = leaf(rng, 2, 2, 3)
 
         def build():
-            return tsum(mul(conv1d_narrow(x, k), constant(w)))
+            return tsum(mul(conv1d_narrow(x, k), w))
 
         w = np.random.default_rng(4).normal(size=(3, 3))
         gradient_check(build, {"x": x, "k": k})
@@ -146,7 +145,7 @@ class TestStructuredGrads:
         v = leaf(rng, 5)
 
         def build():
-            return tsum(mul(softmax(v), constant(w)))
+            return tsum(mul(softmax(v), w))
 
         w = np.random.default_rng(5).normal(size=5)
         gradient_check(build, {"v": v})
@@ -155,7 +154,7 @@ class TestStructuredGrads:
         m = leaf(rng, 3, 4)
 
         def build():
-            return tsum(mul(softmax(m), constant(w)))
+            return tsum(mul(softmax(m), w))
 
         w = np.random.default_rng(8).normal(size=(3, 4))
         gradient_check(build, {"m": m})
@@ -165,7 +164,7 @@ class TestStructuredGrads:
 
         def build():
             # ``a`` twice: both of its rows reach its gradient.
-            return tsum(mul(stack([a, b, a]), constant(w)))
+            return tsum(mul(stack([a, b, a]), w))
 
         w = np.random.default_rng(9).normal(size=(3, 3))
         gradient_check(build, {"a": a, "b": b})
@@ -174,7 +173,7 @@ class TestStructuredGrads:
         m, xs = leaf(rng, 5, 3), leaf(rng, 2, 3)
 
         def build():
-            return tsum(mul(matvec(m, xs), constant(w)))
+            return tsum(mul(matvec(m, xs), w))
 
         w = np.random.default_rng(10).normal(size=(2, 5))
         gradient_check(build, {"m": m, "xs": xs})
@@ -183,7 +182,7 @@ class TestStructuredGrads:
         m = leaf(rng, 3, 3)
 
         def build():
-            return tsum(mul(l2_normalize(m), constant(w)))
+            return tsum(mul(l2_normalize(m), w))
 
         w = np.random.default_rng(6).normal(size=(3, 3))
         gradient_check(build, {"m": m})
@@ -198,7 +197,7 @@ class TestStructuredGrads:
         h = leaf(rng, k)
 
         def build():
-            return tsum(mul(gru_step(x, h, p), constant(w)))
+            return tsum(mul(gru_step(x, h, p), w))
 
         w = np.random.default_rng(7).normal(size=k)
         tensors = {"x": x, "h": h}
@@ -218,7 +217,7 @@ class TestStructuredGrads:
         def build():
             h1 = gru_step(x1, h0, p)
             h2 = gru_step(x2, h1, p)
-            return tsum(mul(h2, constant(np.array([1.0, -2.0]))))
+            return tsum(mul(h2, np.array([1.0, -2.0])))
 
         tensors = {"x1": x1, "x2": x2, "h0": h0}
         tensors.update(vars(p))

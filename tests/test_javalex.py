@@ -1,8 +1,10 @@
 """Method extraction from tolerantly-lexed Java sources."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from conftest import java_text
+from codesum.corpus import RawMethod, tokenize_method, tokenize_snippet
 from codesum.corpus.javalex import _TOKEN, extract_methods, lex
 from codesum.errors import UnbalancedBraces
 
@@ -188,6 +190,22 @@ class TestExtraction:
             extract_methods("class A { void f() { ", "A.java", "p")
         with pytest.raises(UnbalancedBraces):
             extract_methods("class A { } }", "A.java", "p")
+
+    @settings(max_examples=200, deadline=None)
+    @given(java_text())
+    def test_any_text_gives_methods_or_unbalanced_braces(self, text):
+        # What build-corpus and suggest --snippet do with a file's text.
+        try:
+            methods = extract_methods(text, "T.java", "proj")
+        except UnbalancedBraces:
+            methods = []
+        for m in methods:
+            assert type(m) is RawMethod and type(m.name) is str and m.name
+            assert all(type(t) is str for t in m.body_tokens)
+            example = tokenize_method(m)
+            assert example.name and all(type(t) is str for t in example.name + example.body)
+        tokens = tokenize_snippet(text)
+        assert type(tokens) is list and all(type(t) is str and t for t in tokens)
 
     def test_stats_counted(self):
         from collections import Counter

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import count_tensors
 from codesum.errors import DimensionMismatch, KernelTooLong
 from codesum.tensorcore import (
     GruParams,
@@ -13,8 +14,12 @@ from codesum.tensorcore import (
     gru_step,
     input_products,
     l2_normalize,
+    log,
+    matmul,
     matvec,
     mul,
+    neg,
+    pick,
     prelu,
     reshape,
     rows,
@@ -337,10 +342,21 @@ class TestArrayOperands:
         np.testing.assert_array_equal(t.grad, np.outer(a, np.ones(2)))
 
 
-def decode_op_cases(rng):
-    """The ops a decode calls, each with array operands: name -> (op, operands)."""
+def op_cases(rng):
+    """Every op, each with array operands: name -> (op, operands)."""
     x, v = rng.normal(size=(7, 3)), rng.normal(size=4)
     return {
+        "add": (add, (x, rng.normal(size=3))),
+        "add_number": (lambda a: add(1.0, neg(a)), (x,)),
+        "neg": (neg, (x,)),
+        "mul": (mul, (x, rng.normal(size=(7, 1)))),
+        "mul_number": (lambda a: mul(a, 0.5), (x,)),
+        "matmul": (matmul, (rng.normal(size=(5, 3)), rng.normal(size=(3, 4)))),
+        "matmul_vector": (matmul, (v, rng.normal(size=(4, 3)))),
+        "tsum": (tsum, (x,)),
+        "pick": (lambda a: pick(a, 2), (v,)),
+        "prelu": (prelu, (x, np.array(0.3))),
+        "log": (log, (np.abs(x) + 0.1,)),
         "rows": (lambda t: rows(t, [3, 0, 3]), (rng.normal(size=(6, 4)),)),
         "rows_one_id": (lambda t: rows(t, 2), (rng.normal(size=(6, 4)),)),
         "conv1d_narrow": (conv1d_narrow, (x, rng.normal(size=(3, 2, 4)))),
@@ -356,19 +372,10 @@ def decode_op_cases(rng):
     }
 
 
-CASE_NAMES = sorted(decode_op_cases(np.random.default_rng(0)))
+CASE_NAMES = sorted(op_cases(np.random.default_rng(0)))
 
 
-def count_tensors(monkeypatch):
-    made = []
-    real = Tensor.__init__
-
-    def counting(self, *args, **kwargs):
-        made.append(self)
-        real(self, *args, **kwargs)
-
-    monkeypatch.setattr(Tensor, "__init__", counting)
-    return made
+TWO_OPERANDS = ["conv1d_narrow", "stack", "matvec", "add", "mul", "matmul", "prelu"]
 
 
 class TestOpsOnPlainArrays:
@@ -378,7 +385,7 @@ class TestOpsOnPlainArrays:
 
     @pytest.mark.parametrize("name", CASE_NAMES)
     def test_array_result_is_the_tensor_ops_data(self, rng, monkeypatch, name):
-        op, operands = decode_op_cases(rng)[name]
+        op, operands = op_cases(rng)[name]
         made = count_tensors(monkeypatch)
         got = op(*operands)
         assert made == []
@@ -388,26 +395,26 @@ class TestOpsOnPlainArrays:
         assert got.dtype == want.data.dtype and got.shape == want.shape
         assert got.tobytes() == want.data.tobytes()
 
-    @pytest.mark.parametrize("name", ["conv1d_narrow", "stack", "matvec"])
+    @pytest.mark.parametrize("name", TWO_OPERANDS)
     @pytest.mark.parametrize("tensor_at", [0, 1])
     def test_gradient_free_tensor_next_to_an_array(self, rng, name, tensor_at):
-        op, operands = decode_op_cases(rng)[name]
+        op, operands = op_cases(rng)[name]
         mixed = [Tensor(a) if i == tensor_at else a for i, a in enumerate(operands)]
         got = op(*mixed)
         assert type(got) is Tensor and not got.requires_grad and got._prev == ()
         assert got.data.tobytes() == op(*operands).tobytes()
 
-    @pytest.mark.parametrize("name", ["conv1d_narrow", "stack", "matvec"])
+    @pytest.mark.parametrize("name", TWO_OPERANDS)
     @pytest.mark.parametrize("tensor_at", [0, 1])
     def test_array_next_to_a_trained_tensor_is_a_constant(self, rng, name, tensor_at):
-        op, operands = decode_op_cases(rng)[name]
+        op, operands = op_cases(rng)[name]
         weights = rng.normal(size=op(*operands).shape)
         leaf = Tensor(operands[tensor_at].copy(), requires_grad=True)
         arrays = [a.copy() for a in operands]
 
         def build(wrap):
             return tsum(mul(op(*[leaf if i == tensor_at else wrap(a)
-                                 for i, a in enumerate(arrays)]), Tensor(weights)))
+                                 for i, a in enumerate(arrays)]), weights))
 
         gradient_check(lambda: build(lambda a: a), {"leaf": leaf})
         build(lambda a: a).backward()
@@ -418,16 +425,17 @@ class TestOpsOnPlainArrays:
 
 
 class TestAccumulate:
-    """A leaf's first gradient is the array its op just made, not a copy;
-    a pass-through or a view is copied, so later sums stay its own."""
+    """A leaf's first gradient is the array its VJP just made, not a copy;
+    the upstream gradient passed through, a view or a seed is copied, so
+    later sums stay its own."""
 
     def recorded(self, monkeypatch):
         made = []
         real = Tensor._accumulate
 
-        def recording(self, g, fresh=False):
+        def recording(self, g, upstream):
             made.append((self, g))
-            real(self, g, fresh)
+            real(self, g, upstream)
 
         monkeypatch.setattr(Tensor, "_accumulate", recording)
         return made
@@ -460,6 +468,24 @@ class TestAccumulate:
         np.testing.assert_array_equal(a.grad, w1 + w2)
         np.testing.assert_array_equal(b.grad, w1)
         np.testing.assert_array_equal(c.grad, w1.reshape(6) + w3)
+
+    def test_a_callers_seed_is_never_aliased(self, rng, monkeypatch):
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        seed = rng.integers(-9, 10, size=(2, 3)).astype(np.float64)  # exact sums
+        before = seed.copy()
+        made = self.recorded(monkeypatch)
+        # add passes the seed through to x twice; the second is a sum into
+        # x's gradient, and a second backward sums into the root's.
+        y = add(x, x)
+        y.backward(seed)
+        y.backward(seed)
+        x.backward(seed)
+        x.backward(seed)
+        assert seed.tobytes() == before.tobytes()
+        assert all(g is seed for t, g in made if t is y)
+        assert y.grad is not seed and x.grad is not seed
+        np.testing.assert_array_equal(y.grad, 2 * before)
+        np.testing.assert_array_equal(x.grad, 8 * before)
 
     def test_scalar_gradient_is_an_array(self):
         lam = Tensor(0.5, requires_grad=True)

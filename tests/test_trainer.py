@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_params
+from conftest import count_tensors, make_params
 from codesum.checkpoint import load, save
 from codesum.corpus.dataset import MethodExample
 from codesum.corpus.vocabulary import NAME_END, build_vocabulary
@@ -358,6 +358,19 @@ class TestDropoutMask:
         scale = 1.0 / 0.7
         vals = set(np.unique(np.round(params.E.grad, 10)))
         assert vals <= {0.0, round(scale, 10)}
+
+    @pytest.mark.parametrize("model_kind, n_params", [("copy_attention", 18),
+                                                      ("conv_attention", 16)])
+    def test_one_tensor_per_parameter(self, monkeypatch, model_kind, n_params):
+        # A mask is an array next to its parameter: the product is the
+        # only Tensor made, and the mask is not wrapped in one.
+        cfg = tiny_cfg(model_kind=model_kind)
+        vocab = build_vocabulary([ex(["get", "x"], ["{", "x", "}"])], min_count=1)
+        params = init_params(cfg, vocab, target_counts([]), np.random.default_rng(3))
+        made = count_tensors(monkeypatch)
+        view = masked_view(params, 0.5, np.random.default_rng(4))
+        assert len(list(params.named_tensors())) == n_params
+        assert made == [t for _, t in view.named_tensors()]
 
 
 class TestTraining:
