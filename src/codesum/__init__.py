@@ -1,76 +1,3 @@
 """Extreme summarization of source code into method-name-like summaries."""
 
-from .corpus import (
-    MethodExample,
-    RawMethod,
-    Vocabulary,
-    build_vocabulary,
-    extract_methods,
-    split_dataset,
-    split_examples,
-    split_identifier,
-    tokenize_method,
-)
-from .decoder import SearchLimits, Suggestion, suggest
-from .evaluation import (
-    EvalReport,
-    TfIdfIndex,
-    evaluate_model,
-    evaluate_tfidf,
-    exact_match,
-    oov_accuracy,
-    score_at_rank,
-    shuffle_ablation,
-    subtoken_prf,
-)
-from .model import (
-    EncodedSnippet,
-    ModelParams,
-    StepOutput,
-    conv_attention_step,
-    copy_attention_step,
-    encode_snippet,
-    merged_distribution,
-    step_loss,
-)
-from .trainer import TrainConfig, TrainResult, init_params, preset, sgd_update, train
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "EncodedSnippet",
-    "EvalReport",
-    "MethodExample",
-    "ModelParams",
-    "RawMethod",
-    "SearchLimits",
-    "StepOutput",
-    "Suggestion",
-    "TfIdfIndex",
-    "TrainConfig",
-    "TrainResult",
-    "Vocabulary",
-    "build_vocabulary",
-    "conv_attention_step",
-    "copy_attention_step",
-    "encode_snippet",
-    "evaluate_model",
-    "evaluate_tfidf",
-    "exact_match",
-    "extract_methods",
-    "init_params",
-    "merged_distribution",
-    "oov_accuracy",
-    "preset",
-    "score_at_rank",
-    "sgd_update",
-    "shuffle_ablation",
-    "split_dataset",
-    "split_examples",
-    "split_identifier",
-    "step_loss",
-    "subtoken_prf",
-    "suggest",
-    "tokenize_method",
-    "train",
-]

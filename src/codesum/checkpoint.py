@@ -89,7 +89,10 @@ def save(params: ModelParams, vocab: Vocabulary, cfg: TrainConfig,
     }).encode("utf-8")
 
     path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name)
+    try:
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name)
+    except OSError as exc:  # named after the target, not the temporary file
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(MAGIC)

@@ -6,8 +6,10 @@ Exit codes: 0 success, 1 internal error, 2 bad usage or bad input.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -59,6 +61,18 @@ def _cmd_build_corpus(args) -> int:
     return 0
 
 
+def _check_outputs(*paths: str | None) -> None:
+    """Fail before any work if an output could not be written there: its
+    parent must be a directory and the path itself must not be one."""
+    for path in filter(None, paths):
+        target = Path(path)
+        if target.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not target.parent.is_dir():
+            code = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
+            raise OSError(code, os.strerror(code), path)  # the errno's own subclass
+
+
 _MODEL_FLAG = {"conv": "conv_attention", "copy": "copy_attention"}
 
 # TrainConfig fields that `train` exposes as `--<field-name>` flags; an
@@ -68,6 +82,7 @@ _TRAIN_FLAGS = ("D", "k1", "k2", "w1", "w2", "w3", "dropout_rate", "learning_rat
 
 
 def _cmd_train(args) -> int:
+    _check_outputs(args.out)
     overrides = {key: getattr(args, key) for key in _TRAIN_FLAGS
                  if getattr(args, key) is not None}
     cfg = preset(_MODEL_FLAG[args.model], **overrides)
@@ -96,6 +111,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    _check_outputs(args.out, args.per_example)
     params, vocab, cfg = checkpoint.load(args.ckpt)
     examples = load_jsonl(args.data)
     splits = split_examples(examples, cfg.seed)
@@ -133,6 +149,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_suggest(args) -> int:
+    _check_outputs(args.viz)
     params, vocab, cfg = checkpoint.load(args.ckpt)
     if args.snippet == "-":
         sys.stdin.reconfigure(encoding="utf-8", errors="replace")

@@ -12,12 +12,12 @@ run once per snippet, so a decode builds no autograd graph; the rest,
 ``E`` included, are plain numpy arrays, and the model's ops return plain
 arrays for them, so steps, heads and child states make no Tensor.
 Successors are ranked with numpy.  A parent's open children advance in
-one GRU update over stacked rows: the parent's state-side products are shared by every row, and the
-input-side products are one batched product over the children's
-embedding rows, each row bit-identical to a child's own.  An open child
-is a light record; its prefix and attention record are built only when
-it is popped.  The candidates of every merged distribution come from
-one ``copy_table`` per snippet of the copy model.
+one ``next_state`` call on their token ids, which steps the GRU over the
+stacked embedding rows, each row's state bit-identical to a child's own.
+A prefix is one node holding its last token and a link to its parent;
+its subtokens, and a completion's attention records, are read off that
+chain only when asked for.  The candidates of every merged distribution
+come from one ``copy_table`` per snippet of the copy model.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .model import (
     next_state,
     step_fn,
 )
-from .tensorcore import Tensor, as_array, input_products, state_products
+from .tensorcore import Tensor, as_array
 
 
 @dataclass
@@ -71,35 +71,30 @@ class StepRecord:
     lam: float | None
 
 
-@dataclass(frozen=True)
-class PartialSuggestion:
-    """A name prefix on the heap."""
-
-    subtokens: tuple[str, ...]
-    log_prob: float
-    state: np.ndarray
-    steps: tuple[StepRecord, ...] = ()
-
-
 @dataclass(slots=True, eq=False)
-class OpenChild:
-    """A child an expansion leaves open: its parent, last token, state and
-    the attention snapshot (alpha, kappa, lam) it shares with its siblings.
-    Its prefix and steps are built by ``popped``."""
+class PartialSuggestion:
+    """A name prefix on the heap: the root, which has no parent, or its
+    parent's prefix plus ``token``, with the attention ``snapshot``
+    (alpha, kappa, lam) of the step that chose it, shared with its
+    siblings.  A completion's node is the end marker's and has no state."""
 
     log_prob: float
-    parent: PartialSuggestion
-    token: str
-    state: np.ndarray
-    snapshot: tuple
+    state: np.ndarray | None
+    parent: PartialSuggestion | None = None
+    token: str | None = None
+    snapshot: tuple | None = None
+
+    def chain(self) -> list[PartialSuggestion]:
+        """The nodes from the root's child to this one."""
+        nodes, node = [], self
+        while node.parent is not None:
+            nodes.append(node)
+            node = node.parent
+        return nodes[::-1]
 
     @property
     def subtokens(self) -> tuple[str, ...]:
-        return (*self.parent.subtokens, self.token)
-
-    def popped(self) -> PartialSuggestion:
-        return PartialSuggestion(self.subtokens, self.log_prob, self.state,
-                                 (*self.parent.steps, StepRecord(self.token, *self.snapshot)))
+        return tuple(node.token for node in self.chain())
 
 
 @dataclass
@@ -108,11 +103,16 @@ class Suggestion:
 
     name: list[str]
     log_prob: float
-    steps: list[StepRecord]
+    end: PartialSuggestion  # the end marker's node
 
     @property
     def probability(self) -> float:
         return math.exp(self.log_prob)
+
+    @property
+    def steps(self) -> list[StepRecord]:
+        """One attention record per subtoken and the end marker, built when read."""
+        return [StepRecord(node.token, *node.snapshot) for node in self.end.chain()]
 
 
 def decode_view(params: ModelParams) -> ModelParams:
@@ -124,7 +124,7 @@ def decode_view(params: ModelParams) -> ModelParams:
     # because benchmarks/test_bench_smoke.py asserts that a decode makes
     # Tensors.
     return ModelParams.from_named({
-        name: Tensor(t.data) if name in ("K_l1", "K_l2", "prelu_a1") else t.data
+        name: Tensor(as_array(t)) if name in ("K_l1", "K_l2", "prelu_a1") else as_array(t)
         for name, t in params.named_tensors()})
 
 
@@ -132,17 +132,15 @@ def expand(partial: PartialSuggestion, out: StepOutput,
            snippet: EncodedSnippet, params: ModelParams, vocab: Vocabulary,
            limits: SearchLimits, bar: float | None = None,
            table: CopyTable | None = None,
-           ) -> tuple[list[OpenChild], list[Suggestion]]:
+           ) -> tuple[list[PartialSuggestion], list[Suggestion]]:
     """Children of a partial, split into open prefixes and completions.
 
     Successors are the at most ``limits.successors`` most probable entries
     of the merged distribution, ties broken by token string, ranked by a
     partition and one stable argsort.  An open child whose log-probability
     is below ``bar``, the search's k-th best completion, is dropped; the
-    others advance in test mode, all in one ``next_state`` call over
-    stacked rows, made even when no row is left, whose input-side
-    products are one batched product over the children's embedding rows.
-    Open children are ``OpenChild`` records.  ``params`` is a
+    others advance in test mode, all in one ``next_state`` call on their
+    token ids, made even when no id is left.  ``params`` is a
     ``decode_view``; ``table`` is the snippet's ``copy_table``.
     """
     merged = merged_distribution(out, snippet, vocab, table)
@@ -158,11 +156,9 @@ def expand(partial: PartialSuggestion, out: StepOutput,
         if np.any(probs[order[1:]] == probs[order[:-1]]):  # argsort left exact ties by id
             ranked = sorted(order.tolist(), key=lambda i: (-probs[i], merged.tokens[i]))[:n]
 
-    # Siblings share one snapshot of the step's attention, and the
-    # parent's state-side GRU products.
+    # Siblings share one snapshot of the step's attention.
     snapshot = (as_array(out.alpha), None if out.kappa is None else as_array(out.kappa),
                 None if out.lam is None else float(as_array(out.lam)))
-    hs = state_products(partial.state, params.gru)
     opened: list[tuple[int, str, float]] = []
     completed: list[Suggestion] = []
     for i, prob in zip(ranked, probs[ranked].tolist()):
@@ -170,19 +166,16 @@ def expand(partial: PartialSuggestion, out: StepOutput,
             continue
         token, log_prob = merged.tokens[i], partial.log_prob + math.log(max(prob, 1e-300))
         if token == NAME_END:
-            if partial.subtokens:  # empty names are meaningless output
-                completed.append(Suggestion(
-                    name=list(partial.subtokens), log_prob=log_prob,
-                    steps=[*partial.steps, StepRecord(token, *snapshot)]))
+            if partial.parent is not None:  # empty names are meaningless output
+                end = PartialSuggestion(log_prob, None, partial, token, snapshot)
+                completed.append(Suggestion(list(partial.subtokens), log_prob, end))
         elif bar is None or log_prob >= bar:
             opened.append((i, token, log_prob))
     # Candidates past the vocabulary are the snippet's OOV subtokens.
     ids = np.array([i for i, *_ in opened], dtype=np.intp)
     ids[ids >= len(vocab)] = vocab.unk_id
-    # Row j of each input-side product, and of the states, is child j's.
-    xs = input_products(np.take(params.E, ids, axis=0), params.gru)
-    states = next_state(params, partial.state, xs=xs, hs=hs)
-    return [OpenChild(log_prob, partial, token, state, snapshot)
+    states = next_state(params, partial.state, token_id=ids)
+    return [PartialSuggestion(log_prob, state, partial, token, snapshot)
             for (_, token, log_prob), state in zip(opened, states)], completed
 
 
@@ -206,10 +199,8 @@ def suggest(snippet: EncodedSnippet, params: ModelParams, vocab: Vocabulary,
     step = step_fn(model_kind)
     encoded = tuple(as_array(t) for t in encode(snippet, params))
     table = copy_table(snippet, vocab) if model_kind == "copy_attention" else None
-    root = PartialSuggestion(subtokens=(), log_prob=0.0, state=params.h_init)
-
     counter = itertools.count()  # heap tie-breaker: earlier pushes first
-    heap: list[tuple[float, int, PartialSuggestion | OpenChild]] = [(0.0, next(counter), root)]
+    heap = [(0.0, next(counter), PartialSuggestion(0.0, params.h_init))]
     # Each prefix is expanded at most once, so each name completes at most
     # once.  ``top`` is a min-heap of the k best completed log-probs.
     completed: list[Suggestion] = []
@@ -221,11 +212,10 @@ def suggest(snippet: EncodedSnippet, params: ModelParams, vocab: Vocabulary,
     for _ in range(limits.max_steps):
         if not heap:
             break
-        _, _, node = heapq.heappop(heap)
+        _, _, partial = heapq.heappop(heap)
         bar = kth_best()
-        if bar is not None and node.log_prob < bar:
+        if bar is not None and partial.log_prob < bar:
             continue
-        partial = node if node is root else node.popped()
         out = step(snippet, partial.state, params, encoded)
         children, done = expand(partial, out, snippet, params, vocab, limits, bar, table)
         completed.extend(done)

@@ -23,7 +23,6 @@ from .corpus.vocabulary import BODY_END, BODY_START, Vocabulary
 from .errors import DimensionMismatch, VariantDisabled
 from .tensorcore import (
     GruParams,
-    GruProducts,
     Operand,
     Tensor,
     as_array,
@@ -358,32 +357,11 @@ def merged_distribution(step: StepOutput, snippet: EncodedSnippet,
 # -- decoder state updates ---------------------------------------------------------
 
 
-def next_state(p: ModelParams, h_prev: Operand, *, token_id: int | None = None,
-               embedding: Operand | None = None,
-               nhat: Operand | None = None, dropout_rate: float = 0.0,
-               rng: np.random.Generator | None = None,
-               xs: GruProducts | None = None, hs: GruProducts | None = None,
-               ) -> Operand:
-    """GRU state update.
-
-    At test time the embedding of the emitted subtoken feeds the GRU:
-    ``embedding`` if the caller gathered it, else ``token_id``'s row.
-    During training, with probability equal to the dropout rate, the
-    predicted embedding is used instead (scheduled-sampling-style).
+def next_state(p: ModelParams, h_prev: Operand, x: Operand | None = None, *,
+               token_id: int | np.ndarray | None = None) -> Operand:
+    """GRU state update on the input ``x``, or on the embedding rows of
+    ``token_id``: one id gives a ``(k2,)`` state, an array of ids one
+    state row per id, as a decode advances a parent's open children.
     A decode's state and ``E`` are plain arrays, and so is the new state.
-    A decode advances all of a parent's open children at once: it passes
-    ``xs``, the GRU's input-side products of the children's embeddings
-    stacked as ``(n, k2)`` rows, and ``hs``, the state-side products of
-    ``h_prev``; then no embedding is gathered and row i of the
-    ``(n, k2)`` result is child i's state.
     """
-    x = None
-    if xs is None:
-        use_predicted = (
-            nhat is not None and rng is not None and dropout_rate > 0.0
-            and rng.random() < dropout_rate
-        )
-        x = nhat if use_predicted else embedding
-        if x is None:
-            x = rows(p.E, token_id)
-    return gru_step(x, h_prev, p.gru, xs, hs)
+    return gru_step(rows(p.E, token_id) if x is None else x, h_prev, p.gru)

@@ -5,12 +5,10 @@ records its graph, as training needs.  Over plain numpy arrays, the form
 a decode keeps its states in, the same ``+``, ``*`` and ``1.0 - u`` and
 the same ``sigmoid`` and ``tanh`` ops run on the arrays and return
 arrays, so a child state costs its arithmetic and no Tensor.
-A step's state-side products (``h @ W_h*``) read only the previous state
-and its input-side products (``x @ W_x*``) only the input, so a caller
-stepping many children can compute each side once and pass it in.  What
-is left is elementwise, so the children of one state advance in one
-call: input-side products stacked as ``(n, k2)`` rows broadcast against
-the parent's ``(k2,)`` state and state-side products, and row i of the
+The input may be one ``(D,)`` vector or ``(n, D)`` array rows, one per
+child of a decode: the state-side products (``h @ W_h*``) are then
+computed once and broadcast over the rows, the input-side products
+(``x @ W_x*``) are one batched product, and row i of the ``(n, k2)``
 result equals the step of row i alone, bit for bit.
 """
 
@@ -22,8 +20,6 @@ import numpy as np
 
 from ..errors import DimensionMismatch
 from .tensor import Operand, sigmoid, tanh
-
-GruProducts = tuple[Operand, Operand, Operand]  # reset, update and candidate terms
 
 
 @dataclass
@@ -46,7 +42,7 @@ class GruParams:
     b_c: Operand
 
 
-def input_products(x: Operand, p: GruParams) -> GruProducts:
+def input_products(x: Operand, p: GruParams) -> tuple[Operand, Operand, Operand]:
     """``x @ W_x*``; for (n, D) array rows, batched vector-matrix products
     whose row i is ``x[i]``'s bit for bit, which a plain ``x @ W`` is not."""
     if isinstance(x, np.ndarray) and x.ndim == 2:
@@ -54,24 +50,18 @@ def input_products(x: Operand, p: GruParams) -> GruProducts:
     return x @ p.W_xr, x @ p.W_xu, x @ p.W_xc
 
 
-def state_products(h: Operand, p: GruParams) -> GruProducts:
-    return h @ p.W_hr, h @ p.W_hu, h @ p.W_hc
-
-
-def gru_step(x: Operand | None, h_prev: Operand, p: GruParams,
-             xs: GruProducts | None = None, hs: GruProducts | None = None) -> Operand:
+def gru_step(x: Operand, h_prev: Operand, p: GruParams) -> Operand:
     """One GRU update: reset and update gates, candidate state, blend.
 
-    ``xs`` and ``hs`` are ``input_products(x, p)`` and
-    ``state_products(h_prev, p)``, computed here unless given; with
-    ``x=None``, ``xs`` may hold ``(n, k2)`` rows, one child each.  The
-    result is a Tensor if an operand is one, else an array.
+    ``x`` is one ``(D,)`` input or ``(n, D)`` rows, which give ``(n, k2)``
+    states.  The result is a Tensor if an operand is one, else an array.
     """
-    if (x is not None and x.shape != (p.W_xr.shape[0],)) or h_prev.shape != (p.W_hr.shape[0],):
-        raise DimensionMismatch(f"gru_step got x {getattr(x, 'shape', None)}, "
-                                f"h {h_prev.shape} for params {p.W_xr.shape}")
-    xr, xu, xc = input_products(x, p) if xs is None else xs
-    hr, hu, hc = state_products(h_prev, p) if hs is None else hs
+    d, k2 = p.W_xr.shape
+    if x.ndim not in (1, 2) or x.shape[-1] != d or h_prev.shape != (k2,):
+        raise DimensionMismatch(f"gru_step got x {x.shape}, h {h_prev.shape} "
+                                f"for params {p.W_xr.shape}")
+    xr, xu, xc = input_products(x, p)
+    hr, hu, hc = h_prev @ p.W_hr, h_prev @ p.W_hu, h_prev @ p.W_hc
     r = sigmoid(xr + hr + p.b_r)
     u = sigmoid(xu + hu + p.b_u)
     c = tanh(xc + r * hc + p.b_c)

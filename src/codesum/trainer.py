@@ -272,7 +272,9 @@ def example_loss(params: ModelParams, snippet: EncodedSnippet,
     Each use of the |V|-row table ``E`` happens once per example: one
     encoding that every step gates with its state, one gather of the
     targets fed back to the GRU, and after the recurrence one vocabulary
-    head over every step's prediction.
+    head over every step's prediction.  With ``rng`` and a positive
+    dropout rate, each state update draws once whether the GRU is fed the
+    step's predicted embedding instead of the target's (scheduled sampling).
     """
     step = step_fn(cfg.model_kind)
     encoded = encode(snippet, params)
@@ -283,8 +285,9 @@ def example_loss(params: ModelParams, snippet: EncodedSnippet,
     for t in range(len(targets)):
         outs.append(step(snippet, h, params, encoded))
         if t + 1 < len(targets):
-            h = next_state(params, h, embedding=rows(fed, t), nhat=outs[t].nhat,
-                           dropout_rate=cfg.dropout_rate, rng=rng)
+            predicted = rng is not None and cfg.dropout_rate > 0.0 \
+                and rng.random() < cfg.dropout_rate
+            h = next_state(params, h, outs[t].nhat if predicted else rows(fed, t))
     head = vocab_head(stack([out.nhat for out in outs]), params)
     losses = [step_loss(out, target, snippet, vocab, rows(head, t))
               for t, (out, target) in enumerate(zip(outs, targets))]

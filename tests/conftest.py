@@ -1,5 +1,6 @@
-"""Shared builders for model-level tests, checkpoint manifest edits, a
-Tensor counter, fuzzed dataset lines and fuzzed Java text."""
+"""Shared builders for model-level tests, search prefixes, checkpoint
+manifest edits, a Tensor counter, fuzzed dataset lines and fuzzed Java
+text."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from codesum.checkpoint import MAGIC
 from codesum.corpus.vocabulary import SPECIAL_TOKENS, Vocabulary
+from codesum.decoder import PartialSuggestion
 from codesum.model import EncodedSnippet, ModelParams, param_shapes
 from codesum.tensorcore import Tensor
 
@@ -41,6 +43,15 @@ def make_snippet(ids, surface=None, pad_id: int = 5) -> EncodedSnippet:
     if surface is None:
         surface = [f"t{int(i)}" for i in ids]
     return EncodedSnippet(ids=ids, surface=list(surface), pad_id=pad_id)
+
+
+def prefix(tokens, log_prob: float, state) -> PartialSuggestion:
+    """A search node for the name prefix ``tokens``: a chain of nodes from
+    a root, the last with ``log_prob`` and ``state``."""
+    node = PartialSuggestion(log_prob, state)
+    for token in tokens:
+        node = PartialSuggestion(log_prob, state, node, token)
+    return node
 
 
 def read_parts(path):

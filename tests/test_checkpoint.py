@@ -58,6 +58,16 @@ class TestRoundTrip:
         for _, t in loaded.named_tensors():
             assert t.requires_grad
 
+    def test_a_target_through_a_file_is_named_as_given(self, tmp_path):
+        params, vocab, _ = write_checkpoint(tmp_path)
+        plain = tmp_path / "plain.txt"
+        plain.write_text("not a directory\n")
+        target = plain / "m.ckpt"
+        with pytest.raises(NotADirectoryError) as info:
+            save(params, vocab, cfg(), target)
+        assert info.value.filename == str(target)
+        assert str(info.value).endswith(f"Not a directory: '{target}'")
+
     def test_no_stray_temp_files(self, tmp_path):
         write_checkpoint(tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]

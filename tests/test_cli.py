@@ -681,3 +681,51 @@ class TestPathThroughAFile:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Not a directory" in err, err
+
+
+class TestOutputsCheckedFirst:
+    """An output that cannot be written (its parent is a regular file, or
+    it is a directory) fails before the data is loaded, the model trained
+    or a snippet decoded."""
+
+    @pytest.fixture(params=["through-a-file", "a-directory"])
+    def bad_out(self, request, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("not a directory\n")
+        if request.param == "a-directory":
+            return str(tmp_path), "Is a directory"
+        return str(plain / "out"), "Not a directory"
+
+    def exits_2_naming(self, argv, bad_out, capsys):
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        path, reason = bad_out
+        assert captured.err.startswith("error: ") and f"{reason}: '{path}'" in captured.err
+        return captured.out
+
+    def test_train_runs_no_epoch(self, split_checkpoint, bad_out, capsys):
+        out = self.exits_2_naming(["train", "--data", str(split_checkpoint / "good.jsonl"),
+                                   "--model", "copy", "--out", bad_out[0], *TINY_FLAGS],
+                                  bad_out, capsys)
+        assert '"epoch"' not in out
+
+    @pytest.mark.parametrize("flag", ["--out", "--per-example"])
+    def test_evaluate_decodes_nothing(self, split_checkpoint, bad_out, capsys, monkeypatch,
+                                      flag):
+        calls = []
+        monkeypatch.setattr(cli, "evaluate_model", lambda *a, **kw: calls.append(a))
+        self.exits_2_naming(["evaluate", "--ckpt", str(split_checkpoint / "good.ckpt"),
+                             "--data", str(split_checkpoint / "good.jsonl"),
+                             flag, bad_out[0]], bad_out, capsys)
+        assert calls == []
+
+    def test_suggest_decodes_nothing(self, split_checkpoint, tmp_path, bad_out, capsys,
+                                     monkeypatch):
+        snippet = tmp_path / "snippet.java"
+        snippet.write_text("{ return x0 ; }")
+        calls = []
+        monkeypatch.setattr(cli, "suggest", lambda *a, **kw: calls.append(a))
+        self.exits_2_naming(["suggest", "--ckpt", str(split_checkpoint / "good.ckpt"),
+                             "--snippet", str(snippet), "--viz", bad_out[0]], bad_out, capsys)
+        assert calls == []

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_params, make_vocab
+from conftest import make_params, make_vocab, prefix
 from codesum import decoder
+from codesum.corpus.dataset import MethodExample
 from codesum.corpus.vocabulary import NAME_END
-from codesum.decoder import (PartialSuggestion, SearchLimits, decode_view, expand,
-                             suggest)
+from codesum.decoder import SearchLimits, decode_view, expand, suggest
+from codesum.evaluation import evaluate_model
 from codesum.model import (
     ModelParams,
     StepOutput,
@@ -19,7 +20,7 @@ from codesum.model import (
     next_state,
     step_fn,
 )
-from codesum.tensorcore import Tensor, input_products
+from codesum.tensorcore import Tensor
 
 
 def tiny_setup(rng, extra_tokens=("a",), body=("a", "a"), scale=0.6):
@@ -101,7 +102,7 @@ class TestExpand:
         vocab, params, snippet = view_setup(rng)
         out = copy_attention_step(snippet, params.h_init, params)
         merged = merged_distribution(out, snippet, vocab)
-        root = PartialSuggestion(subtokens=(), log_prob=-1.5, state=params.h_init)
+        root = prefix((), -1.5, params.h_init)
         children, completed = expand(root, out, snippet, params, vocab,
                                      SearchLimits(successors=10_000))
         for child in children:
@@ -115,7 +116,7 @@ class TestExpand:
         out = copy_attention_step(snippet, params.h_init, params)
         merged = merged_distribution(out, snippet, vocab)
         best_tok = max(sorted(merged), key=lambda t: merged[t])
-        root = PartialSuggestion(subtokens=(), log_prob=0.0, state=params.h_init)
+        root = prefix((), 0.0, params.h_init)
         children, completed = expand(root, out, snippet, params, vocab,
                                      SearchLimits(successors=1))
         assert len(children) + len(completed) <= 1
@@ -126,8 +127,7 @@ class TestExpand:
         vocab, params, snippet = view_setup(rng)
         out = copy_attention_step(snippet, params.h_init, params)
         merged = merged_distribution(out, snippet, vocab)
-        root = PartialSuggestion(subtokens=("x",), log_prob=0.0,
-                                 state=params.h_init)
+        root = prefix(("x",), 0.0, params.h_init)
         a = expand(root, out, snippet, params, vocab,
                    SearchLimits(successors=len(merged)))
         b = expand(root, out, snippet, params, vocab,
@@ -138,7 +138,7 @@ class TestExpand:
     def test_empty_name_completion_dropped(self, rng):
         vocab, params, snippet = view_setup(rng)
         out = copy_attention_step(snippet, params.h_init, params)
-        root = PartialSuggestion(subtokens=(), log_prob=0.0, state=params.h_init)
+        root = prefix((), 0.0, params.h_init)
         _, completed = expand(root, out, snippet, params, vocab,
                               SearchLimits(successors=10_000))
         assert completed == []
@@ -147,8 +147,7 @@ class TestExpand:
         vocab, params, snippet = view_setup(rng)
         out = copy_attention_step(snippet, params.h_init, params)
         long_prefix = tuple("t" for _ in range(10))
-        partial = PartialSuggestion(subtokens=long_prefix, log_prob=-1.0,
-                                    state=params.h_init)
+        partial = prefix(long_prefix, -1.0, params.h_init)
         children, completed = expand(partial, out, snippet, params, vocab,
                                      SearchLimits(successors=10_000, max_name_len=10))
         assert children == []
@@ -175,7 +174,7 @@ class TestExpand:
                          params=params)
         merged = merged_distribution(out, snippet, vocab)
         full_sort = sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))[:4]
-        root = PartialSuggestion(subtokens=("x",), log_prob=0.0, state=params.h_init)
+        root = prefix(("x",), 0.0, params.h_init)
         children, completed = expand(root, out, snippet, params, vocab,
                                      SearchLimits(successors=4))
         assert [tok for tok, _ in full_sort] == ["e", NAME_END, "a", "b"]
@@ -199,7 +198,7 @@ class TestExpand:
         params = decode_view(params)
         out = StepOutput(alpha=np.full(3, 1 / 3), nhat=np.zeros(3), params=params)
         merged = merged_distribution(out, snippet, vocab)
-        root = PartialSuggestion(subtokens=("x",), log_prob=0.0, state=params.h_init)
+        root = prefix(("x",), 0.0, params.h_init)
         children, completed = expand(root, out, snippet, params, vocab,
                                      SearchLimits(successors=7))
         assert [c.subtokens[-1] for c in children][:5] == ["c", "e", "a", "b", "d"]
@@ -212,7 +211,7 @@ class TestExpand:
         vocab, params, snippet = view_setup(rng, extra_tokens=("a", "b", "c"),
                                             body=("a", "zzz"))
         out = copy_attention_step(snippet, params.h_init, params)
-        root = PartialSuggestion(subtokens=("x",), log_prob=-0.5, state=params.h_init)
+        root = prefix(("x",), -0.5, params.h_init)
         limits = SearchLimits(successors=10_000)
         all_children, all_completed = expand(root, out, snippet, params, vocab, limits)
         bar = sorted(c.log_prob for c in all_children)[len(all_children) // 2]
@@ -222,13 +221,13 @@ class TestExpand:
         rows = []
         real_next_state = decoder.next_state
 
-        def counting_next_state(p, h_prev, *, xs, hs):
-            rows.append([len(x) for x in xs])
-            return real_next_state(p, h_prev, xs=xs, hs=hs)
+        def counting_next_state(p, h_prev, *, token_id):
+            rows.append(len(token_id))
+            return real_next_state(p, h_prev, token_id=token_id)
 
         monkeypatch.setattr(decoder, "next_state", counting_next_state)
         children, completed = expand(root, out, snippet, params, vocab, limits, bar)
-        assert rows == [[len(kept)] * 3]
+        assert rows == [len(kept)]
         assert [(c.subtokens, c.log_prob) for c in children] == \
             [(c.subtokens, c.log_prob) for c in kept]
         for got, want in zip(children, kept):
@@ -240,8 +239,7 @@ class TestExpand:
             self, rng, monkeypatch):
         vocab, params, snippet = view_setup(rng)
         out = copy_attention_step(snippet, params.h_init, params)
-        partial = PartialSuggestion(subtokens=("t", "t"), log_prob=-1.0,
-                                    state=params.h_init)
+        partial = prefix(("t", "t"), -1.0, params.h_init)
         calls = []
         real_next_state = decoder.next_state
 
@@ -463,6 +461,29 @@ def test_step_records_only_for_popped_children_and_completions(rng, monkeypatch,
     assert decoded(got) == decoded(want)
 
 
+@pytest.mark.parametrize("model_kind", KINDS)
+def test_evaluate_model_makes_no_step_record(rng, monkeypatch, model_kind):
+    vocab, params, _ = sharing_setup(rng, model_kind)
+    examples = [MethodExample(name=name, body=body, file_path="f.java", project="p")
+                for name, body in [(["a", "b"], ["a", "b", "zzz"]), (["zzz"], ["c", "zzz"])]]
+    records = []
+    monkeypatch.setattr(decoder, "StepRecord", lambda *args: records.append(args))
+    _, rows = evaluate_model(params, vocab, examples, model_kind=model_kind,
+                             limits=SearchLimits(max_steps=30))
+    assert all(row["suggestions"] for row in rows)
+    assert records == []
+
+
+@pytest.mark.parametrize("model_kind", KINDS)
+def test_a_decode_view_decodes_as_its_parameters(rng, model_kind):
+    vocab, params, snippet = sharing_setup(rng, model_kind)
+    limits = SearchLimits(max_steps=30)
+    want = suggest(snippet, params, vocab, k=5, model_kind=model_kind, limits=limits)
+    got = suggest(snippet, decode_view(params), vocab, k=5, model_kind=model_kind,
+                  limits=limits)
+    assert want and decoded(got) == decoded(want)
+
+
 def sharing_setup(rng, model_kind):
     """A model whose decodes emit some tokens from several parents."""
     vocab = make_vocab(["a", "b", "c", "d"])
@@ -484,24 +505,10 @@ def decoded(suggestions):
             for s in suggestions]
 
 
-def product_table(params):
-    """Each token id keyed by the bytes of its input-side GRU products, so
-    a stacked row of products names the token it was made for."""
-    view = decode_view(params)
-    table = {b"".join(x.tobytes() for x in input_products(row, view.gru)): t
-             for t, row in enumerate(view.E)}
-    assert len(table) == len(view.E)  # no two tokens share products
-    return table
-
-
-def row_tokens(table, xs):
-    return [table[b"".join(x[j].tobytes() for x in xs)] for j in range(len(xs[0]))]
-
-
 class TestSharedGruProducts:
-    """Siblings share their parent's state-side GRU products, and an
-    expansion takes its open children's input-side products in one
-    batched product."""
+    """An expansion advances its open children in one GRU step over their
+    stacked embedding rows: the parent's state-side products are shared,
+    and the input-side products are one batched product."""
 
     limits = SearchLimits(max_steps=30)
 
@@ -513,13 +520,12 @@ class TestSharedGruProducts:
                       limits=self.limits)
 
         real_next_state = decoder.next_state
-        table, child_tokens = product_table(params), []
+        child_tokens = []
 
-        def plain_next_state(p, h_prev, *, xs, hs):
-            token_ids = row_tokens(table, xs)
-            child_tokens.extend(token_ids)
-            return np.array([real_next_state(p, h_prev, token_id=t) for t in token_ids]
-                            ).reshape(len(token_ids), len(h_prev))
+        def plain_next_state(p, h_prev, *, token_id):
+            child_tokens.extend(token_id.tolist())
+            return np.array([real_next_state(p, h_prev, token_id=t) for t in token_id]
+                            ).reshape(len(token_id), len(h_prev))
 
         monkeypatch.setattr(decoder, "next_state", plain_next_state)
         want = suggest(snippet, params, vocab, k=5, model_kind=model_kind,
@@ -535,46 +541,37 @@ class TestSharedGruProducts:
 
         vocab, params, snippet = sharing_setup(rng, model_kind)
         view = decode_view(params)
-        calls = {"input_products": [], "state_products": []}
+        real_products, calls = gru_module.input_products, []
 
-        def recording(name, fn):
-            def wrapper(x, p):
-                products = fn(x, p)
-                calls[name].append((x, products))
-                return products
-            return wrapper
+        def recording_products(x, p):
+            calls.append((x, real_products(x, p)))
+            return calls[-1][1]
 
-        # The GRU module too, so products computed inside gru_step count.
-        for module in (decoder, gru_module):
-            for name in calls:
-                monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+        monkeypatch.setattr(gru_module, "input_products", recording_products)
         expansions = []
         real_expand = decoder.expand
 
-        def recording_expand(partial, *args, **kwargs):
-            before = {name: len(made) for name, made in calls.items()}
-            children, completed = real_expand(partial, *args, **kwargs)
-            expansions.append((partial, children, {name: made[before[name]:]
-                                                   for name, made in calls.items()}))
+        def recording_expand(*args, **kwargs):
+            before = len(calls)
+            children, completed = real_expand(*args, **kwargs)
+            expansions.append((children, calls[before:]))
             return children, completed
 
         monkeypatch.setattr(decoder, "expand", recording_expand)
         assert suggest(snippet, params, vocab, k=5, model_kind=model_kind,
                        limits=self.limits)
         assert len(expansions) > 1
-        assert sum(len(made) for made in calls.values()) == 2 * len(expansions)
+        assert len(calls) == len(expansions)
         child_tokens = []
-        for partial, children, made in expansions:
-            (inputs, products), = made["input_products"]
-            (state, _), = made["state_products"]
-            assert state is partial.state
+        for children, made in expansions:
+            (inputs, products), = made
             # An OOV child, copied from the snippet, feeds the unknown token.
             token_ids = [vocab.id(c.subtokens[-1]) for c in children]
             child_tokens.extend(token_ids)
             assert inputs.shape == (len(children), view.E.shape[1])
             assert inputs.tobytes() == view.E[token_ids].tobytes()
             for row, token_id in enumerate(token_ids):
-                want = input_products(view.E[token_id], view.gru)
+                want = real_products(view.E[token_id], view.gru)
                 assert [x[row].tobytes() for x in products] == [w.tobytes() for w in want]
         assert len(child_tokens) > len(set(child_tokens)) > 1
 
@@ -586,7 +583,6 @@ class TestSharedGruProducts:
         # states, then its open children.
         expansions = []
         real_expand, real_next_state = decoder.expand, decoder.next_state
-        table = product_table(params)
 
         def recording_expand(partial, *args, **kwargs):
             updates = []
@@ -595,9 +591,9 @@ class TestSharedGruProducts:
             updates.append(children)
             return children, completed
 
-        def recording_next_state(p, h_prev, *, xs, hs):
-            states = real_next_state(p, h_prev, xs=xs, hs=hs)
-            expansions[-1][1].append((row_tokens(table, xs), states))
+        def recording_next_state(p, h_prev, *, token_id):
+            states = real_next_state(p, h_prev, token_id=token_id)
+            expansions[-1][1].append((token_id.tolist(), states))
             return states
 
         monkeypatch.setattr(decoder, "expand", recording_expand)

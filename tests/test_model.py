@@ -9,6 +9,7 @@ import pytest
 
 from conftest import make_params, make_snippet, make_vocab
 from codesum.corpus.vocabulary import BODY_END, BODY_START, SPECIAL_TOKENS
+from codesum.decoder import decode_view
 from codesum.errors import DimensionMismatch, VariantDisabled
 from codesum.model import (
     LOSS_FLOOR,
@@ -454,23 +455,21 @@ class TestNextState:
             Tensor(p.E.data[3]), p.h_init, p.gru).data
         np.testing.assert_allclose(h.data, expected, atol=1e-12)
 
-    def test_dropout_rate_one_always_uses_prediction(self, rng):
+    def test_an_input_is_stepped_as_given(self, rng):
         p = make_params(9, rng=rng)
-        out = copy_attention_step(make_snippet([1, 2, 3]), p.h_init, p)
-        h = next_state(p, p.h_init, token_id=3, nhat=out.nhat,
-                       dropout_rate=1.0 - 1e-12, rng=np.random.default_rng(0))
+        x = Tensor(rng.normal(size=2))
         from codesum.tensorcore import gru_step
 
-        expected = gru_step(out.nhat, p.h_init, p.gru).data
-        np.testing.assert_allclose(h.data, expected, atol=1e-12)
+        want = gru_step(x, p.h_init, p.gru).data
+        assert next_state(p, p.h_init, x).data.tobytes() == want.tobytes()
 
-    def test_dropout_rate_zero_never_uses_prediction(self, rng):
-        p = make_params(9, rng=rng)
-        out = copy_attention_step(make_snippet([1, 2, 3]), p.h_init, p)
-        h_forced = next_state(p, p.h_init, token_id=2, nhat=out.nhat,
-                              dropout_rate=0.0, rng=np.random.default_rng(0))
-        h_plain = next_state(p, p.h_init, token_id=2)
-        np.testing.assert_allclose(h_forced.data, h_plain.data)
+    @pytest.mark.parametrize("ids", [[], [3], [3, 0, 3, 8]])
+    def test_ids_give_one_state_row_each(self, rng, ids):
+        p = decode_view(make_params(9, rng=rng))  # arrays, as a decode steps
+        states = next_state(p, p.h_init, token_id=np.array(ids, dtype=np.intp))
+        assert type(states) is np.ndarray and states.shape == (len(ids), 2)
+        for row, token_id in zip(states, ids):
+            assert row.tobytes() == next_state(p, p.h_init, token_id=token_id).tobytes()
 
 
 def test_encode_snippet_adds_sentinels():

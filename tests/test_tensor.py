@@ -12,7 +12,6 @@ from codesum.tensorcore import (
     conv1d_narrow,
     gradient_check,
     gru_step,
-    input_products,
     l2_normalize,
     log,
     matmul,
@@ -26,11 +25,11 @@ from codesum.tensorcore import (
     sigmoid,
     softmax,
     stack,
-    state_products,
     tanh,
     tmax,
     tsum,
 )
+from codesum.tensorcore.gru import input_products
 
 
 def einsum_conv1d(x, k, g):
@@ -254,8 +253,14 @@ class TestGruStep:
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            gru_step(Tensor(np.zeros(4)), Tensor(np.zeros(3)), zero_gru(2, 3))
+        # x of the wrong D, as one input or as rows; x of three dimensions
+        # or none; h of the wrong size.
+        for x, h in [((4,), (3,)), ((5, 4), (3,)), ((1, 1, 2), (3,)), ((), (3,)),
+                     ((2,), (2,)), ((5, 2), (5, 3))]:
+            with pytest.raises(DimensionMismatch):
+                gru_step(Tensor(np.zeros(x)), Tensor(np.zeros(h)), zero_gru(2, 3))
+            with pytest.raises(DimensionMismatch):
+                gru_step(np.zeros(x), np.zeros(h), zero_gru(2, 3))
 
     def test_over_arrays_equals_over_tensors(self, rng):
         d, k = 3, 64
@@ -266,11 +271,9 @@ class TestGruStep:
         arrays = GruParams(**weights)
         x, h = rng.normal(size=d), rng.normal(size=k)
         want = gru_step(Tensor(x), Tensor(h), tensors).data
-        for got in (gru_step(x, h, arrays),
-                    gru_step(None, h, arrays, input_products(x, arrays),
-                             state_products(h, arrays))):
-            assert type(got) is np.ndarray
-            assert got.tobytes() == want.tobytes()
+        got = gru_step(x, h, arrays)
+        assert type(got) is np.ndarray
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("k", [13, 64])
     @pytest.mark.parametrize("n", [0, 1, 7])
@@ -279,12 +282,10 @@ class TestGruStep:
         p = GruParams(**{name: rng.normal(size=s) for name, s in [
             ("W_xr", (d, k)), ("W_hr", (k, k)), ("W_xu", (d, k)), ("W_hu", (k, k)),
             ("W_xc", (d, k)), ("W_hc", (k, k)), ("b_r", (k,)), ("b_u", (k,)), ("b_c", (k,))]})
-        h = rng.normal(size=k)
-        hs = state_products(h, p)
-        rows = [input_products(rng.normal(size=d), p) for _ in range(n)]
-        stacked = tuple(np.array([xs[j] for xs in rows]).reshape(n, k) for j in range(3))
-        got = gru_step(None, h, p, stacked, hs)
-        want = np.array([gru_step(None, h, p, xs, hs) for xs in rows]).reshape(n, k)
+        # (n, D) input rows step as n inputs, each row bit for bit.
+        h, x = rng.normal(size=k), rng.normal(size=(n, d))
+        got = gru_step(x, h, p)
+        want = np.array([gru_step(row, h, p) for row in x]).reshape(n, k)
         assert got.shape == (n, k)
         assert got.tobytes() == want.tobytes()
 
@@ -303,16 +304,6 @@ class TestGruStep:
                 assert products.shape == (n, k)
                 want = np.array([row @ w for row in x]).reshape(n, k)
                 assert products.tobytes() == want.tobytes()
-
-    def test_given_products_equal_computed_ones(self, rng):
-        d, k = 3, 4
-        p = GruParams(**{n: Tensor(rng.normal(size=s)) for n, s in [
-            ("W_xr", (d, k)), ("W_hr", (k, k)), ("W_xu", (d, k)), ("W_hu", (k, k)),
-            ("W_xc", (d, k)), ("W_hc", (k, k)), ("b_r", (k,)), ("b_u", (k,)), ("b_c", (k,))]})
-        x, h = Tensor(rng.normal(size=d)), Tensor(rng.normal(size=k))
-        computed = gru_step(x, h, p).data
-        given = gru_step(None, h, p, input_products(x, p), state_products(h, p)).data
-        assert given.tobytes() == computed.tobytes()
 
 
 class TestArrayOperands:

@@ -628,10 +628,16 @@ class TestTraining:
             assert entry["clipped_frac"] == clipped
 
 
-def per_step_example_loss(params, snippet, name, vocab, cfg, rng=None):
+def per_step_example_loss(params, snippet, name, vocab, cfg, rng=None, predicted=None):
     """Reference: every step re-runs both convolutions on the snippet,
     applies the vocabulary head to itself alone (T = 1) and gathers the
-    embedding of its own target."""
+    embedding of its own target.  ``predicted()`` says whether a state
+    update feeds the prediction instead; by default it draws as training
+    does."""
+    if predicted is None:
+        def predicted():
+            return rng is not None and cfg.dropout_rate > 0.0 \
+                and rng.random() < cfg.dropout_rate
     step = step_fn(cfg.model_kind)
     targets = [*name, NAME_END]
     total = None
@@ -641,9 +647,53 @@ def per_step_example_loss(params, snippet, name, vocab, cfg, rng=None):
         loss = step_loss(out, target, snippet, vocab, out.vocab_row())
         total = loss if total is None else total + loss
         if t + 1 < len(targets):
-            h = next_state(params, h, token_id=vocab.id(target), nhat=out.nhat,
-                           dropout_rate=cfg.dropout_rate, rng=rng)
+            h = next_state(params, h, out.nhat) if predicted() \
+                else next_state(params, h, token_id=vocab.id(target))
     return total
+
+
+class TestScheduledSampling:
+    """At the dropout rate, a training state update feeds the GRU the
+    step's predicted embedding instead of the target's."""
+
+    def build(self, dropout_rate):
+        examples = TestTraining().corpus(3)
+        vocab = build_vocabulary(examples, min_count=1)
+        cfg = tiny_cfg(dropout_rate=dropout_rate)
+        params = init_params(cfg, vocab, target_counts(examples), np.random.default_rng(2))
+        return [(encode_snippet(e.body, vocab), e.name) for e in examples], vocab, cfg, params
+
+    def test_rate_near_one_feeds_the_predictions(self):
+        examples, vocab, cfg, params = self.build(1.0 - 1e-12)
+        rng = np.random.default_rng(0)
+        for snippet, name in examples:
+            got = example_loss(params, snippet, name, vocab, cfg, rng=rng).data
+            fed = per_step_example_loss(params, snippet, name, vocab, cfg,
+                                        predicted=lambda: True).data
+            forced = per_step_example_loss(params, snippet, name, vocab, cfg,
+                                           predicted=lambda: False).data
+            assert got.tobytes() == fed.tobytes() != forced.tobytes()
+
+    @pytest.mark.parametrize("dropout_rate, with_rng", [(0.0, True), (0.4, False)])
+    def test_no_draw_without_a_rate_or_an_rng(self, dropout_rate, with_rng):
+        examples, vocab, cfg, params = self.build(dropout_rate)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        for snippet, name in examples:
+            got = example_loss(params, snippet, name, vocab, cfg,
+                               rng=rng if with_rng else None).data
+            forced = per_step_example_loss(params, snippet, name, vocab, cfg,
+                                           predicted=lambda: False).data
+            assert got.tobytes() == forced.tobytes()
+        assert rng.bit_generator.state == before
+
+    def test_one_draw_per_state_update(self):
+        examples, vocab, cfg, params = self.build(0.4)
+        rng, twin = np.random.default_rng(0), np.random.default_rng(0)
+        for snippet, name in examples:
+            example_loss(params, snippet, name, vocab, cfg, rng=rng)
+            twin.random(len(name))  # a name of n subtokens has n state updates
+            assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestEncodeOnce:
