@@ -68,8 +68,6 @@ def save(params: ModelParams, vocab: Vocabulary, cfg: TrainConfig,
     offset = 0
     for name, tensor in params.named_tensors():
         arr = tensor.data
-        if not arr.flags["C_CONTIGUOUS"]:
-            arr = np.ascontiguousarray(arr)  # keeps 0-d shapes intact
         dtype_name = _DTYPE_NAMES.get(arr.dtype)
         if dtype_name is None:
             raise ValueError(f"tensor {name} has unsupported dtype {arr.dtype}")

@@ -32,6 +32,7 @@ from .viz import render_attention_html
 
 
 def _cmd_build_corpus(args) -> int:
+    _check_outputs(args.out)
     src = Path(args.src)
     if not src.is_dir():
         print(f"error: {src} is not a directory", file=sys.stderr)
@@ -82,7 +83,7 @@ _TRAIN_FLAGS = ("D", "k1", "k2", "w1", "w2", "w3", "dropout_rate", "learning_rat
 
 
 def _cmd_train(args) -> int:
-    _check_outputs(args.out)
+    _check_outputs(args.out, args.log)
     overrides = {key: getattr(args, key) for key in _TRAIN_FLAGS
                  if getattr(args, key) is not None}
     cfg = preset(_MODEL_FLAG[args.model], **overrides)
@@ -90,20 +91,14 @@ def _cmd_train(args) -> int:
 
     examples = load_jsonl(args.data)
     splits = split_examples(examples, cfg.seed)
-    log_fh = open(args.log, "w", encoding="utf-8") if args.log else None
-
-    def sink(entry: dict) -> None:
-        line = json.dumps(entry)
-        print(line)
-        if log_fh is not None:
+    with open(args.log or os.devnull, "w", encoding="utf-8") as log_fh:
+        def sink(entry: dict) -> None:
+            line = json.dumps(entry)
+            print(line)
             log_fh.write(line + "\n")
             log_fh.flush()
 
-    try:
         result = train(splits["train"], splits["valid"], cfg, log_sink=sink)
-    finally:
-        if log_fh is not None:
-            log_fh.close()
     checkpoint.save(result.params, result.vocab, result.config, args.out)
     print(f"checkpoint: {args.out} (best epoch {result.best_epoch}, "
           f"skipped examples {result.skipped_examples})")

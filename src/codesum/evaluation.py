@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -57,23 +57,10 @@ def score_at_rank(suggestions: Sequence[Sequence[str]], target: Sequence[str],
     return best
 
 
-def best_f1_suggestion(suggestions: Sequence[Sequence[str]], target: Sequence[str],
-                       k: int) -> Sequence[str] | None:
-    """The top-k suggestion with the highest F1; earlier wins ties."""
-    best_name = None
-    best_f1 = -1.0
-    for name in suggestions[:k]:
-        _, _, f1 = subtoken_prf(name, target)
-        if f1 > best_f1:
-            best_f1 = f1
-            best_name = name
-    return best_name
-
-
 def oov_accuracy(suggestions: Sequence[Sequence[str]], target: Sequence[str],
                  train_vocab: Vocabulary, k: int) -> float | None:
     """Fraction of out-of-vocabulary target subtokens that the best-F1
-    top-k suggestion produces.
+    top-k suggestion, the earliest of equal F1s, produces.
 
     Returns None when the target has no OoV subtokens (the example is
     then excluded from aggregation).  A hit needs the subtoken anywhere
@@ -82,7 +69,7 @@ def oov_accuracy(suggestions: Sequence[Sequence[str]], target: Sequence[str],
     oov_positions = [i for i, tok in enumerate(target) if tok not in train_vocab]
     if not oov_positions:
         return None
-    chosen = best_f1_suggestion(suggestions, target, k)
+    chosen = max(suggestions[:k], key=lambda name: subtoken_prf(name, target)[2], default=None)
     if chosen is None:
         return 0.0
     oov_counts = Counter(target[i] for i in oov_positions)
@@ -125,19 +112,14 @@ class EvalReport:
 
 
 def aggregate_report(per_example: Sequence[dict[str, float | None]]) -> EvalReport:
-    """Mean of per-example rows; OoV fields average only over examples
-    that have OoV subtokens."""
+    """Mean of per-example rows, field by field over the rows whose value
+    is not ``None``: OoV fields average only over examples that have OoV
+    subtokens, and a field no row has keeps its default."""
     report = EvalReport(n_examples=len(per_example))
-    if not per_example:
-        return report
-    plain = ["f1_at_1", "f1_at_5", "exact_at_1", "exact_at_5",
-             "precision_at_1", "precision_at_5", "recall_at_1", "recall_at_5"]
-    for key in plain:
-        setattr(report, key, float(np.mean([row[key] for row in per_example])))
-    for key in ("oov_acc_at_1", "oov_acc_at_5"):
-        vals = [row[key] for row in per_example if row.get(key) is not None]
+    for f in fields(EvalReport):
+        vals = [row[f.name] for row in per_example if row.get(f.name) is not None]
         if vals:
-            setattr(report, key, float(np.mean(vals)))
+            setattr(report, f.name, float(np.mean(vals)))
     return report
 
 

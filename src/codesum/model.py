@@ -121,11 +121,6 @@ class ModelParams:
             owner, _, attr = name.rpartition(".")
             yield name, getattr(self.gru if owner else self, attr)
 
-    def validate(self) -> None:
-        for (name, want), (_, t) in zip(self.shapes(), self.named_tensors()):
-            if t.shape != want:
-                raise DimensionMismatch(f"{name} has shape {t.shape}, expected {want}")
-
 
 @dataclass
 class EncodedSnippet:
@@ -188,17 +183,14 @@ def encode(snippet: EncodedSnippet, p: ModelParams) -> tuple[Tensor, Operand]:
     return conv1d_narrow(l1, p.K_l2), rows(c_emb, np.arange(left, left + len(snippet)))
 
 
-def attention_features(snippet: EncodedSnippet, h_prev: Operand, p: ModelParams,
-                       encoded: Operand | None = None) -> Operand:
-    """Per-position attention features: ``encode``'s features, computed
-    here unless ``encoded`` is given, gated elementwise per position by the
-    decoder state, then L2-normalized as a whole matrix; an array when
-    the state and features are arrays."""
+def attention_features(encoded: Operand, h_prev: Operand, p: ModelParams) -> Operand:
+    """Per-position attention features: ``encode``'s features ``encoded``,
+    gated elementwise per position by the decoder state, then
+    L2-normalized as a whole matrix; an array when the state and features
+    are arrays."""
     k2 = p.dims[2]
     if h_prev.shape != (k2,):
         raise DimensionMismatch(f"state has shape {h_prev.shape}, expected ({k2},)")
-    if encoded is None:
-        encoded = encode(snippet, p)[0]
     return l2_normalize(encoded * h_prev)
 
 
@@ -221,7 +213,7 @@ def conv_attention_step(snippet: EncodedSnippet, h_prev: Operand, p: ModelParams
     """Vocabulary-only attention step; on an array state, encoding and
     heads, as in a decode, it makes no Tensor."""
     features, embedding = encode(snippet, p) if encoded is None else encoded
-    alpha = attention_weights(attention_features(snippet, h_prev, p, features), p.K_att)
+    alpha = attention_weights(attention_features(features, h_prev, p), p.K_att)
     return StepOutput(alpha=alpha, nhat=alpha @ embedding, params=p)
 
 
@@ -232,7 +224,7 @@ def copy_attention_step(snippet: EncodedSnippet, h_prev: Operand, p: ModelParams
     if p.K_copy is None or p.K_lambda is None:
         raise VariantDisabled("copy head parameters are not present")
     features, embedding = encode(snippet, p) if encoded is None else encoded
-    l_feat = attention_features(snippet, h_prev, p, features)
+    l_feat = attention_features(features, h_prev, p)
     alpha = attention_weights(l_feat, p.K_att)
     kappa = attention_weights(l_feat, p.K_copy)
     lam = tmax(sigmoid(reshape(conv1d_narrow(l_feat, p.K_lambda), (-1,))))

@@ -146,17 +146,15 @@ def target_counts(examples: Iterable[MethodExample]) -> Counter[str]:
     return counts
 
 
-def init_params(cfg: TrainConfig, vocab: Vocabulary,
-                name_counts: Counter[str] | None = None,
-                rng: np.random.Generator | None = None) -> ModelParams:
-    """Normal noise around zero, drawn tensor by tensor in ``param_shapes``
-    order, except the output bias, which starts at the log empirical
-    frequency of each target id (add-one smoothed so every entry is
-    finite), and the PReLU leak.  Only the copy model gets a copy head."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    if name_counts is None:
-        name_counts = Counter()
+def init_params(cfg: TrainConfig, vocab: Vocabulary, name_counts: Counter[str],
+                rng: np.random.Generator) -> ModelParams:
+    """Normal noise around zero, drawn from ``rng`` tensor by tensor in
+    ``param_shapes`` order, except the output bias, which starts at the
+    log empirical frequency of each target id in ``name_counts`` (add-one
+    smoothed so every entry is finite), and the PReLU leak.  Only the copy
+    model gets a copy head.  Both ``name_counts`` and ``rng`` are
+    required: ``train`` passes ``target_counts`` of its examples and the
+    generator its epochs go on drawing from."""
     v = len(vocab)
     id_counts = np.zeros(v)
     for tok, c in name_counts.items():
@@ -165,13 +163,11 @@ def init_params(cfg: TrainConfig, vocab: Vocabulary,
              "prelu_a1": PRELU_INIT}
     shapes = param_shapes(v, cfg.D, cfg.k1, cfg.k2, cfg.w1, cfg.w2, cfg.w3,
                           copy=cfg.model_kind == "copy_attention")
-    params = ModelParams.from_named({
+    return ModelParams.from_named({
         name: Tensor(fixed[name] if name in fixed else rng.normal(0.0, INIT_SIGMA, size=shape),
                      requires_grad=True)
         for name, shape in shapes
     })
-    params.validate()
-    return params
 
 
 # -- optimizer ---------------------------------------------------------------------
@@ -221,9 +217,7 @@ def sgd_update(params: ModelParams, grads: dict[str, np.ndarray],
     norm = clip_global_norm(grads, CLIP_NORM)
     rho, mu, lr, eps = RMS_DECAY, MOMENTUM, cfg.learning_rate, EPSILON
     for name, t in params.named_tensors():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(t.data)
+        g = grads[name]
         a = opt_state.sq[name]
         v = opt_state.mom[name]
         # The rule's operations in its order, into two scratch arrays.
@@ -301,7 +295,7 @@ class TrainResult:
     config: TrainConfig
     log: list[dict]
     best_epoch: int
-    skipped_examples: int = 0
+    skipped_examples: int
 
 
 def _snapshot(params: ModelParams) -> dict[str, np.ndarray]:
@@ -310,7 +304,7 @@ def _snapshot(params: ModelParams) -> dict[str, np.ndarray]:
 
 def _restore(params: ModelParams, snap: dict[str, np.ndarray]) -> None:
     for name, t in params.named_tensors():
-        t.data = snap[name].copy()
+        t.data = snap[name]
 
 
 def _collect_grads(params: ModelParams) -> dict[str, np.ndarray]:
@@ -339,9 +333,11 @@ def train(train_examples: Sequence[MethodExample],
           log_sink=None) -> TrainResult:
     """Train until the epoch budget or the validation patience runs out.
 
-    Early stopping follows the best validation F1 at rank 5; the result
-    carries the best-validation parameters, or the last epoch's when
-    there is no validation set.
+    A validated epoch is kept as the best when its F1 at rank 5 improves
+    or its exact match at rank 1 reaches ``stop_exact_at_1``; training
+    stops at that target or after ``patience`` validations without an
+    improvement.  The result carries the best epoch's parameters, or the
+    last epoch's when there is no validation set.
     """
     cfg.validate()
     if not train_examples:
@@ -358,7 +354,6 @@ def train(train_examples: Sequence[MethodExample],
     best_f1 = -1.0
     best_epoch = 0
     stale = 0
-    skipped = 0
     log: list[dict] = []
 
     stop = False
@@ -366,11 +361,9 @@ def train(train_examples: Sequence[MethodExample],
         tick = time.perf_counter()
         order = rng.permutation(len(snippets))
         window: dict[str, np.ndarray] = {}
-        window_count = 0
         norms: list[float] = []
         epoch_nll = 0.0
         counted = 0
-        epoch_skipped = 0
         for idx in order:
             snippet, name = snippets[idx]
             view = params
@@ -378,7 +371,6 @@ def train(train_examples: Sequence[MethodExample],
                 view = masked_view(params, cfg.dropout_rate, rng)
             loss = example_loss(view, snippet, name, vocab, cfg, rng=rng)
             if not np.isfinite(float(loss.data)):
-                epoch_skipped += 1
                 continue
             for _, t in params.named_tensors():
                 t.zero_grad()
@@ -386,7 +378,6 @@ def train(train_examples: Sequence[MethodExample],
             grads = _collect_grads(params)
             # An example's one NaN/Inf scan; the update's norm is the window's.
             if any(not np.all(np.isfinite(g)) for g in grads.values()):
-                epoch_skipped += 1
                 continue
             epoch_nll += float(loss.data)
             counted += 1
@@ -395,14 +386,11 @@ def train(train_examples: Sequence[MethodExample],
                     window[gname] += g
                 else:
                     window[gname] = g
-            window_count += 1
-            if window_count >= cfg.minibatch:
+            if counted % cfg.minibatch == 0:
                 norms.append(sgd_update(params, window, opt_state, cfg))
                 window = {}
-                window_count = 0
-        if window_count:
+        if window:
             norms.append(sgd_update(params, window, opt_state, cfg))
-        skipped += epoch_skipped
         train_seconds = time.perf_counter() - tick
 
         f1_5 = exact_1 = None
@@ -413,26 +401,24 @@ def train(train_examples: Sequence[MethodExample],
                                        model_kind=cfg.model_kind)
             valid_seconds = time.perf_counter() - valid_tick
             f1_5, exact_1 = report.f1_at_5, report.exact_at_1
-            if f1_5 > best_f1:
+            improved = f1_5 > best_f1
+            reached = cfg.stop_exact_at_1 is not None and exact_1 >= cfg.stop_exact_at_1
+            if improved:
                 best_f1 = f1_5
-                best = _snapshot(params)
-                best_epoch = epoch
                 stale = 0
             else:
                 stale += 1
-                if stale >= cfg.patience:
-                    stop = True
-            if cfg.stop_exact_at_1 is not None and exact_1 >= cfg.stop_exact_at_1:
+            if improved or reached:
                 best = _snapshot(params)
                 best_epoch = epoch
-                stop = True
+            stop = reached or stale >= cfg.patience
         entry = {
             "epoch": epoch,
             "train_nll": epoch_nll / counted if counted else None,
             "valid_f1_at_5": f1_5,
             "valid_exact_at_1": exact_1,
             **_grad_norm_stats(norms),
-            "skipped": epoch_skipped,
+            "skipped": len(order) - counted,
             "examples_per_s": len(order) / train_seconds,
             "valid_seconds": valid_seconds,
             "seconds": time.perf_counter() - tick,
@@ -447,4 +433,4 @@ def train(train_examples: Sequence[MethodExample],
         _restore(params, best)
     return TrainResult(params=params, vocab=vocab, config=cfg, log=log,
                        best_epoch=best_epoch if valid_examples else len(log),
-                       skipped_examples=skipped)
+                       skipped_examples=sum(entry["skipped"] for entry in log))

@@ -29,13 +29,11 @@ def make_params(vocab_size: int, d: int = 2, k1: int = 2, k2: int = 2,
     if rng is None:
         rng = np.random.default_rng(0)
     shapes = param_shapes(vocab_size, d, k1, k2, w1, w2, w3, copy=True)
-    params = ModelParams.from_named({
+    return ModelParams.from_named({
         name: Tensor(0.25 if name == "prelu_a1" else rng.normal(0.0, scale, size=shape),
                      requires_grad=True)
         for name, shape in shapes
     })
-    params.validate()
-    return params
 
 
 def make_snippet(ids, surface=None, pad_id: int = 5) -> EncodedSnippet:

@@ -710,6 +710,22 @@ class TestOutputsCheckedFirst:
                                   bad_out, capsys)
         assert '"epoch"' not in out
 
+    def test_build_corpus_extracts_nothing(self, java_project, bad_out, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "extract_methods", lambda *a: calls.append(a) or [])
+        self.exits_2_naming(["build-corpus", "--src", str(java_project), "--out", bad_out[0]],
+                            bad_out, capsys)
+        assert calls == []
+
+    def test_train_log_loads_no_data(self, split_checkpoint, tmp_path, bad_out, capsys,
+                                     monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "load_jsonl", lambda path: calls.append(path) or load_jsonl(path))
+        self.exits_2_naming(["train", "--data", str(split_checkpoint / "good.jsonl"),
+                             "--model", "copy", "--out", str(tmp_path / "m.ckpt"),
+                             "--log", bad_out[0], *TINY_FLAGS], bad_out, capsys)
+        assert calls == [] and not (tmp_path / "m.ckpt").exists()
+
     @pytest.mark.parametrize("flag", ["--out", "--per-example"])
     def test_evaluate_decodes_nothing(self, split_checkpoint, bad_out, capsys, monkeypatch,
                                       flag):

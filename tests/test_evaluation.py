@@ -164,6 +164,12 @@ class TestOovAccuracy:
         assert oov_accuracy(suggestions, ["get", "zlib"], vocab, 5) == 1.0
         assert oov_accuracy(suggestions, ["get", "zlib"], vocab, 1) == 0.0
 
+    def test_earliest_of_equal_f1_suggestions_is_used(self):
+        vocab = self.vocab()
+        hit, miss = ["zlib", "q"], ["get", "q"]  # both F1 0.5 against the target
+        assert oov_accuracy([hit, miss], ["get", "zlib"], vocab, 5) == 1.0
+        assert oov_accuracy([miss, hit], ["get", "zlib"], vocab, 5) == 0.0
+
     def test_oov_hit_in_any_position(self):
         vocab = self.vocab()
         sugg = [["zlib", "get"]]  # right token, wrong slot

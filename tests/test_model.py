@@ -43,14 +43,14 @@ class TestPadding:
         for w1, w2, w3 in [(1, 1, 1), (2, 3, 2), (4, 2, 5), (3, 3, 3)]:
             p = make_params(9, d=3, k1=2, k2=2, w1=w1, w2=w2, w3=w3, rng=rng)
             sn = make_snippet([1, 2, 3, 4, 8])
-            feats = attention_features(sn, p.h_init, p)
+            feats = attention_features(encode(sn, p)[0], p.h_init, p)
             alpha = attention_weights(feats, p.K_att)
             assert alpha.shape == (5,)
 
     def test_windows_longer_than_snippet_still_work(self, rng):
         p = make_params(9, d=2, k1=2, k2=2, w1=6, w2=5, w3=4, rng=rng)
         sn = make_snippet([1, 2])
-        alpha = attention_weights(attention_features(sn, p.h_init, p), p.K_att)
+        alpha = attention_weights(attention_features(encode(sn, p)[0], p.h_init, p), p.K_att)
         assert alpha.shape == (2,)
 
 
@@ -58,7 +58,7 @@ class TestAttentionFeatures:
     def test_zero_state_zeroes_features(self, rng):
         p = make_params(9, rng=rng)
         sn = make_snippet([1, 2, 3])
-        feats = attention_features(sn, Tensor(np.zeros(2)), p)
+        feats = attention_features(encode(sn, p)[0], Tensor(np.zeros(2)), p)
         np.testing.assert_allclose(feats.data, 0.0)
 
     def test_zero_state_gives_uniform_attention(self, rng):
@@ -71,14 +71,14 @@ class TestAttentionFeatures:
     def test_state_width_checked(self, rng):
         p = make_params(9, rng=rng)
         with pytest.raises(DimensionMismatch):
-            attention_features(make_snippet([1, 2]), Tensor(np.zeros(5)), p)
+            attention_features(encode(make_snippet([1, 2]), p)[0], Tensor(np.zeros(5)), p)
 
     def test_matches_straight_line_oracle(self, rng):
         # Recompute the whole pipeline with plain numpy, no shared code.
         p = make_params(9, d=2, k1=2, k2=2, w1=1, w2=1, w3=1, rng=rng)
         sn = make_snippet([1, 4, 7])
         h = rng.normal(size=2)
-        feats = attention_features(sn, Tensor(h), p).data
+        feats = attention_features(encode(sn, p)[0], Tensor(h), p).data
 
         E = p.E.data
         emb = E[sn.ids]  # no padding signal with width-1 kernels
