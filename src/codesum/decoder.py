@@ -1,19 +1,28 @@
 """Hybrid breadth-first/beam search over sequential subtoken predictions.
 
 A max-heap holds partial names ranked by log-probability.  The snippet
-is encoded once; each iteration pops the best partial, runs one model
-step on its state, and pushes the top successors back.  A partial whose
-log-probability falls below the current k-th best completed name is
-pruned, once k names have completed, and a child below it gets no state.
-The search stops after a fixed number of iterations or when the heap empties.
+is encoded once.  Each iteration pops a batch of up to ``FRONTIER`` best
+partials, runs one model step on their stacked states, and pushes the
+top successors of each back.  Once k names have completed, the k-th
+best completed log-probability is the bar: the batch's completions
+raise it first, and a child below it gets no state.  A popped partial
+below the bar ends the search, since every partial left is below it
+too; only the batch's children can then go back on the heap.  The
+search also stops when the heap empties or after ``max_steps`` partials
+have been expanded.
 ``suggest`` reads the parameters through ``decode_view``, which shares
 their arrays: the encoder's kernels are Tensors that require no gradient,
 run once per snippet, so a decode builds no autograd graph; the rest,
 ``E`` included, are plain numpy arrays, and the model's ops return plain
 arrays for them, so steps, heads and child states make no Tensor.
-Successors are ranked with numpy.  A parent's open children advance in
-one ``next_state`` call on their token ids, which steps the GRU over the
-stacked embedding rows, each row's state bit-identical to a child's own.
+Successors are ranked with numpy, one row of the batch at a time.  The
+open children of the whole batch advance in one ``next_state`` call on
+their token ids and their parents' states, which steps the GRU over the
+stacked rows.  Every step row and every state row is bit-identical to
+the step or state of its partial alone, so the batch size changes only
+the order prefixes are visited in; unless ``max_steps`` or
+``heap_size`` binds, the result is the exact top k under
+``max_name_len`` in any order.
 A prefix is one node holding its last token and a link to its parent;
 its subtokens, and a completion's attention records, are read off that
 chain only when asked for.  The candidates of every merged distribution
@@ -33,6 +42,7 @@ from .corpus.vocabulary import NAME_END, Vocabulary
 from .model import (
     CopyTable,
     EncodedSnippet,
+    MergedDistribution,
     ModelParams,
     StepOutput,
     copy_table,
@@ -40,8 +50,14 @@ from .model import (
     merged_distribution,
     next_state,
     step_fn,
+    vocab_head,
 )
 from .tensorcore import Tensor, as_array
+
+# Partials popped and stepped together, at most.  Larger batches take
+# fewer model steps but expand partials that a smaller batch's
+# completions would have pruned first.
+FRONTIER = 8
 
 
 @dataclass
@@ -49,7 +65,7 @@ class SearchLimits:
     """Caps that keep the search tractable.  An overflowing heap keeps its
     most probable partials and, on a tie at the cut, the earlier pushed."""
 
-    max_steps: int = 100       # heap iterations
+    max_steps: int = 100       # partials expanded
     heap_size: int = 256       # partials kept
     successors: int = 50       # children pushed per expansion
     max_name_len: int = 10     # hard cap on subtokens per name
@@ -115,6 +131,23 @@ class Suggestion:
         return [StepRecord(node.token, *node.snapshot) for node in self.end.chain()]
 
 
+class Best:
+    """The k best completed log-probabilities, as a min-heap.  Once k names
+    have completed, the least of them is the bar: a prefix below it cannot
+    reach the top k, since a name's log-probability only falls as it grows."""
+
+    def __init__(self, k: int):
+        self.k, self.heap = k, []
+
+    def add(self, log_prob: float) -> None:
+        push = heapq.heappush if len(self.heap) < self.k else heapq.heappushpop
+        push(self.heap, log_prob)
+
+    @property
+    def bar(self) -> float | None:
+        return self.heap[0] if len(self.heap) == self.k else None
+
+
 def decode_view(params: ModelParams) -> ModelParams:
     """A view sharing the parameters' arrays, as a decode reads them:
     Tensors that require no gradient for the encoder's kernels, which
@@ -128,55 +161,82 @@ def decode_view(params: ModelParams) -> ModelParams:
         for name, t in params.named_tensors()})
 
 
-def expand(partial: PartialSuggestion, out: StepOutput,
-           snippet: EncodedSnippet, params: ModelParams, vocab: Vocabulary,
-           limits: SearchLimits, bar: float | None = None,
-           table: CopyTable | None = None,
-           ) -> tuple[list[PartialSuggestion], list[Suggestion]]:
-    """Children of a partial, split into open prefixes and completions.
-
-    Successors are the at most ``limits.successors`` most probable entries
-    of the merged distribution, ties broken by token string, ranked by a
-    partition and one stable argsort.  An open child whose log-probability
-    is below ``bar``, the search's k-th best completion, is dropped; the
-    others advance in test mode, all in one ``next_state`` call on their
-    token ids, made even when no id is left.  ``params`` is a
-    ``decode_view``; ``table`` is the snippet's ``copy_table``.
-    """
-    merged = merged_distribution(out, snippet, vocab, table)
+def successors(merged: MergedDistribution, partial: PartialSuggestion,
+               limits: SearchLimits) -> list[int]:
+    """The candidate ids of at most ``limits.successors`` most probable
+    entries of ``merged``, in falling order, ties broken by token string,
+    found by a partition and one stable argsort; only the end marker once
+    the partial has ``limits.max_name_len`` subtokens."""
     probs, n = merged.probs, limits.successors
     if len(partial.subtokens) >= limits.max_name_len:
-        ranked = [merged.index[NAME_END]]
-    else:
-        # Every entry tied with the n-th largest competes for the cut.
-        nth = np.partition(probs, len(probs) - n)[len(probs) - n] if n < len(probs) else 0.0
-        candidates = np.flatnonzero(probs >= nth)
-        order = candidates[np.argsort(-probs[candidates], kind="stable")]
-        ranked = order[:n].tolist()
-        if np.any(probs[order[1:]] == probs[order[:-1]]):  # argsort left exact ties by id
-            ranked = sorted(order.tolist(), key=lambda i: (-probs[i], merged.tokens[i]))[:n]
+        return [merged.index[NAME_END]]
+    # Every entry tied with the n-th largest competes for the cut.
+    nth = np.partition(probs, len(probs) - n)[len(probs) - n] if n < len(probs) else 0.0
+    candidates = np.flatnonzero(probs >= nth)
+    order = candidates[np.argsort(-probs[candidates], kind="stable")]
+    if np.any(probs[order[1:]] == probs[order[:-1]]):  # argsort left exact ties by id
+        return sorted(order.tolist(), key=lambda i: (-probs[i], merged.tokens[i]))[:n]
+    return order[:n].tolist()
 
-    # Siblings share one snapshot of the step's attention.
-    snapshot = (as_array(out.alpha), None if out.kappa is None else as_array(out.kappa),
-                None if out.lam is None else float(as_array(out.lam)))
-    opened: list[tuple[int, str, float]] = []
+
+def expand(batch: list[PartialSuggestion], out: StepOutput, snippet: EncodedSnippet,
+           params: ModelParams, vocab: Vocabulary, limits: SearchLimits, best: Best,
+           table: CopyTable | None = None,
+           ) -> tuple[list[PartialSuggestion], list[Suggestion]]:
+    """Children of a batch of partials, split into open prefixes and completions.
+
+    Row i of ``out`` is the step of ``batch[i]``; the vocabulary head
+    scores all rows at once.  A row's children are its ``successors``.
+    The batch's completions go into ``best`` first, each as it is found,
+    so a row whose partial is below the bar by then is not ranked.  Then
+    each row's open children at or above the bar, which come first in
+    the falling order, advance in test mode, all in one ``next_state``
+    call on their token ids and their parents' states, made even when no
+    child is left.  ``params`` is a ``decode_view``; ``table`` is the
+    snippet's ``copy_table``.
+    """
+    heads = vocab_head(out.nhat, params)
     completed: list[Suggestion] = []
-    for i, prob in zip(ranked, probs[ranked].tolist()):
-        if prob <= 0.0:
+    snapshots: list[tuple] = []
+    ranked: list[tuple[int, MergedDistribution, list[int]]] = []
+    for row, partial in enumerate(batch):
+        # Siblings share one snapshot of the step's attention.
+        step = out.row(row)
+        snapshots.append((step.alpha, step.kappa, None if step.lam is None else float(step.lam)))
+        bar = best.bar
+        if bar is not None and partial.log_prob < bar:
             continue
-        token, log_prob = merged.tokens[i], partial.log_prob + math.log(max(prob, 1e-300))
-        if token == NAME_END:
-            if partial.parent is not None:  # empty names are meaningless output
-                end = PartialSuggestion(log_prob, None, partial, token, snapshot)
-                completed.append(Suggestion(list(partial.subtokens), log_prob, end))
-        elif bar is None or log_prob >= bar:
-            opened.append((i, token, log_prob))
+        merged = merged_distribution(step, snippet, vocab, table, heads[row])
+        ids = successors(merged, partial, limits)
+        ranked.append((row, merged, ids))
+        end = merged.index[NAME_END]
+        prob = float(merged.probs[end])
+        if partial.parent is None or prob <= 0.0 or end not in ids:
+            continue  # an empty name is meaningless output
+        log_prob = partial.log_prob + math.log(max(prob, 1e-300))
+        if bar is None or log_prob >= bar:
+            node = PartialSuggestion(log_prob, None, partial, NAME_END, snapshots[row])
+            completed.append(Suggestion(list(partial.subtokens), log_prob, node))
+            best.add(log_prob)
+
+    bar = best.bar
+    opened: list[tuple[int, int, str, float]] = []
+    for row, merged, ids in ranked:
+        for i, prob in zip(ids, merged.probs[ids].tolist()):
+            if prob <= 0.0:
+                break
+            log_prob = batch[row].log_prob + math.log(max(prob, 1e-300))
+            if bar is not None and log_prob < bar:
+                break
+            if merged.tokens[i] != NAME_END:
+                opened.append((row, i, merged.tokens[i], log_prob))
     # Candidates past the vocabulary are the snippet's OOV subtokens.
-    ids = np.array([i for i, *_ in opened], dtype=np.intp)
-    ids[ids >= len(vocab)] = vocab.unk_id
-    states = next_state(params, partial.state, token_id=ids)
-    return [PartialSuggestion(log_prob, state, partial, token, snapshot)
-            for (_, token, log_prob), state in zip(opened, states)], completed
+    token_ids = np.array([i for _, i, _, _ in opened], dtype=np.intp)
+    token_ids[token_ids >= len(vocab)] = vocab.unk_id
+    parents = np.array([row for row, _, _, _ in opened], dtype=np.intp)
+    states = next_state(params, np.stack([p.state for p in batch])[parents], token_id=token_ids)
+    return [PartialSuggestion(log_prob, state, batch[row], token, snapshots[row])
+            for (row, _, token, log_prob), state in zip(opened, states)], completed
 
 
 def suggest(snippet: EncodedSnippet, params: ModelParams, vocab: Vocabulary,
@@ -201,31 +261,25 @@ def suggest(snippet: EncodedSnippet, params: ModelParams, vocab: Vocabulary,
     table = copy_table(snippet, vocab) if model_kind == "copy_attention" else None
     counter = itertools.count()  # heap tie-breaker: earlier pushes first
     heap = [(0.0, next(counter), PartialSuggestion(0.0, params.h_init))]
-    # Each prefix is expanded at most once, so each name completes at most
-    # once.  ``top`` is a min-heap of the k best completed log-probs.
+    # Each prefix is expanded at most once, so each name completes at most once.
     completed: list[Suggestion] = []
-    top: list[float] = []
-
-    def kth_best() -> float | None:
-        return top[0] if len(top) == k else None
-
-    for _ in range(limits.max_steps):
-        if not heap:
+    best = Best(k)
+    budget = limits.max_steps
+    while heap and budget:
+        bar, batch = best.bar, []
+        while heap and len(batch) < min(FRONTIER, budget):
+            partial = heapq.heappop(heap)[2]
+            if bar is not None and partial.log_prob < bar:
+                heap = []  # the heap is max-ordered: every partial left is below the bar too
+                break
+            batch.append(partial)
+        if not batch:
             break
-        _, _, partial = heapq.heappop(heap)
-        bar = kth_best()
-        if bar is not None and partial.log_prob < bar:
-            continue
-        out = step(snippet, partial.state, params, encoded)
-        children, done = expand(partial, out, snippet, params, vocab, limits, bar, table)
+        budget -= len(batch)
+        out = step(snippet, np.stack([p.state for p in batch]), params, encoded)
+        children, done = expand(batch, out, snippet, params, vocab, limits, best, table)
         completed.extend(done)
-        for s in done:
-            push = heapq.heappush if len(top) < k else heapq.heappushpop
-            push(top, s.log_prob)
-        bar = kth_best()
         for child in children:
-            if bar is not None and child.log_prob < bar:
-                continue
             heapq.heappush(heap, (-child.log_prob, next(counter), child))
         if len(heap) > limits.heap_size:
             heap = heapq.nsmallest(limits.heap_size, heap)

@@ -39,6 +39,7 @@ from .tensorcore import (
     sigmoid,
     softmax,
     tmax,
+    vecmat,
 )
 
 # Down-weights the vocabulary head's UNK when the copy head could have
@@ -153,7 +154,8 @@ def encode_snippet(body: list[str], vocab: Vocabulary) -> EncodedSnippet:
 class StepOutput:
     """One decoding step: attention records, the predicted embedding, and
     the parameters the step ran on, which its vocabulary head reads; arrays
-    when the step ran on arrays only, as a decode does."""
+    when the step ran on arrays only, as a decode does.  A step over B
+    state rows holds one row of each per state, with a leading (B,) axis."""
 
     alpha: Operand                # (Len(c),) attention over input positions
     nhat: Operand                 # (D,) predicted embedding
@@ -164,6 +166,12 @@ class StepOutput:
     def vocab_row(self) -> Operand:
         """This step's (|V|,) vocabulary distribution: ``vocab_head`` with T = 1."""
         return reshape(vocab_head(reshape(self.nhat, (1, -1)), self.params), (-1,))
+
+    def row(self, i: int) -> StepOutput:
+        """The step of state row i of a step over state rows."""
+        return StepOutput(self.alpha[i], self.nhat[i], self.params,
+                          None if self.kappa is None else self.kappa[i],
+                          None if self.lam is None else self.lam[i])
 
 
 def padding_split(w1: int, w2: int, w3: int) -> tuple[int, int]:
@@ -187,16 +195,19 @@ def attention_features(encoded: Operand, h_prev: Operand, p: ModelParams) -> Ope
     """Per-position attention features: ``encode``'s features ``encoded``,
     gated elementwise per position by the decoder state, then
     L2-normalized as a whole matrix; an array when the state and features
-    are arrays."""
+    are arrays.  (B, k2) array state rows give a (B, Len, k2) batch of
+    feature matrices, each bit for bit its state's alone."""
     k2 = p.dims[2]
-    if h_prev.shape != (k2,):
-        raise DimensionMismatch(f"state has shape {h_prev.shape}, expected ({k2},)")
-    return l2_normalize(encoded * h_prev)
+    if h_prev.ndim > 2 or h_prev.shape[-1:] != (k2,):
+        raise DimensionMismatch(f"state has shape {h_prev.shape}, expected ({k2},) or (B, {k2})")
+    return l2_normalize(encoded * (h_prev if h_prev.ndim == 1 else h_prev[:, None, :]))
 
 
 def attention_weights(l_feat: Operand, kernel: Operand) -> Operand:
-    """softmax(conv(L_feat, kernel)); length is exactly Len(c); an array for arrays."""
-    return softmax(reshape(conv1d_narrow(l_feat, kernel), (-1,)))
+    """softmax(conv(L_feat, kernel)); length is exactly Len(c); an array for
+    arrays, one row per feature matrix of a batch."""
+    scores = conv1d_narrow(l_feat, kernel)
+    return softmax(reshape(scores, scores.shape[:-1]))
 
 
 def vocab_head(nhats: Operand, p: ModelParams) -> Operand:
@@ -211,24 +222,28 @@ def vocab_head(nhats: Operand, p: ModelParams) -> Operand:
 def conv_attention_step(snippet: EncodedSnippet, h_prev: Operand, p: ModelParams,
                         encoded: tuple[Operand, Operand] | None = None) -> StepOutput:
     """Vocabulary-only attention step; on an array state, encoding and
-    heads, as in a decode, it makes no Tensor."""
+    heads, as in a decode, it makes no Tensor.  On (B, k2) array state
+    rows it is B steps at once, row i bit for bit the step of state i."""
     features, embedding = encode(snippet, p) if encoded is None else encoded
     alpha = attention_weights(attention_features(features, h_prev, p), p.K_att)
-    return StepOutput(alpha=alpha, nhat=alpha @ embedding, params=p)
+    return StepOutput(alpha=alpha, nhat=vecmat(alpha, embedding), params=p)
 
 
 def copy_attention_step(snippet: EncodedSnippet, h_prev: Operand, p: ModelParams,
                         encoded: tuple[Operand, Operand] | None = None) -> StepOutput:
     """Attention step with the copy head and its meta-attention gate; on
-    arrays it makes no Tensor, as ``conv_attention_step``."""
+    arrays it makes no Tensor, and it takes state rows, as
+    ``conv_attention_step``."""
     if p.K_copy is None or p.K_lambda is None:
         raise VariantDisabled("copy head parameters are not present")
     features, embedding = encode(snippet, p) if encoded is None else encoded
     l_feat = attention_features(features, h_prev, p)
     alpha = attention_weights(l_feat, p.K_att)
     kappa = attention_weights(l_feat, p.K_copy)
-    lam = tmax(sigmoid(reshape(conv1d_narrow(l_feat, p.K_lambda), (-1,))))
-    return StepOutput(alpha=alpha, nhat=alpha @ embedding, params=p, kappa=kappa, lam=lam)
+    gate = conv1d_narrow(l_feat, p.K_lambda)
+    lam = tmax(sigmoid(reshape(gate, gate.shape[:-1])))
+    return StepOutput(alpha=alpha, nhat=vecmat(alpha, embedding), params=p, kappa=kappa,
+                      lam=lam)
 
 
 def step_fn(model_kind: str):
@@ -324,19 +339,21 @@ class MergedDistribution(Mapping[str, float]):
 
 def merged_distribution(step: StepOutput, snippet: EncodedSnippet,
                         vocab: Vocabulary, table: CopyTable | None = None,
-                        ) -> MergedDistribution:
+                        vocab_row: np.ndarray | None = None) -> MergedDistribution:
     """Probability of each candidate subtoken in V union c.
 
     Vocabulary ids are keyed by their surface string; copy mass lands on
     the snippet's surface strings, added in position order, so identical
     subtokens pool their probability.  ``table`` is the snippet's
     ``copy_table``, built here unless given; the conv model, which has no
-    copy head, has only the vocabulary's candidates.  The vocabulary head
-    scores this one step (T = 1).  Detached from the graph: decoding does
-    not backprop.  The step may hold Tensors or, as in a decode, arrays.
+    copy head, has only the vocabulary's candidates.  ``vocab_row`` is the
+    step's row of a ``vocab_head`` over many steps, by default
+    ``step.vocab_row()``.  Detached from the graph: decoding does not
+    backprop.  The step may hold Tensors or, as in a decode, arrays.
     """
     lam = float(as_array(step.lam)) if step.lam is not None else 0.0
-    probs = (1.0 - lam) * np.asarray(as_array(step.vocab_row()), dtype=np.float64)
+    row = step.vocab_row() if vocab_row is None else vocab_row
+    probs = (1.0 - lam) * np.asarray(as_array(row), dtype=np.float64)
     if step.kappa is None:
         return MergedDistribution(vocab.id_to_token, vocab.token_to_id, probs)
     table = copy_table(snippet, vocab) if table is None else table
@@ -353,7 +370,8 @@ def next_state(p: ModelParams, h_prev: Operand, x: Operand | None = None, *,
                token_id: int | np.ndarray | None = None) -> Operand:
     """GRU state update on the input ``x``, or on the embedding rows of
     ``token_id``: one id gives a ``(k2,)`` state, an array of ids one
-    state row per id, as a decode advances a parent's open children.
+    state row per id, from one ``(k2,)`` state or from one state row per
+    id, as a decode advances the open children of several parents.
     A decode's state and ``E`` are plain arrays, and so is the new state.
     """
     return gru_step(rows(p.E, token_id) if x is None else x, h_prev, p.gru)

@@ -6,9 +6,9 @@ a decode keeps its states in, the same ``+``, ``*`` and ``1.0 - u`` and
 the same ``sigmoid`` and ``tanh`` ops run on the arrays and return
 arrays, so a child state costs its arithmetic and no Tensor.
 The input may be one ``(D,)`` vector or ``(n, D)`` array rows, one per
-child of a decode: the state-side products (``h @ W_h*``) are then
-computed once and broadcast over the rows, the input-side products
-(``x @ W_x*``) are one batched product, and row i of the ``(n, k2)``
+child of a decode, with one ``(k2,)`` state for all rows or ``(n, k2)``
+state rows, each child's parent state.  Each product on rows is one
+vector-matrix product per row (``vecmat``), so row i of the ``(n, k2)``
 result equals the step of row i alone, bit for bit.
 """
 
@@ -16,10 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import DimensionMismatch
-from .tensor import Operand, sigmoid, tanh
+from .tensor import Operand, sigmoid, tanh, vecmat
 
 
 @dataclass
@@ -43,25 +41,25 @@ class GruParams:
 
 
 def input_products(x: Operand, p: GruParams) -> tuple[Operand, Operand, Operand]:
-    """``x @ W_x*``; for (n, D) array rows, batched vector-matrix products
-    whose row i is ``x[i]``'s bit for bit, which a plain ``x @ W`` is not."""
-    if isinstance(x, np.ndarray) and x.ndim == 2:
-        return tuple(np.matmul(x[:, None, :], w)[:, 0, :] for w in (p.W_xr, p.W_xu, p.W_xc))
-    return x @ p.W_xr, x @ p.W_xu, x @ p.W_xc
+    """``x @ W_x*``; for (n, D) array rows, one vector-matrix product per
+    row, each ``x[i]``'s bit for bit, which a plain ``x @ W`` is not."""
+    return vecmat(x, p.W_xr), vecmat(x, p.W_xu), vecmat(x, p.W_xc)
 
 
 def gru_step(x: Operand, h_prev: Operand, p: GruParams) -> Operand:
     """One GRU update: reset and update gates, candidate state, blend.
 
     ``x`` is one ``(D,)`` input or ``(n, D)`` rows, which give ``(n, k2)``
-    states.  The result is a Tensor if an operand is one, else an array.
+    states from one ``(k2,)`` state or from ``(n, k2)`` state rows.  The
+    result is a Tensor if an operand is one, else an array.
     """
     d, k2 = p.W_xr.shape
-    if x.ndim not in (1, 2) or x.shape[-1] != d or h_prev.shape != (k2,):
+    if (x.ndim not in (1, 2) or x.shape[-1] != d
+            or h_prev.shape not in ((k2,), x.shape[:-1] + (k2,))):
         raise DimensionMismatch(f"gru_step got x {x.shape}, h {h_prev.shape} "
                                 f"for params {p.W_xr.shape}")
     xr, xu, xc = input_products(x, p)
-    hr, hu, hc = h_prev @ p.W_hr, h_prev @ p.W_hu, h_prev @ p.W_hc
+    hr, hu, hc = vecmat(h_prev, p.W_hr), vecmat(h_prev, p.W_hu), vecmat(h_prev, p.W_hc)
     r = sigmoid(xr + hr + p.b_r)
     u = sigmoid(xu + hu + p.b_u)
     c = tanh(xc + r * hc + p.b_c)

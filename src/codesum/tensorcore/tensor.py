@@ -237,6 +237,15 @@ def matvec(m: Operand, xs: Operand) -> Operand:
     return _make(np.stack([md @ x for x in xd]), m, lambda g: g.T @ xd, xs, lambda g: g @ md)
 
 
+def vecmat(x: Operand, m: Operand) -> Operand:
+    """``x @ m`` for one vector ``x``, or for each row of an (n, k) array
+    ``x`` as its own vector-matrix product: row i is ``x[i] @ m`` bit for
+    bit, which one (n, k) @ (k, p) product is not."""
+    if type(x) is np.ndarray and x.ndim == 2:
+        return np.matmul(x[:, None, :], m)[:, 0, :]
+    return matmul(x, m)
+
+
 # -- reductions ---------------------------------------------------------------
 
 def tsum(a: Operand) -> Operand:
@@ -245,10 +254,16 @@ def tsum(a: Operand) -> Operand:
 
 
 def tmax(a: Operand) -> Operand:
-    """Maximum over all entries; the gradient flows to the first argmax."""
+    """Maximum over the last axis, one per row of a batch; the gradient
+    flows to each row's first argmax."""
     ad = as_array(a)
-    idx = int(np.argmax(ad))
-    return _make(np.asarray(ad.flat[idx]), a, lambda g: _one_hot(ad, idx, g))
+
+    def vjp(g):
+        gm = np.zeros_like(ad)
+        np.put_along_axis(gm, np.argmax(ad, axis=-1)[..., None], np.asarray(g)[..., None], -1)
+        return gm
+
+    return _make(np.asarray(ad.max(axis=-1)), a, vjp)
 
 
 def pick(a: Operand, index: int) -> Operand:
@@ -334,14 +349,19 @@ def softmax(v: Operand) -> Operand:
 
 
 def l2_normalize(m: Operand) -> Operand:
-    """Divide a matrix by its whole-matrix (Frobenius) norm plus a guard."""
+    """Divide a matrix by its whole-matrix (Frobenius) norm plus a guard;
+    an array may hold a batch of matrices along leading axes, each divided
+    by its own norm, bit for bit as alone."""
+    if m.ndim < 2 or m.ndim > 2 and type(m) is Tensor:
+        raise DimensionMismatch(f"l2_normalize got shape {m.shape}; a batch must be an array")
     md = as_array(m)
-    norm = float(np.sqrt(np.sum(md * md)))
+    norm = np.sqrt(np.sum(md * md, axis=(-2, -1), keepdims=True))
 
     def vjp(g):
-        gm = g * (1.0 / (norm + L2_NORM_EPS))
-        if norm > 0.0:
-            gm = gm - (float(np.sum(g * md)) / (norm * (norm + L2_NORM_EPS) ** 2)) * md
+        n = norm.item()
+        gm = g * (1.0 / (n + L2_NORM_EPS))
+        if n > 0.0:
+            gm = gm - (float(np.sum(g * md)) / (n * (n + L2_NORM_EPS) ** 2)) * md
         return gm
 
     return _make(md * (1.0 / (norm + L2_NORM_EPS)), m, vjp)
@@ -350,10 +370,12 @@ def l2_normalize(m: Operand) -> Operand:
 # -- convolution ---------------------------------------------------------------
 
 def _windows(x: np.ndarray, width: int) -> np.ndarray:
-    """(width, L - width + 1, D) view whose entry j is ``x[j:j + L - width + 1]``."""
+    """(..., width, L - width + 1, D) view of an (..., L, D) array whose
+    entry [..., j, :, :] is ``x[..., j:j + L - width + 1, :]``."""
     x = np.ascontiguousarray(x)
-    return np.ndarray((width, len(x) - width + 1, x.shape[1]), x.dtype, x, 0,
-                      x.strides[:1] + x.strides)
+    *batch, length, d = x.shape
+    return np.ndarray((*batch, width, length - width + 1, d), x.dtype, x, 0,
+                      x.strides[:-1] + x.strides[-2:])
 
 
 def conv1d_narrow(inp: Operand, kernel: Operand) -> Operand:
@@ -364,11 +386,16 @@ def conv1d_narrow(inp: Operand, kernel: Operand) -> Operand:
     The forward pass and the kernel's gradient run the ``w`` shifted
     products, one per kernel offset, as one batched BLAS product; the
     input's gradient adds them one offset at a time, in offset order.
-    This reorders the definition's additions.
+    This reorders the definition's additions.  An array input may carry
+    leading batch axes, (..., L, Din); each entry's products are the
+    (L - w + 1, Din) @ (Din, Dout) ones it has alone, summed in the same
+    offset order, so each equals its convolution alone bit for bit.
     """
-    if inp.ndim != 2 or kernel.ndim != 3:
-        raise DimensionMismatch(f"conv1d_narrow got input {inp.shape}, kernel {kernel.shape}")
-    length, d_in = inp.shape
+    if (inp.ndim < 2 or kernel.ndim != 3
+            or inp.ndim > 2 and Tensor in (type(inp), type(kernel))):
+        raise DimensionMismatch(f"conv1d_narrow got input {inp.shape}, kernel {kernel.shape}; "
+                                "a batch of inputs must be arrays")
+    length, d_in = inp.shape[-2:]
     k_in, width, _ = kernel.shape
     if d_in != k_in:
         raise DimensionMismatch(f"input channels {d_in} != kernel channels {k_in}")
@@ -390,5 +417,5 @@ def conv1d_narrow(inp: Operand, kernel: Operand) -> Operand:
         gk = np.matmul(_windows(xd, width).transpose(0, 2, 1), g)
         return gk.transpose(1, 0, 2).copy()
 
-    return _make(np.matmul(_windows(xd, width), kd.transpose(1, 0, 2)).sum(axis=0),
+    return _make(np.matmul(_windows(xd, width), kd.transpose(1, 0, 2)).sum(axis=-3),
                  inp, vjp_inp, kernel, vjp_kernel)

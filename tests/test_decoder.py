@@ -9,18 +9,19 @@ from conftest import make_params, make_vocab, prefix
 from codesum import decoder
 from codesum.corpus.dataset import MethodExample
 from codesum.corpus.vocabulary import NAME_END
-from codesum.decoder import SearchLimits, decode_view, expand, suggest
+from codesum.decoder import Best, SearchLimits, decode_view, expand, suggest
 from codesum.evaluation import evaluate_model
 from codesum.model import (
     ModelParams,
     StepOutput,
     copy_attention_step,
+    encode,
     encode_snippet,
     merged_distribution,
     next_state,
     step_fn,
 )
-from codesum.tensorcore import Tensor
+from codesum.tensorcore import Tensor, as_array
 
 
 def tiny_setup(rng, extra_tokens=("a",), body=("a", "a"), scale=0.6):
@@ -36,6 +37,22 @@ def view_setup(rng, **kwargs):
     ``expand`` takes."""
     vocab, params, snippet = tiny_setup(rng, **kwargs)
     return vocab, decode_view(params), snippet
+
+
+def step_of(batch, params, snippet, model_kind="copy_attention"):
+    """One step of a batch of partials over their stacked states, on the
+    snippet's encoding as arrays: the step ``expand`` takes."""
+    encoded = tuple(as_array(t) for t in encode(snippet, params))
+    return step_fn(model_kind)(snippet, np.stack([p.state for p in batch]), params, encoded)
+
+
+def best_at(bar=None, k=3):
+    """The k best completions a search has seen: none, or k at ``bar``,
+    which a batch's one or two completions above it do not move."""
+    best = Best(k)
+    for _ in range(0 if bar is None else k):
+        best.add(bar)
+    return best
 
 
 def exhaustive_top_k(snippet, params, vocab, k, max_len, model_kind="copy_attention"):
@@ -100,11 +117,11 @@ class TestSearchLimits:
 class TestExpand:
     def test_child_log_prob_adds_token_log_prob(self, rng):
         vocab, params, snippet = view_setup(rng)
-        out = copy_attention_step(snippet, params.h_init, params)
-        merged = merged_distribution(out, snippet, vocab)
         root = prefix((), -1.5, params.h_init)
-        children, completed = expand(root, out, snippet, params, vocab,
-                                     SearchLimits(successors=10_000))
+        out = step_of([root], params, snippet)
+        merged = merged_distribution(out.row(0), snippet, vocab)
+        children, completed = expand([root], out, snippet, params, vocab,
+                                     SearchLimits(successors=10_000), best_at())
         for child in children:
             tok = child.subtokens[-1]
             assert child.log_prob == pytest.approx(-1.5 + math.log(merged[tok]))
@@ -113,43 +130,44 @@ class TestExpand:
 
     def test_successor_cap_one_is_greedy(self, rng):
         vocab, params, snippet = view_setup(rng)
-        out = copy_attention_step(snippet, params.h_init, params)
-        merged = merged_distribution(out, snippet, vocab)
-        best_tok = max(sorted(merged), key=lambda t: merged[t])
         root = prefix((), 0.0, params.h_init)
-        children, completed = expand(root, out, snippet, params, vocab,
-                                     SearchLimits(successors=1))
+        out = step_of([root], params, snippet)
+        merged = merged_distribution(out.row(0), snippet, vocab)
+        best_tok = max(sorted(merged), key=lambda t: merged[t])
+        children, completed = expand([root], out, snippet, params, vocab,
+                                     SearchLimits(successors=1), best_at())
         assert len(children) + len(completed) <= 1
         if children:
             assert children[0].subtokens == (best_tok,)
 
     def test_cap_beyond_alphabet_changes_nothing(self, rng):
         vocab, params, snippet = view_setup(rng)
-        out = copy_attention_step(snippet, params.h_init, params)
-        merged = merged_distribution(out, snippet, vocab)
         root = prefix(("x",), 0.0, params.h_init)
-        a = expand(root, out, snippet, params, vocab,
-                   SearchLimits(successors=len(merged)))
-        b = expand(root, out, snippet, params, vocab,
-                   SearchLimits(successors=10 * len(merged)))
+        out = step_of([root], params, snippet)
+        merged = merged_distribution(out.row(0), snippet, vocab)
+        a = expand([root], out, snippet, params, vocab,
+                   SearchLimits(successors=len(merged)), best_at())
+        b = expand([root], out, snippet, params, vocab,
+                   SearchLimits(successors=10 * len(merged)), best_at())
         assert [c.subtokens for c in a[0]] == [c.subtokens for c in b[0]]
         assert len(a[1]) == len(b[1])
 
     def test_empty_name_completion_dropped(self, rng):
         vocab, params, snippet = view_setup(rng)
-        out = copy_attention_step(snippet, params.h_init, params)
         root = prefix((), 0.0, params.h_init)
-        _, completed = expand(root, out, snippet, params, vocab,
-                              SearchLimits(successors=10_000))
+        out = step_of([root], params, snippet)
+        _, completed = expand([root], out, snippet, params, vocab,
+                              SearchLimits(successors=10_000), best_at())
         assert completed == []
 
     def test_length_cap_allows_only_end(self, rng):
         vocab, params, snippet = view_setup(rng)
-        out = copy_attention_step(snippet, params.h_init, params)
         long_prefix = tuple("t" for _ in range(10))
         partial = prefix(long_prefix, -1.0, params.h_init)
-        children, completed = expand(partial, out, snippet, params, vocab,
-                                     SearchLimits(successors=10_000, max_name_len=10))
+        out = step_of([partial], params, snippet)
+        children, completed = expand([partial], out, snippet, params, vocab,
+                                     SearchLimits(successors=10_000, max_name_len=10),
+                                     best_at())
         assert children == []
         assert len(completed) == 1
         assert completed[0].name == list(long_prefix)
@@ -170,13 +188,12 @@ class TestExpand:
         params.E.data[:] = 0.0
         params.b.data[:] = np.log(dist)
         params = decode_view(params)
-        out = StepOutput(alpha=Tensor(np.full(3, 1 / 3)), nhat=Tensor(np.zeros(3)),
-                         params=params)
-        merged = merged_distribution(out, snippet, vocab)
+        out = StepOutput(alpha=np.full((1, 3), 1 / 3), nhat=np.zeros((1, 3)), params=params)
+        merged = merged_distribution(out.row(0), snippet, vocab)
         full_sort = sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))[:4]
         root = prefix(("x",), 0.0, params.h_init)
-        children, completed = expand(root, out, snippet, params, vocab,
-                                     SearchLimits(successors=4))
+        children, completed = expand([root], out, snippet, params, vocab,
+                                     SearchLimits(successors=4), best_at())
         assert [tok for tok, _ in full_sort] == ["e", NAME_END, "a", "b"]
         assert [c.subtokens[-1] for c in children] == ["e", "a", "b"]
         assert [s.name for s in completed] == [["x"]]
@@ -196,11 +213,11 @@ class TestExpand:
         params.E.data[:] = 0.0
         params.b.data[:] = np.log(dist)
         params = decode_view(params)
-        out = StepOutput(alpha=np.full(3, 1 / 3), nhat=np.zeros(3), params=params)
-        merged = merged_distribution(out, snippet, vocab)
+        out = StepOutput(alpha=np.full((1, 3), 1 / 3), nhat=np.zeros((1, 3)), params=params)
+        merged = merged_distribution(out.row(0), snippet, vocab)
         root = prefix(("x",), 0.0, params.h_init)
-        children, completed = expand(root, out, snippet, params, vocab,
-                                     SearchLimits(successors=7))
+        children, completed = expand([root], out, snippet, params, vocab,
+                                     SearchLimits(successors=7), best_at())
         assert [c.subtokens[-1] for c in children][:5] == ["c", "e", "a", "b", "d"]
         assert [s.name for s in completed] == [["x"]]
         full_sort = sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))[:7]
@@ -208,38 +225,65 @@ class TestExpand:
             [tok for tok, _ in full_sort if tok != NAME_END]
 
     def test_bar_drops_children_before_their_state(self, rng, monkeypatch):
+        # A batch of two partials with their own states: one next_state
+        # call gives every kept child of both its state, and no other.
         vocab, params, snippet = view_setup(rng, extra_tokens=("a", "b", "c"),
                                             body=("a", "zzz"))
-        out = copy_attention_step(snippet, params.h_init, params)
-        root = prefix(("x",), -0.5, params.h_init)
+        batch = [prefix(("x",), -0.5, params.h_init),
+                 prefix(("y",), -0.6, rng.normal(size=params.h_init.shape))]
+        out = step_of(batch, params, snippet)
         limits = SearchLimits(successors=10_000)
-        all_children, all_completed = expand(root, out, snippet, params, vocab, limits)
+        all_children, all_completed = expand(batch, out, snippet, params, vocab, limits,
+                                             best_at())
         bar = sorted(c.log_prob for c in all_children)[len(all_children) // 2]
         kept = [c for c in all_children if c.log_prob >= bar]
         assert 0 < len(kept) < len(all_children)
+        assert {id(c.parent) for c in kept} == {id(p) for p in batch}
 
-        rows = []
+        calls = []
         real_next_state = decoder.next_state
 
         def counting_next_state(p, h_prev, *, token_id):
-            rows.append(len(token_id))
+            calls.append((len(token_id), h_prev.shape))
             return real_next_state(p, h_prev, token_id=token_id)
 
         monkeypatch.setattr(decoder, "next_state", counting_next_state)
-        children, completed = expand(root, out, snippet, params, vocab, limits, bar)
-        assert rows == [len(kept)]
+        children, completed = expand(batch, out, snippet, params, vocab, limits, best_at(bar))
+        assert calls == [(len(kept), (len(kept), len(params.h_init)))]
         assert [(c.subtokens, c.log_prob) for c in children] == \
             [(c.subtokens, c.log_prob) for c in kept]
         for got, want in zip(children, kept):
+            assert got.parent is want.parent
             assert got.state.tobytes() == want.state.tobytes()
         assert [(s.name, s.log_prob) for s in completed] == \
-            [(s.name, s.log_prob) for s in all_completed]
+            [(s.name, s.log_prob) for s in all_completed if s.log_prob >= bar]
+
+    def test_completions_raise_the_bar_before_children_get_states(self, rng):
+        # With k = 1 the batch's one completion is the bar: no child below
+        # it gets a state, although no bar stood before the batch.
+        vocab, params, snippet = view_setup(rng, extra_tokens=("a", "b", "c"),
+                                            body=("a", "zzz"))
+        partial = prefix(("x",), -0.5, params.h_init)
+        out = step_of([partial], params, snippet)
+        limits = SearchLimits(successors=10_000)
+        all_children, _ = expand([partial], out, snippet, params, vocab, limits, best_at())
+        best = Best(1)
+        children, completed = expand([partial], out, snippet, params, vocab, limits, best)
+        (done,) = completed
+        assert best.bar == done.log_prob
+        assert children == [c for c in children if c.log_prob >= done.log_prob]
+        assert [c.subtokens for c in children] == \
+            [c.subtokens for c in all_children if c.log_prob >= done.log_prob]
+        assert len(children) < len(all_children)
 
     def test_one_state_update_per_expansion_even_with_no_open_child(
             self, rng, monkeypatch):
+        # One expand call is one batch: a single next_state call, of no
+        # rows when every partial of the batch is at the length cap.
         vocab, params, snippet = view_setup(rng)
-        out = copy_attention_step(snippet, params.h_init, params)
-        partial = prefix(("t", "t"), -1.0, params.h_init)
+        batch = [prefix(("t", "t"), -1.0, params.h_init),
+                 prefix(("t", "a"), -1.2, rng.normal(size=params.h_init.shape))]
+        out = step_of(batch, params, snippet)
         calls = []
         real_next_state = decoder.next_state
 
@@ -249,9 +293,9 @@ class TestExpand:
             return state
 
         monkeypatch.setattr(decoder, "next_state", recording_next_state)
-        children, completed = expand(partial, out, snippet, params, vocab,
-                                     SearchLimits(max_name_len=2))
-        assert children == [] and len(completed) == 1
+        children, completed = expand(batch, out, snippet, params, vocab,
+                                     SearchLimits(max_name_len=2), best_at())
+        assert children == [] and len(completed) == 2
         assert calls == [(0, len(params.h_init))]
 
 
@@ -441,9 +485,9 @@ def test_step_records_only_for_popped_children_and_completions(rng, monkeypatch,
         records.append(real_record(*args))
         return records[-1]
 
-    def recording_expand(*args, **kwargs):
-        children, completed = real_expand(*args, **kwargs)
-        expansions.append((len(children), len(completed)))
+    def recording_expand(batch, *args, **kwargs):
+        children, completed = real_expand(batch, *args, **kwargs)
+        expansions.append((len(batch), len(children), len(completed)))
         return children, completed
 
     monkeypatch.setattr(decoder, "StepRecord", recording_record)
@@ -452,10 +496,12 @@ def test_step_records_only_for_popped_children_and_completions(rng, monkeypatch,
                    limits=SearchLimits(max_steps=30))
     monkeypatch.undo()
 
-    # Every expansion but the root's pops one child; each completion ends a name.
-    n_children = sum(n for n, _ in expansions)
-    n_completions = sum(n for _, n in expansions)
-    assert len(records) <= len(expansions) - 1 + n_completions < n_children
+    # Every expanded partial but the root is a popped child; each
+    # completion ends a name.
+    popped = sum(n for n, _, _ in expansions) - 1
+    n_children = sum(n for _, n, _ in expansions)
+    n_completions = sum(n for _, _, n in expansions)
+    assert len(records) <= popped + n_completions < n_children
     got = suggest(snippet, params, vocab, k=5, model_kind=model_kind,
                   limits=SearchLimits(max_steps=30))
     assert decoded(got) == decoded(want)
@@ -506,9 +552,10 @@ def decoded(suggestions):
 
 
 class TestSharedGruProducts:
-    """An expansion advances its open children in one GRU step over their
-    stacked embedding rows: the parent's state-side products are shared,
-    and the input-side products are one batched product."""
+    """An expansion, one ``expand`` call over a batch of partials, advances
+    the open children of every partial of the batch in one GRU step over
+    their stacked embedding rows and their parents' state rows, with one
+    vector-matrix product per row on each side."""
 
     limits = SearchLimits(max_steps=30)
 
@@ -523,9 +570,11 @@ class TestSharedGruProducts:
         child_tokens = []
 
         def plain_next_state(p, h_prev, *, token_id):
+            # Each child's own state from its parent's, one at a time.
             child_tokens.extend(token_id.tolist())
-            return np.array([real_next_state(p, h_prev, token_id=t) for t in token_id]
-                            ).reshape(len(token_id), len(h_prev))
+            return np.array([real_next_state(p, h, token_id=t)
+                             for h, t in zip(h_prev, token_id)]
+                            ).reshape(len(token_id), h_prev.shape[-1])
 
         monkeypatch.setattr(decoder, "next_state", plain_next_state)
         want = suggest(snippet, params, vocab, k=5, model_kind=model_kind,
@@ -579,21 +628,21 @@ class TestSharedGruProducts:
     def test_one_stacked_update_per_expansion(self, rng, monkeypatch, model_kind):
         vocab, params, snippet = sharing_setup(rng, model_kind)
         max_len = 2
-        # Per expansion: its prefix length, then each update's token ids and
-        # states, then its open children.
+        # Per expansion: its partials' lengths, then each update's token
+        # ids, parent state rows and states, then its open children.
         expansions = []
         real_expand, real_next_state = decoder.expand, decoder.next_state
 
-        def recording_expand(partial, *args, **kwargs):
+        def recording_expand(batch, *args, **kwargs):
             updates = []
-            expansions.append((len(partial.subtokens), updates))
-            children, completed = real_expand(partial, *args, **kwargs)
+            expansions.append(([len(p.subtokens) for p in batch], updates))
+            children, completed = real_expand(batch, *args, **kwargs)
             updates.append(children)
             return children, completed
 
         def recording_next_state(p, h_prev, *, token_id):
             states = real_next_state(p, h_prev, token_id=token_id)
-            expansions[-1][1].append((token_id.tolist(), states))
+            expansions[-1][1].append((token_id.tolist(), h_prev, states))
             return states
 
         monkeypatch.setattr(decoder, "expand", recording_expand)
@@ -601,15 +650,19 @@ class TestSharedGruProducts:
         assert suggest(snippet, params, vocab, k=5, model_kind=model_kind,
                        limits=SearchLimits(max_steps=30, max_name_len=max_len))
         assert len(expansions) > 1
-        for length, ((token_ids, states), children) in expansions:
-            assert states.shape == (len(children), 3)
+        assert any(len(lengths) > 1 for lengths, _ in expansions)
+        for lengths, ((token_ids, parents, states), children) in expansions:
+            assert states.shape == parents.shape == (len(children), 3)
             # An OOV child, copied from the snippet, feeds the unknown token.
             assert token_ids == [vocab.id(c.subtokens[-1]) for c in children]
-            for row, child in zip(states, children):
+            for row, parent, child in zip(states, parents, children):
                 assert child.state.tobytes() == row.tobytes()
-            if length == max_len:
+                assert child.parent.state.tobytes() == parent.tobytes()
+            if set(lengths) == {max_len}:
                 assert children == []
-        assert any(length == max_len for length, _ in expansions)  # zero-row updates
+        assert len({id(c.parent) for _, (_, children) in expansions for c in children}) > \
+            len(expansions)  # children of several parents share an update
+        assert any(set(lengths) == {max_len} for lengths, _ in expansions)  # zero-row updates
         emitted = {c.subtokens[-1] for _, (_, children) in expansions for c in children}
         assert ("zzz" in emitted) == (model_kind == "copy_attention")
 
@@ -659,3 +712,89 @@ class TestBeamEqualsExhaustive:
             assert [tuple(s.name) for s in got] == [tuple(n) for n, _ in want]
             for s, (_, lp) in zip(got, want):
                 assert s.log_prob == pytest.approx(lp, abs=1e-9)
+
+
+def recorded_search(monkeypatch, *args, **kwargs):
+    """``suggest(*args, **kwargs)`` with the partials it pops, in order, and
+    each batch it expands, with the number of pops made before it."""
+    popped, batches = [], []
+    real_pop, real_expand = decoder.heapq.heappop, decoder.expand
+
+    def recording_pop(heap):
+        item = real_pop(heap)
+        popped.append(item[2])
+        return item
+
+    def recording_expand(batch, *rest):
+        batches.append((len(popped), list(batch)))
+        return real_expand(batch, *rest)
+
+    with monkeypatch.context() as m:
+        m.setattr(decoder.heapq, "heappop", recording_pop)
+        m.setattr(decoder, "expand", recording_expand)
+        found = suggest(*args, **kwargs)
+    return found, popped, batches
+
+
+class TestFrontier:
+    """``suggest`` pops up to ``FRONTIER`` partials at or above the bar and
+    expands them as one batch."""
+
+    @pytest.mark.parametrize("model_kind", KINDS)
+    def test_a_decode_pops_at_most_one_pruned_partial_per_batch(self, rng, monkeypatch,
+                                                                model_kind):
+        vocab, params, snippet = sharing_setup(rng, model_kind)
+        params.b.data[vocab.id(NAME_END)] += 2.0  # names complete early and set a bar
+        found, popped, batches = recorded_search(monkeypatch, snippet, params, vocab, k=3,
+                                                 model_kind=model_kind)
+        # Each batch is the run of pops before its expansion, less at most
+        # one pop that found the rest of the heap below the bar.
+        start, pruned = 0, []
+        for end, batch in batches:
+            assert [id(p) for p in popped[start:start + len(batch)]] == [id(p) for p in batch]
+            pruned.append(end - start - len(batch))
+            start = end
+        pruned.append(len(popped) - start)  # after the last batch
+        assert all(n in (0, 1) for n in pruned) and sum(pruned) >= 1
+        assert len(popped) < SearchLimits().max_steps
+        unbound = suggest(snippet, params, vocab, k=3, model_kind=model_kind,
+                          limits=SearchLimits(max_steps=10**6))
+        assert decoded(found) == decoded(unbound)
+
+    @pytest.mark.parametrize("max_steps", [1, 2, 9, 10, 17])
+    def test_max_steps_counts_expanded_partials(self, rng, monkeypatch, max_steps):
+        vocab, params, snippet = sharing_setup(rng, "copy_attention")
+        params.b.data[vocab.id(NAME_END)] -= 20.0  # nothing completes, so no bar
+        _, _, batches = recorded_search(monkeypatch, snippet, params, vocab, k=3,
+                                        limits=SearchLimits(max_steps=max_steps))
+        sizes = [len(batch) for _, batch in batches]
+        assert sum(sizes) == max_steps and sizes[0] == 1  # the root alone
+        left = max_steps - 1
+        for size in sizes[1:]:
+            assert size == min(decoder.FRONTIER, left)
+            left -= size
+
+    def test_frontier_size_changes_no_number(self, monkeypatch):
+        # Any pop order reaches the exact top k when no limit binds, and
+        # every step and state row is its partial's own, bit for bit.
+        limits = SearchLimits(max_steps=10**6, heap_size=10**9, successors=10**9,
+                              max_name_len=2)
+        for seed in range(20):
+            rng = np.random.default_rng(300 + seed)
+            kind = KINDS[seed % 2]
+            vocab, params, snippet = tiny_setup(rng, body=("a",) * int(rng.integers(1, 4)),
+                                                scale=float(rng.uniform(0.3, 1.5)))
+            if kind == "conv_attention":
+                params = ModelParams.from_named({n: t for n, t in params.named_tensors()
+                                                 if n not in ("K_copy", "K_lambda")})
+            runs = []
+            for frontier in (1, 2, 8, 64):
+                monkeypatch.setattr(decoder, "FRONTIER", frontier)
+                got = suggest(snippet, params, vocab, k=5, model_kind=kind, limits=limits)
+                runs.append([(s.name, s.log_prob.hex(), r) for s, (_, _, r) in
+                             zip(got, decoded(got))])
+            monkeypatch.undo()
+            assert runs[0] and all(run == runs[0] for run in runs)
+            want = exhaustive_top_k(snippet, params, vocab, k=5, max_len=2, model_kind=kind)
+            assert [(name, lp) for name, lp, _ in runs[0]] == \
+                [(list(name), lp.hex()) for name, lp in want]

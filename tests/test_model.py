@@ -30,7 +30,7 @@ from codesum.model import (
     step_loss_from_ids,
     vocab_head,
 )
-from codesum.tensorcore import Tensor, gradient_check, log, pick, rows, stack
+from codesum.tensorcore import Tensor, as_array, gradient_check, log, pick, rows, stack
 
 
 class TestPadding:
@@ -470,6 +470,99 @@ class TestNextState:
         assert type(states) is np.ndarray and states.shape == (len(ids), 2)
         for row, token_id in zip(states, ids):
             assert row.tobytes() == next_state(p, p.h_init, token_id=token_id).tobytes()
+
+
+def random_decode_model(rng, model_kind, trial):
+    """A decode view of random shapes, one in three with ``len(snippet) ==
+    w3``; its snippet; and the snippet's encoding as arrays."""
+    d, k1, k2 = (int(x) for x in rng.integers(1, 48, size=3))
+    w1, w2, w3 = (int(x) for x in rng.integers(1, 12, size=3))
+    if trial % 3 == 0:
+        w3 = max(w3, 2)
+        body = ["w0"] * (w3 - 2)
+    else:
+        body = [f"w{int(i)}" for i in rng.integers(0, 40, size=int(rng.integers(0, 40)))]
+    vocab = make_vocab([f"w{i}" for i in range(int(rng.integers(1, 300)))])
+    p = make_params(len(vocab), d=d, k1=k1, k2=k2, w1=w1, w2=w2, w3=w3, rng=rng)
+    if model_kind == "conv_attention":  # the conv model has no copy head
+        p = ModelParams.from_named({n: t for n, t in p.named_tensors()
+                                    if n not in ("K_copy", "K_lambda")})
+    p = decode_view(p)
+    sn = encode_snippet(body + ["zzz"] * (trial % 2), vocab)
+    return p, sn, tuple(as_array(t) for t in encode(sn, p))
+
+
+class TestStepOverStateRows:
+    """A decode steps a batch of partials as (B, k2) array state rows.  Each
+    row is its state's own step byte for byte: a (B, ...) matrix product
+    in place of a per-row one would differ in the last bits."""
+
+    @pytest.mark.parametrize("model_kind", ["copy_attention", "conv_attention"])
+    def test_rows_equal_single_state_steps_bitwise(self, rng, model_kind):
+        step = step_fn(model_kind)
+        for trial in range(40):
+            p, sn, encoded = random_decode_model(rng, model_kind, trial)
+            states = rng.normal(size=(int(rng.integers(1, 17)), p.dims[2]))
+            out = step(sn, states, p, encoded)
+            heads = vocab_head(out.nhat, p)
+            for i, h in enumerate(states):
+                one = step(sn, h, p, encoded)
+                row = out.row(i)
+                assert row.alpha.tobytes() == one.alpha.tobytes()
+                assert row.nhat.tobytes() == one.nhat.tobytes()
+                assert heads[i].tobytes() == one.vocab_row().tobytes()
+                if model_kind == "copy_attention":
+                    assert row.kappa.tobytes() == one.kappa.tobytes()
+                    assert float(row.lam).hex() == float(one.lam).hex()
+                else:
+                    assert row.kappa is None and row.lam is None
+
+    @pytest.mark.parametrize("model_kind", ["copy_attention", "conv_attention"])
+    def test_preset_shapes(self, rng, model_kind):
+        # The copy and conv presets' widths and sizes, at a small |V|.
+        dims = {"copy_attention": (128, 32, 16, 18, 19, 2),
+                "conv_attention": (128, 8, 8, 24, 29, 10)}[model_kind]
+        vocab = make_vocab([f"w{i}" for i in range(90)])
+        p = make_params(len(vocab), *dims, rng=rng, scale=0.1)
+        if model_kind == "conv_attention":
+            p = ModelParams.from_named({n: t for n, t in p.named_tensors()
+                                        if n not in ("K_copy", "K_lambda")})
+        p = decode_view(p)
+        sn = encode_snippet([f"w{int(i)}" for i in rng.integers(0, 95, size=60)], vocab)
+        encoded = tuple(as_array(t) for t in encode(sn, p))
+        states = rng.normal(size=(8, dims[2]))
+        step = step_fn(model_kind)
+        out = step(sn, states, p, encoded)
+        for i, h in enumerate(states):
+            one = step(sn, h, p, encoded)
+            assert out.alpha[i].tobytes() == one.alpha.tobytes()
+            assert out.nhat[i].tobytes() == one.nhat.tobytes()
+
+    def test_a_state_of_another_size_is_rejected(self, rng):
+        p = decode_view(make_params(9, k2=2, rng=rng))
+        sn = make_snippet([1, 2])
+        features = as_array(encode(sn, p)[0])
+        for shape in [(3, 5), (2, 3, 2), (5,)]:
+            with pytest.raises(DimensionMismatch):
+                attention_features(features, np.zeros(shape), p)
+
+
+class TestNextStateOfManyParents:
+    def test_children_of_several_parents_equal_each_childs_own_state(self, rng):
+        # One next_state over the children of several parents: each row is
+        # next_state(p, h_parent, token_id=t) of that child alone.
+        for _ in range(30):
+            d, k2 = (int(x) for x in rng.integers(1, 70, size=2))
+            v = int(rng.integers(8, 200))
+            p = decode_view(make_params(v, d=d, k2=k2, rng=rng))
+            parents = rng.normal(size=(int(rng.integers(1, 9)), k2))
+            n = int(rng.integers(0, 60))
+            which, ids = rng.integers(0, len(parents), size=n), rng.integers(0, v, size=n)
+            states = next_state(p, parents[which], token_id=ids)
+            assert type(states) is np.ndarray and states.shape == (n, k2)
+            for state, parent, token_id in zip(states, parents[which], ids):
+                want = next_state(p, parent, token_id=int(token_id))
+                assert state.tobytes() == want.tobytes()
 
 
 def test_encode_snippet_adds_sentinels():

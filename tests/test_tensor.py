@@ -28,6 +28,7 @@ from codesum.tensorcore import (
     tanh,
     tmax,
     tsum,
+    vecmat,
 )
 from codesum.tensorcore.gru import input_products
 
@@ -213,6 +214,67 @@ class TestL2Normalize:
         assert 1.0 - 1e-6 <= norm <= 1.0
 
 
+class TestBatchesOfArrays:
+    """conv1d_narrow, l2_normalize, tmax and vecmat on arrays with a leading
+    batch axis: each entry's result is its own alone, byte for byte."""
+
+    def test_conv1d_narrow(self, rng):
+        for trial in range(60):
+            width = int(rng.integers(1, 25))
+            length = width if trial % 4 == 0 else width + int(rng.integers(0, 60))
+            d_in, d_out = int(rng.integers(1, 130)), int(rng.choice([1, 2, 8, 16, 33]))
+            x = rng.normal(size=(int(rng.integers(1, 17)), length, d_in))
+            k = rng.normal(size=(d_in, width, d_out))
+            got = conv1d_narrow(x, k)
+            assert got.shape == (len(x), length - width + 1, d_out)
+            for entry, one in zip(got, x):
+                assert entry.tobytes() == conv1d_narrow(one, k).tobytes()
+
+    def test_conv1d_narrow_batch_of_tensors_is_rejected(self, rng):
+        x, k = rng.normal(size=(2, 5, 3)), rng.normal(size=(3, 2, 1))
+        for operands in [(Tensor(x), k), (x, Tensor(k))]:
+            with pytest.raises(DimensionMismatch, match="a batch of inputs must be arrays"):
+                conv1d_narrow(*operands)
+
+    def test_l2_normalize(self, rng):
+        for _ in range(60):
+            shape = tuple(int(n) for n in rng.integers(1, 70, size=2))
+            m = rng.normal(size=(int(rng.integers(1, 17)), *shape)) * 5
+            m[0] = 0.0  # the guard, not a division by zero
+            got = l2_normalize(m)
+            for entry, one in zip(got, m):
+                assert entry.tobytes() == l2_normalize(one).tobytes()
+                assert entry.tobytes() == l2_normalize(Tensor(one)).data.tobytes()
+
+    def test_l2_normalize_takes_matrices(self, rng):
+        for m in [Tensor(rng.normal(size=(2, 3, 4))), rng.normal(size=4)]:
+            with pytest.raises(DimensionMismatch):
+                l2_normalize(m)
+
+    def test_tmax_rows_and_their_gradient(self, rng):
+        x = rng.normal(size=(6, 9))
+        x[2, 4] = x[2, 7] = x[2].max() + 1.0  # a tie: the first argmax takes it
+        got = tmax(x)
+        assert got.shape == (6,)
+        assert [v.hex() for v in got.tolist()] == [float(tmax(row)).hex() for row in x]
+        t = Tensor(x, requires_grad=True)
+        g = rng.normal(size=6)
+        tmax(t).backward(g)
+        want = np.zeros_like(x)
+        want[np.arange(6), np.argmax(x, axis=1)] = g
+        assert t.grad.tobytes() == want.tobytes()
+
+    def test_vecmat(self, rng):
+        for _ in range(40):
+            n, k, m = (int(v) for v in rng.integers(0, 140, size=3))
+            x, w = rng.normal(size=(n, k)), rng.normal(size=(k, m))
+            got = vecmat(x, w)
+            assert got.shape == (n, m)
+            assert got.tobytes() == np.array([row @ w for row in x]).reshape(n, m).tobytes()
+            if n:
+                assert vecmat(x[0], w).tobytes() == (x[0] @ w).tobytes()
+
+
 def zero_gru(d, k):
     z = lambda *s: Tensor(np.zeros(s))
     return GruParams(W_xr=z(d, k), W_hr=z(k, k), W_xu=z(d, k), W_hu=z(k, k),
@@ -254,9 +316,10 @@ class TestGruStep:
 
     def test_dimension_mismatch(self):
         # x of the wrong D, as one input or as rows; x of three dimensions
-        # or none; h of the wrong size.
+        # or none; h of the wrong size; state rows for one input, or not
+        # one per input row.
         for x, h in [((4,), (3,)), ((5, 4), (3,)), ((1, 1, 2), (3,)), ((), (3,)),
-                     ((2,), (2,)), ((5, 2), (5, 3))]:
+                     ((2,), (2,)), ((2,), (5, 3)), ((5, 2), (4, 3)), ((5, 2), (5, 2))]:
             with pytest.raises(DimensionMismatch):
                 gru_step(Tensor(np.zeros(x)), Tensor(np.zeros(h)), zero_gru(2, 3))
             with pytest.raises(DimensionMismatch):
@@ -288,6 +351,21 @@ class TestGruStep:
         want = np.array([gru_step(row, h, p) for row in x]).reshape(n, k)
         assert got.shape == (n, k)
         assert got.tobytes() == want.tobytes()
+
+    def test_state_rows_step_as_their_rows_alone(self, rng):
+        # A decode's children of several parents: input row i steps from
+        # state row i, bit for bit as that child alone.
+        for _ in range(30):
+            d, k, n = (int(v) for v in rng.integers(1, 70, size=3))
+            p = GruParams(**{name: rng.normal(size=s) for name, s in [
+                ("W_xr", (d, k)), ("W_hr", (k, k)), ("W_xu", (d, k)), ("W_hu", (k, k)),
+                ("W_xc", (d, k)), ("W_hc", (k, k)), ("b_r", (k,)), ("b_u", (k,)),
+                ("b_c", (k,))]})
+            x, h = rng.normal(size=(n, d)), rng.normal(size=(n, k))
+            got = gru_step(x, h, p)
+            assert got.shape == (n, k)
+            for row, (xi, hi) in zip(got, zip(x, h)):
+                assert row.tobytes() == gru_step(xi, hi, p).tobytes()
 
     @pytest.mark.parametrize("d, k", [(3, 2), (4, 3), (2, 2), (128, 16)])
     @pytest.mark.parametrize("n", [0, 1, 7])
