@@ -1,49 +1,22 @@
-"""Corpus construction: Java lexing, subtokenization, vocabularies, splits."""
+"""Corpus construction: Java lexing, subtokenization, vocabularies, splits.
 
-from .dataset import (
-    MethodExample,
-    load_jsonl,
-    save_jsonl,
-    split_dataset,
-    split_examples,
-    tokenize_method,
-    tokenize_snippet,
-)
-from .javalex import RawMethod, extract_methods, lex
-from .subtokens import SELF_TOKEN, STRING_TOKEN, split_identifier
-from .vocabulary import (
-    BODY_END,
-    BODY_START,
-    NAME_END,
-    NAME_START,
-    PAD,
-    SELF,
-    SPECIAL_TOKENS,
-    UNK,
-    Vocabulary,
-    build_vocabulary,
-)
+The package exports the method records (``RawMethod``, ``MethodExample``),
+the ``Vocabulary``, and the steps that build a dataset from Java text:
+``extract_methods``, ``tokenize_method``, ``tokenize_snippet``,
+``split_examples`` and ``build_vocabulary``.  Everything else is read
+from its module.
+"""
+
+from .dataset import MethodExample, split_examples, tokenize_method, tokenize_snippet
+from .javalex import RawMethod, extract_methods
+from .vocabulary import Vocabulary, build_vocabulary
 
 __all__ = [
-    "BODY_END",
-    "BODY_START",
     "MethodExample",
-    "NAME_END",
-    "NAME_START",
-    "PAD",
     "RawMethod",
-    "SELF",
-    "SELF_TOKEN",
-    "SPECIAL_TOKENS",
-    "STRING_TOKEN",
-    "UNK",
     "Vocabulary",
     "build_vocabulary",
     "extract_methods",
-    "lex",
-    "load_jsonl",
-    "save_jsonl",
-    "split_dataset",
     "split_examples",
     "tokenize_method",
     "tokenize_snippet",

@@ -57,8 +57,6 @@ class RawMethod:
 
     name: str
     body_tokens: list[str]
-    modifiers: set[str]
-    annotations: set[str]
     file_path: str
     project: str
 
@@ -275,8 +273,6 @@ def extract_methods(source_text: str, file_path: str, project: str,
         out.append(RawMethod(
             name=header.name,
             body_tokens=body,
-            modifiers=header.modifiers,
-            annotations=header.annotations,
             file_path=file_path,
             project=project,
         ))

@@ -23,10 +23,10 @@ the step or state of its partial alone, so the batch size changes only
 the order prefixes are visited in; unless ``max_steps`` or
 ``heap_size`` binds, the result is the exact top k under
 ``max_name_len`` in any order.
-A prefix is one node holding its last token and a link to its parent;
-its subtokens, and a completion's attention records, are read off that
-chain only when asked for.  The candidates of every merged distribution
-come from one ``copy_table`` per snippet of the copy model.
+A prefix is one node holding its last token and a link to its parent,
+and a completed name is its end marker's node: names and attention
+records are read off that chain only when asked for.  One ``copy_table``
+per snippet of the copy model gives every merged distribution its candidates.
 """
 
 from __future__ import annotations
@@ -88,19 +88,20 @@ class StepRecord:
 
 
 @dataclass(slots=True, eq=False)
-class PartialSuggestion:
+class Suggestion:
     """A name prefix on the heap: the root, which has no parent, or its
     parent's prefix plus ``token``, with the attention ``snapshot``
     (alpha, kappa, lam) of the step that chose it, shared with its
-    siblings.  A completion's node is the end marker's and has no state."""
+    siblings.  A completed name is the end marker's node: it has no
+    state, and its name is its parent's subtokens."""
 
     log_prob: float
     state: np.ndarray | None
-    parent: PartialSuggestion | None = None
+    parent: Suggestion | None = None
     token: str | None = None
     snapshot: tuple | None = None
 
-    def chain(self) -> list[PartialSuggestion]:
+    def chain(self) -> list[Suggestion]:
         """The nodes from the root's child to this one."""
         nodes, node = [], self
         while node.parent is not None:
@@ -112,14 +113,9 @@ class PartialSuggestion:
     def subtokens(self) -> tuple[str, ...]:
         return tuple(node.token for node in self.chain())
 
-
-@dataclass
-class Suggestion:
-    """A completed, ranked name."""
-
-    name: list[str]
-    log_prob: float
-    end: PartialSuggestion  # the end marker's node
+    @property
+    def name(self) -> list[str]:
+        return list(self.parent.subtokens)
 
     @property
     def probability(self) -> float:
@@ -128,7 +124,7 @@ class Suggestion:
     @property
     def steps(self) -> list[StepRecord]:
         """One attention record per subtoken and the end marker, built when read."""
-        return [StepRecord(node.token, *node.snapshot) for node in self.end.chain()]
+        return [StepRecord(node.token, *node.snapshot) for node in self.chain()]
 
 
 class Best:
@@ -161,7 +157,7 @@ def decode_view(params: ModelParams) -> ModelParams:
         for name, t in params.named_tensors()})
 
 
-def successors(merged: MergedDistribution, partial: PartialSuggestion,
+def successors(merged: MergedDistribution, partial: Suggestion,
                limits: SearchLimits) -> list[int]:
     """The candidate ids of at most ``limits.successors`` most probable
     entries of ``merged``, in falling order, ties broken by token string,
@@ -179,10 +175,10 @@ def successors(merged: MergedDistribution, partial: PartialSuggestion,
     return order[:n].tolist()
 
 
-def expand(batch: list[PartialSuggestion], out: StepOutput, snippet: EncodedSnippet,
+def expand(batch: list[Suggestion], out: StepOutput, snippet: EncodedSnippet,
            params: ModelParams, vocab: Vocabulary, limits: SearchLimits, best: Best,
            table: CopyTable | None = None,
-           ) -> tuple[list[PartialSuggestion], list[Suggestion]]:
+           ) -> tuple[list[Suggestion], list[Suggestion]]:
     """Children of a batch of partials, split into open prefixes and completions.
 
     Row i of ``out`` is the step of ``batch[i]``; the vocabulary head
@@ -215,8 +211,7 @@ def expand(batch: list[PartialSuggestion], out: StepOutput, snippet: EncodedSnip
             continue  # an empty name is meaningless output
         log_prob = partial.log_prob + math.log(max(prob, 1e-300))
         if bar is None or log_prob >= bar:
-            node = PartialSuggestion(log_prob, None, partial, NAME_END, snapshots[row])
-            completed.append(Suggestion(list(partial.subtokens), log_prob, node))
+            completed.append(Suggestion(log_prob, None, partial, NAME_END, snapshots[row]))
             best.add(log_prob)
 
     bar = best.bar
@@ -235,7 +230,7 @@ def expand(batch: list[PartialSuggestion], out: StepOutput, snippet: EncodedSnip
     token_ids[token_ids >= len(vocab)] = vocab.unk_id
     parents = np.array([row for row, _, _, _ in opened], dtype=np.intp)
     states = next_state(params, np.stack([p.state for p in batch])[parents], token_id=token_ids)
-    return [PartialSuggestion(log_prob, state, batch[row], token, snapshots[row])
+    return [Suggestion(log_prob, state, batch[row], token, snapshots[row])
             for (row, _, token, log_prob), state in zip(opened, states)], completed
 
 
@@ -260,7 +255,7 @@ def suggest(snippet: EncodedSnippet, params: ModelParams, vocab: Vocabulary,
     encoded = tuple(as_array(t) for t in encode(snippet, params))
     table = copy_table(snippet, vocab) if model_kind == "copy_attention" else None
     counter = itertools.count()  # heap tie-breaker: earlier pushes first
-    heap = [(0.0, next(counter), PartialSuggestion(0.0, params.h_init))]
+    heap = [(0.0, next(counter), Suggestion(0.0, params.h_init))]
     # Each prefix is expanded at most once, so each name completes at most once.
     completed: list[Suggestion] = []
     best = Best(k)

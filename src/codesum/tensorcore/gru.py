@@ -40,12 +40,6 @@ class GruParams:
     b_c: Operand
 
 
-def input_products(x: Operand, p: GruParams) -> tuple[Operand, Operand, Operand]:
-    """``x @ W_x*``; for (n, D) array rows, one vector-matrix product per
-    row, each ``x[i]``'s bit for bit, which a plain ``x @ W`` is not."""
-    return vecmat(x, p.W_xr), vecmat(x, p.W_xu), vecmat(x, p.W_xc)
-
-
 def gru_step(x: Operand, h_prev: Operand, p: GruParams) -> Operand:
     """One GRU update: reset and update gates, candidate state, blend.
 
@@ -58,7 +52,7 @@ def gru_step(x: Operand, h_prev: Operand, p: GruParams) -> Operand:
             or h_prev.shape not in ((k2,), x.shape[:-1] + (k2,))):
         raise DimensionMismatch(f"gru_step got x {x.shape}, h {h_prev.shape} "
                                 f"for params {p.W_xr.shape}")
-    xr, xu, xc = input_products(x, p)
+    xr, xu, xc = vecmat(x, p.W_xr), vecmat(x, p.W_xu), vecmat(x, p.W_xc)
     hr, hu, hc = vecmat(h_prev, p.W_hr), vecmat(h_prev, p.W_hu), vecmat(h_prev, p.W_hc)
     r = sigmoid(xr + hr + p.b_r)
     u = sigmoid(xu + hu + p.b_u)

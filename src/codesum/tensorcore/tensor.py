@@ -127,9 +127,6 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def __sub__(self, other):
-        return add(self, neg(other))
-
     def __rsub__(self, other):
         return add(other, neg(self))
 
@@ -137,17 +134,6 @@ class Tensor:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("division only supported by python scalars")
-        return mul(self, 1.0 / float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
 
 
 Operand = Tensor | np.ndarray  # a Tensor, or a plain array such as a decode's
@@ -213,28 +199,25 @@ def mul(a: Operand, b: Operand) -> Operand:
 # -- matrix products ---------------------------------------------------------
 
 def matmul(a: Operand, b: Operand) -> Operand:
-    """Matrix product for the 1-D/2-D combinations numpy's ``@`` allows."""
+    """``a @ b`` for a vector ``a``: a scalar with a vector ``b``, a vector
+    with a matrix ``b``."""
     ad, bd = as_array(a), as_array(b)
-    if np.ndim(ad) not in (1, 2) or np.ndim(bd) not in (1, 2):
+    if np.ndim(ad) != 1 or np.ndim(bd) not in (1, 2):
         raise DimensionMismatch(
-            f"matmul needs 1-D or 2-D operands, got {np.shape(ad)} @ {np.shape(bd)}")
-    if ad.ndim == 1 and bd.ndim == 1:    # dot -> scalar
-        vjp_a, vjp_b = (lambda g: g * bd), (lambda g: g * ad)
-    elif ad.ndim == 1:                   # (m,) @ (m,n) -> (n,)
-        vjp_a, vjp_b = (lambda g: bd @ g), (lambda g: np.outer(ad, g))
-    elif bd.ndim == 1:                   # (m,k) @ (k,) -> (m,)
-        vjp_a, vjp_b = (lambda g: np.outer(g, bd)), (lambda g: ad.T @ g)
-    else:                                # (m,k) @ (k,n) -> (m,n)
-        vjp_a, vjp_b = (lambda g: g @ bd.T), (lambda g: ad.T @ g)
-    return _make(ad @ bd, a, vjp_a, b, vjp_b)
+            f"matmul needs a vector and a vector or a matrix, got {np.shape(ad)} @ {np.shape(bd)}")
+    if bd.ndim == 1:
+        return _make(np.asarray(ad @ bd), a, lambda g: g * bd, b, lambda g: g * ad)
+    return _make(ad @ bd, a, lambda g: bd @ g, b, lambda g: np.outer(ad, g))
 
 
 def matvec(m: Operand, xs: Operand) -> Operand:
     """``m @ x`` for each row ``x`` of ``xs``: (n, k) with (T, k) gives (T, n).
-    Each row is the product ``matmul(m, x)`` makes, bit for bit; the
-    backward pass is one matrix product per operand over all T rows."""
+    One batched product of ``m`` with T (k, 1) columns, so each row is
+    ``m @ x`` of its ``x`` alone, bit for bit; the backward pass is one
+    matrix product per operand over all T rows."""
     md, xd = as_array(m), as_array(xs)
-    return _make(np.stack([md @ x for x in xd]), m, lambda g: g.T @ xd, xs, lambda g: g @ md)
+    return _make(np.matmul(md, xd[:, :, None])[:, :, 0], m, lambda g: g.T @ xd,
+                 xs, lambda g: g @ md)
 
 
 def vecmat(x: Operand, m: Operand) -> Operand:

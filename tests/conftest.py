@@ -1,19 +1,29 @@
-"""Shared builders for model-level tests, search prefixes, checkpoint
-manifest edits, a Tensor counter, fuzzed dataset lines and fuzzed Java
-text."""
+"""Shared builders for model-level tests, search prefixes, the exhaustive
+search oracle, checkpoint manifest edits, a Tensor counter, fuzzed
+dataset lines and fuzzed Java text."""
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from codesum.checkpoint import MAGIC
-from codesum.corpus.vocabulary import SPECIAL_TOKENS, Vocabulary
-from codesum.decoder import PartialSuggestion
-from codesum.model import EncodedSnippet, ModelParams, param_shapes
+from codesum.corpus.vocabulary import NAME_END, SPECIAL_TOKENS, Vocabulary
+from codesum.decoder import Suggestion
+from codesum.model import (
+    EncodedSnippet,
+    ModelParams,
+    copy_table,
+    encode,
+    merged_distribution,
+    next_state,
+    param_shapes,
+    step_fn,
+)
 from codesum.tensorcore import Tensor
 
 
@@ -43,13 +53,41 @@ def make_snippet(ids, surface=None, pad_id: int = 5) -> EncodedSnippet:
     return EncodedSnippet(ids=ids, surface=list(surface), pad_id=pad_id)
 
 
-def prefix(tokens, log_prob: float, state) -> PartialSuggestion:
+def prefix(tokens, log_prob: float, state) -> Suggestion:
     """A search node for the name prefix ``tokens``: a chain of nodes from
     a root, the last with ``log_prob`` and ``state``."""
-    node = PartialSuggestion(log_prob, state)
+    node = Suggestion(log_prob, state)
     for token in tokens:
-        node = PartialSuggestion(log_prob, state, node, token)
+        node = Suggestion(log_prob, state, node, token)
     return node
+
+
+def exhaustive_top_k(snippet, params, vocab, k, max_len, model_kind="copy_attention"):
+    """The ``k`` best of every name up to ``max_len`` subtokens, as
+    (subtokens, log-probability) pairs: a brute-force enumeration that
+    gives every name its own states and runs none of the search machinery.
+    It steps the Tensor forward on gradient-free Tensors of the parameters'
+    arrays, with the snippet encoded once and one copy table."""
+    params = ModelParams.from_named({name: Tensor(t.data) for name, t in params.named_tensors()})
+    step = step_fn(model_kind)
+    encoded = encode(snippet, params)
+    table = copy_table(snippet, vocab) if model_kind == "copy_attention" else None
+    scores = {}
+
+    def walk(name, log_prob, state):
+        out = step(snippet, state, params, encoded)
+        for token, prob in merged_distribution(out, snippet, vocab, table).items():
+            if prob <= 0.0:
+                continue
+            lp = log_prob + math.log(prob)
+            if token == NAME_END:
+                if name and lp > scores.get(name, -math.inf):
+                    scores[name] = lp
+            elif len(name) < max_len:
+                walk(name + (token,), lp, next_state(params, state, token_id=vocab.id(token)))
+
+    walk((), 0.0, params.h_init)
+    return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
 
 
 def read_parts(path):

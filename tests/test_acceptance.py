@@ -7,7 +7,6 @@ CODESUM_SMOKE_DIR points at a Java project checkout.
 
 import itertools
 import json
-import math
 import os
 import string
 import time
@@ -16,7 +15,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import make_params, make_vocab
+from conftest import exhaustive_top_k, make_params, make_vocab
 from codesum.checkpoint import load, save
 from codesum.corpus import MethodExample
 from codesum.decoder import SearchLimits, suggest
@@ -42,7 +41,6 @@ from codesum.model import (
     encode_snippet,
     merged_distribution,
     next_state,
-    step_fn,
     step_loss_from_ids,
 )
 from codesum.tensorcore import Tensor, gradient_check, gru_step
@@ -135,31 +133,6 @@ def test_criterion_2_distribution_invariants():
 # 3. Beam search equals exhaustive enumeration
 # -----------------------------------------------------------------------
 
-def _exhaustive(snippet, params, vocab, k, max_len, model_kind):
-    step = step_fn(model_kind)
-    scores = {}
-
-    def walk(prefix, log_prob, state):
-        out = step(snippet, state, params)
-        for token, prob in merged_distribution(out, snippet, vocab).items():
-            if prob <= 0.0:
-                continue
-            lp = log_prob + math.log(prob)
-            if token == "</s>":
-                if prefix:
-                    key = tuple(prefix)
-                    if key not in scores or lp > scores[key]:
-                        scores[key] = lp
-                continue
-            if len(prefix) + 1 > max_len:
-                continue
-            walk(prefix + [token], lp,
-                 next_state(params, state, token_id=vocab.id(token)))
-
-    walk([], 0.0, params.h_init)
-    return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-
-
 def test_criterion_3_beam_equals_exhaustive():
     with criterion(3, "top-5 suggestions equal exhaustive enumeration"):
         limits = SearchLimits(max_steps=10**6, heap_size=10**9,
@@ -174,7 +147,7 @@ def test_criterion_3_beam_equals_exhaustive():
             kind = "copy_attention" if seed % 2 == 0 else "conv_attention"
             got = suggest(snippet, params, vocab, k=5, model_kind=kind,
                           limits=limits)
-            want = _exhaustive(snippet, params, vocab, 5, 4, kind)
+            want = exhaustive_top_k(snippet, params, vocab, 5, 4, kind)
             assert [tuple(s.name) for s in got] == [name for name, _ in want]
             for s, (_, lp) in zip(got, want):
                 assert abs(s.log_prob - lp) <= 1e-9

@@ -21,8 +21,7 @@ from codesum.errors import MalformedDataset
 
 
 def raw(name, body_tokens):
-    return RawMethod(name=name, body_tokens=body_tokens, modifiers=set(),
-                     annotations=set(), file_path="f.java", project="p")
+    return RawMethod(name=name, body_tokens=body_tokens, file_path="f.java", project="p")
 
 
 class TestTokenizeMethod:

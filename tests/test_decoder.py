@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_params, make_vocab, prefix
+from conftest import exhaustive_top_k, make_params, make_vocab, prefix
 from codesum import decoder
 from codesum.corpus.dataset import MethodExample
 from codesum.corpus.vocabulary import NAME_END
@@ -18,7 +18,6 @@ from codesum.model import (
     encode,
     encode_snippet,
     merged_distribution,
-    next_state,
     step_fn,
 )
 from codesum.tensorcore import Tensor, as_array
@@ -53,44 +52,6 @@ def best_at(bar=None, k=3):
     for _ in range(0 if bar is None else k):
         best.add(bar)
     return best
-
-
-def exhaustive_top_k(snippet, params, vocab, k, max_len, model_kind="copy_attention"):
-    """Brute-force enumeration of every name up to ``max_len`` subtokens.
-
-    Scores sequences with the same model functions but none of the
-    search machinery.
-    """
-    step = step_fn(model_kind)
-    alphabet = sorted(merged_distribution(
-        step(snippet, params.h_init, params), snippet, vocab))
-    results = []
-
-    def walk(prefix, log_prob, state):
-        out = step(snippet, state, params)
-        merged = merged_distribution(out, snippet, vocab)
-        for token, prob in merged.items():
-            if prob <= 0.0:
-                continue
-            lp = log_prob + math.log(prob)
-            if token == NAME_END:
-                if prefix:
-                    results.append((list(prefix), lp))
-                continue
-            if len(prefix) + 1 > max_len:
-                continue
-            nstate = next_state(params, state, token_id=vocab.id(token))
-            walk(prefix + [token], lp, nstate)
-
-    walk([], 0.0, params.h_init)
-    dedup = {}
-    for name, lp in results:
-        key = tuple(name)
-        if key not in dedup or lp > dedup[key]:
-            dedup[key] = lp
-    ranked = sorted(dedup.items(), key=lambda kv: (-kv[1], kv[0]))
-    assert len(alphabet) <= 8
-    return ranked[:k]
 
 
 class TestSearchLimits:
@@ -321,6 +282,17 @@ class TestSuggest:
                 assert record.alpha.shape == (len(snippet),)
                 assert record.kappa.shape == (len(snippet),)
                 assert 0.0 < record.lam < 1.0
+
+    @pytest.mark.parametrize("model_kind", ["copy_attention", "conv_attention"])
+    def test_a_suggestion_is_its_end_node(self, rng, model_kind):
+        vocab, params, snippet = sharing_setup(rng, model_kind)
+        out = suggest(snippet, params, vocab, k=5, model_kind=model_kind)
+        assert len(out) == 5
+        for s in out:
+            assert s.token == NAME_END and s.state is None
+            assert type(s.name) is list
+            assert s.name == [r.token for r in s.steps][:-1]
+            assert s.probability == math.exp(s.log_prob)
 
     def test_empty_when_nothing_completes(self, rng):
         vocab, params, snippet = tiny_setup(rng)
@@ -584,19 +556,18 @@ class TestSharedGruProducts:
         assert decoded(got) == decoded(want)
 
     @pytest.mark.parametrize("model_kind", KINDS)
-    def test_one_batched_input_product_per_expansion(
-            self, rng, monkeypatch, model_kind):
-        from codesum.tensorcore import gru as gru_module
+    def test_one_batched_gru_step_per_expansion(self, rng, monkeypatch, model_kind):
+        from codesum import model as model_module
 
         vocab, params, snippet = sharing_setup(rng, model_kind)
         view = decode_view(params)
-        real_products, calls = gru_module.input_products, []
+        real_gru_step, calls = model_module.gru_step, []
 
-        def recording_products(x, p):
-            calls.append((x, real_products(x, p)))
-            return calls[-1][1]
+        def recording_gru_step(x, h_prev, p):
+            calls.append((x, h_prev, real_gru_step(x, h_prev, p)))
+            return calls[-1][2]
 
-        monkeypatch.setattr(gru_module, "input_products", recording_products)
+        monkeypatch.setattr(model_module, "gru_step", recording_gru_step)
         expansions = []
         real_expand = decoder.expand
 
@@ -613,15 +584,15 @@ class TestSharedGruProducts:
         assert len(calls) == len(expansions)
         child_tokens = []
         for children, made in expansions:
-            (inputs, products), = made
+            (inputs, parents, states), = made
             # An OOV child, copied from the snippet, feeds the unknown token.
             token_ids = [vocab.id(c.subtokens[-1]) for c in children]
             child_tokens.extend(token_ids)
             assert inputs.shape == (len(children), view.E.shape[1])
             assert inputs.tobytes() == view.E[token_ids].tobytes()
             for row, token_id in enumerate(token_ids):
-                want = real_products(view.E[token_id], view.gru)
-                assert [x[row].tobytes() for x in products] == [w.tobytes() for w in want]
+                want = real_gru_step(view.E[token_id], parents[row], view.gru)
+                assert states[row].tobytes() == want.tobytes()
         assert len(child_tokens) > len(set(child_tokens)) > 1
 
     @pytest.mark.parametrize("model_kind", KINDS)

@@ -30,7 +30,6 @@ from codesum.tensorcore import (
     tsum,
     vecmat,
 )
-from codesum.tensorcore.gru import input_products
 
 
 def einsum_conv1d(x, k, g):
@@ -275,6 +274,28 @@ class TestBatchesOfArrays:
                 assert vecmat(x[0], w).tobytes() == (x[0] @ w).tobytes()
 
 
+class TestProducts:
+    """``matmul`` takes a vector first; ``matvec`` makes each row its own
+    row's product."""
+
+    @pytest.mark.parametrize("shapes", [((3, 4), (4,)), ((3, 4), (4, 2)), ((), (3,)),
+                                        ((2, 2, 2), (2,)), ((3,), (3, 3, 3))])
+    def test_matmul_needs_a_vector_first(self, rng, shapes):
+        a, b = (rng.normal(size=s) for s in shapes)
+        for operands in [(a, b), (Tensor(a), Tensor(b)), (a, Tensor(b))]:
+            with pytest.raises(DimensionMismatch):
+                matmul(*operands)
+
+    @pytest.mark.parametrize("t", [8, 1])
+    def test_matvec_rows_equal_per_row_products_bitwise(self, rng, t):
+        # |V| x D of the benchmark's evaluate-conv vocabulary head.
+        m, xs = rng.normal(size=(8378, 128)), rng.normal(size=(t, 128))
+        got = matvec(m, xs)
+        assert got.shape == (t, 8378)
+        for row, x in zip(got, xs):
+            assert row.tobytes() == (m @ x).tobytes()
+
+
 def zero_gru(d, k):
     z = lambda *s: Tensor(np.zeros(s))
     return GruParams(W_xr=z(d, k), W_hr=z(k, k), W_xu=z(d, k), W_hu=z(k, k),
@@ -370,15 +391,16 @@ class TestGruStep:
     @pytest.mark.parametrize("d, k", [(3, 2), (4, 3), (2, 2), (128, 16)])
     @pytest.mark.parametrize("n", [0, 1, 7])
     def test_batched_input_products_equal_per_row_products_bitwise(self, rng, n, d, k):
-        # One batched vector-matrix product per weight, never a plain
-        # (n, D) @ (D, k) product, which may differ in the last bits.
+        # gru_step's products of its input rows: one batched vector-matrix
+        # product per weight, never a plain (n, D) @ (D, k) product, which
+        # may differ in the last bits.
         p = GruParams(**{name: rng.normal(size=s) for name, s in [
             ("W_xr", (d, k)), ("W_hr", (k, k)), ("W_xu", (d, k)), ("W_hu", (k, k)),
             ("W_xc", (d, k)), ("W_hc", (k, k)), ("b_r", (k,)), ("b_u", (k,)), ("b_c", (k,))]})
         for _ in range(20):
             x = rng.normal(size=(n, d))
-            got = input_products(x, p)
-            for w, products in zip((p.W_xr, p.W_xu, p.W_xc), got):
+            for w in (p.W_xr, p.W_xu, p.W_xc):
+                products = vecmat(x, w)
                 assert products.shape == (n, k)
                 want = np.array([row @ w for row in x]).reshape(n, k)
                 assert products.tobytes() == want.tobytes()
@@ -401,15 +423,6 @@ class TestArrayOperands:
         tsum(out).backward()
         np.testing.assert_array_equal(t.grad, grad(a))
 
-    def test_matmul(self, rng):
-        a, m = rng.normal(size=3), rng.normal(size=(3, 2))
-        t = Tensor(m, requires_grad=True)
-        out = a @ t
-        assert type(out) is Tensor
-        assert out.data.tobytes() == (a @ m).tobytes()
-        tsum(out).backward()
-        np.testing.assert_array_equal(t.grad, np.outer(a, np.ones(2)))
-
 
 def op_cases(rng):
     """Every op, each with array operands: name -> (op, operands)."""
@@ -420,7 +433,7 @@ def op_cases(rng):
         "neg": (neg, (x,)),
         "mul": (mul, (x, rng.normal(size=(7, 1)))),
         "mul_number": (lambda a: mul(a, 0.5), (x,)),
-        "matmul": (matmul, (rng.normal(size=(5, 3)), rng.normal(size=(3, 4)))),
+        "matmul": (matmul, (v, rng.normal(size=4))),
         "matmul_vector": (matmul, (v, rng.normal(size=(4, 3)))),
         "tsum": (tsum, (x,)),
         "pick": (lambda a: pick(a, 2), (v,)),
