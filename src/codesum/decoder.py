@@ -19,10 +19,11 @@ Successors are ranked with numpy, one row of the batch at a time.  The
 open children of the whole batch advance in one ``next_state`` call on
 their token ids and their parents' states, which steps the GRU over the
 stacked rows.  Every step row and every state row is bit-identical to
-the step or state of its partial alone, so the batch size changes only
-the order prefixes are visited in; unless ``max_steps`` or
-``heap_size`` binds, the result is the exact top k under
-``max_name_len`` in any order.
+the step or state of its partial alone, and the batch's one vocabulary
+head moves a row's probabilities by a few ulps at most.  So the batch
+size changes the order prefixes are visited in and the last bits of
+log-probabilities; unless ``max_steps`` or ``heap_size`` binds, the
+names are the exact top k under ``max_name_len`` in any order.
 A prefix is one node holding its last token and a link to its parent,
 and a completed name is its end marker's node: names and attention
 records are read off that chain only when asked for.  One ``copy_table``
@@ -181,14 +182,14 @@ def expand(batch: list[Suggestion], out: StepOutput, snippet: EncodedSnippet,
            ) -> tuple[list[Suggestion], list[Suggestion]]:
     """Children of a batch of partials, split into open prefixes and completions.
 
-    Row i of ``out`` is the step of ``batch[i]``; the vocabulary head
-    scores all rows at once.  A row's children are its ``successors``.
-    The batch's completions go into ``best`` first, each as it is found,
-    so a row whose partial is below the bar by then is not ranked.  Then
-    each row's open children at or above the bar, which come first in
-    the falling order, advance in test mode, all in one ``next_state``
-    call on their token ids and their parents' states, made even when no
-    child is left.  ``params`` is a ``decode_view``; ``table`` is the
+    Row i of ``out`` is the step of ``batch[i]``; one vocabulary head
+    scores all rows at once, reading ``E`` once.  A row's children are
+    its ``successors``.  The batch's completions go into ``best`` first,
+    each as it is found, so a row whose partial is below the bar by then
+    is not ranked.  Then each row's open children at or above the bar,
+    which come first in the falling order, advance in test mode, all in
+    one ``next_state`` call on their token ids and their parents' states,
+    made even when no child is left.  ``params`` is a ``decode_view``; ``table`` is the
     snippet's ``copy_table``.
     """
     heads = vocab_head(out.nhat, params)

@@ -212,10 +212,11 @@ def attention_weights(l_feat: Operand, kernel: Operand) -> Operand:
 
 def vocab_head(nhats: Operand, p: ModelParams) -> Operand:
     """softmax(E n̂ + b) for each row n̂ of the (T, D) stack ``nhats``: the
-    (T, |V|) vocabulary distributions of T steps.  Each row's logits are
-    the vector product ``E @ n̂``, so a row equals the head of its step
-    alone bit for bit, and ``E``'s gradient is one product over all rows;
-    an array for an array stack and array ``E`` and ``b``."""
+    (T, |V|) vocabulary distributions of T steps.  The logits of all rows
+    are one matrix product, which reads ``E`` once, and so is ``E``'s
+    gradient.  A head of one step is that step's vector product bit for
+    bit; a row of a head over several steps may differ from it in the
+    last bits.  An array for an array stack and array ``E`` and ``b``."""
     return softmax(matvec(p.E, nhats) + p.b)
 
 

@@ -212,12 +212,12 @@ def matmul(a: Operand, b: Operand) -> Operand:
 
 def matvec(m: Operand, xs: Operand) -> Operand:
     """``m @ x`` for each row ``x`` of ``xs``: (n, k) with (T, k) gives (T, n).
-    One batched product of ``m`` with T (k, 1) columns, so each row is
-    ``m @ x`` of its ``x`` alone, bit for bit; the backward pass is one
-    matrix product per operand over all T rows."""
+    One matrix product ``xs @ m.T``, which reads ``m`` once for all T rows.
+    A single row is the vector product ``m @ x`` bit for bit; with T > 1
+    a row may differ from its ``x`` alone in the last bits.  The backward
+    pass is one matrix product per operand over all T rows."""
     md, xd = as_array(m), as_array(xs)
-    return _make(np.matmul(md, xd[:, :, None])[:, :, 0], m, lambda g: g.T @ xd,
-                 xs, lambda g: g @ md)
+    return _make(xd @ md.T, m, lambda g: g.T @ xd, xs, lambda g: g @ md)
 
 
 def vecmat(x: Operand, m: Operand) -> Operand:

@@ -1,11 +1,13 @@
 """Shared builders for model-level tests, search prefixes, the exhaustive
-search oracle, checkpoint manifest edits, a Tensor counter, fuzzed
-dataset lines and fuzzed Java text."""
+search oracle, the per-row vocabulary head and its stated bound,
+checkpoint manifest edits, a Tensor counter, fuzzed dataset lines and
+fuzzed Java text."""
 
 from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -24,7 +26,51 @@ from codesum.model import (
     param_shapes,
     step_fn,
 )
-from codesum.tensorcore import Tensor
+from codesum.tensorcore import Tensor, as_array, softmax
+
+# The stated bound of the vocabulary head's one product over many rows:
+# its probabilities, and the log-probabilities, losses, gradient norms
+# and parameters that follow from them, agree relatively within RTOL with
+# those of one vector product per row.
+RTOL = 1e-12
+
+
+def pytest_report_header():
+    """The numpy and BLAS that produced the bits: the records' strict
+    modes and every byte-for-byte equality hold for one build and one
+    thread count."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    return (f"numpy {np.__version__}; BLAS {blas.get('name', 'unknown')} "
+            f"{blas.get('version', '')}; "
+            f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS')}")
+
+
+def close(a, b, rtol: float = RTOL) -> bool:
+    """``a == b``, or two floats, or their ``float.hex()`` strings, within
+    ``rtol`` of each other relatively."""
+    if a == b:
+        return True
+    if not (isinstance(a, (float, str)) and isinstance(b, (float, str))):
+        return False
+    x, y = (float.fromhex(v) if isinstance(v, str) else v for v in (a, b))
+    return abs(x - y) <= rtol * max(abs(x), abs(y))
+
+
+def within(got, want, rtol: float = RTOL) -> bool:
+    """Every entry of the array ``got`` within ``rtol`` of ``want``'s, relatively."""
+    return bool(np.all(np.abs(got - want) <= rtol * np.abs(want)))
+
+
+def per_row_head(nhats, p: ModelParams) -> np.ndarray:
+    """softmax(E n̂ + b) with one vector product ``E @ n̂`` per row of the
+    (T, D) stack ``nhats``, so row t is step t's head alone, bit for bit:
+    the oracle that ``model.vocab_head``'s one matrix product over the
+    rows equals when T = 1 and is within ``RTOL`` of when T > 1."""
+    E, x = as_array(p.E), as_array(nhats)
+    return softmax(np.matmul(E, x[:, :, None])[:, :, 0] + as_array(p.b))
 
 
 def make_vocab(tokens: list[str]) -> Vocabulary:

@@ -10,7 +10,12 @@ output unchanged: the record holds the exact top 5, whatever order the
 search visits prefixes in.
 
 ``tests/test_decode_record.py`` compares a fresh run with the committed
-``decode_record.json``.  To regenerate it, which is a test-data change:
+``decode_record.json``: names, their order and the attention hashes
+exactly, log-probabilities within ``conftest.RTOL`` relative, since a
+vocabulary head over several rows may move them by a few ulps.
+``--strict`` compares every log-probability's hex exactly too, which
+holds only on one BLAS build and thread count.  To regenerate the
+record, which is a test-data change:
 
     PYTHONPATH=src python tests/decode_record.py --write
 """
@@ -28,7 +33,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from conftest import make_params, make_vocab  # noqa: E402
+from conftest import RTOL, close, make_params, make_vocab  # noqa: E402
 from codesum.decoder import SearchLimits, suggest  # noqa: E402
 from codesum.model import ModelParams, encode_snippet  # noqa: E402
 
@@ -83,20 +88,46 @@ def decode(limits: SearchLimits | None = None) -> list[dict]:
     return out
 
 
+def differences(fresh: list[dict], committed: list[dict]) -> list[str]:
+    """Where ``fresh`` leaves the bound around ``committed``: a case, name,
+    order or attention hash that differs, or a log-probability outside
+    ``RTOL``."""
+    def ranked(cases):
+        return [(c["seed"], c["model_kind"], [(s["name"], s["steps_sha256"])
+                                              for s in c["suggestions"]]) for c in cases]
+
+    if ranked(fresh) != ranked(committed):
+        return ["the cases, names, their order or the attention records differ"]
+    return [f"seed {new['seed']} {new['model_kind']} {a['name']}: "
+            f"log-prob {a['log_prob']} != {b['log_prob']}"
+            for new, old in zip(fresh, committed)
+            for a, b in zip(new["suggestions"], old["suggestions"])
+            if not close(a["log_prob"], b["log_prob"])]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--write", action="store_true", help=f"rewrite {RECORD.name}")
+    ap.add_argument("--strict", action="store_true",
+                    help="compare every log-probability's hex exactly")
     args = ap.parse_args(argv)
     fresh = decode()
-    if fresh != decode(UNBOUND):
+    if differences(decode(UNBOUND), fresh):
         print("a SearchLimits cap binds on some case; pick other cases", file=sys.stderr)
         return 1
     if args.write:
         RECORD.write_text(json.dumps(fresh, indent=1) + "\n")
         return 0
-    same = RECORD.exists() and json.loads(RECORD.read_text()) == fresh
-    print("decode record: " + ("equal" if same else "DIFFERS"))
-    return 0 if same else 1
+    committed = json.loads(RECORD.read_text())
+    found = differences(fresh, committed)
+    for line in found:
+        print(line, file=sys.stderr)
+    if args.strict and fresh != committed and not found:
+        print(f"decode record: DIFFERS in log-probs only, within {RTOL:g} relative")
+        return 1
+    print("decode record: " + ("DIFFERS" if found else "equal" if fresh == committed
+                               else f"equal within {RTOL:g} relative"))
+    return 1 if found else 0
 
 
 if __name__ == "__main__":

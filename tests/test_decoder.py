@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import exhaustive_top_k, make_params, make_vocab, prefix
+from conftest import close, exhaustive_top_k, make_params, make_vocab, prefix
 from codesum import decoder
 from codesum.corpus.dataset import MethodExample
 from codesum.corpus.vocabulary import NAME_END
@@ -747,7 +747,10 @@ class TestFrontier:
 
     def test_frontier_size_changes_no_number(self, monkeypatch):
         # Any pop order reaches the exact top k when no limit binds, and
-        # every step and state row is its partial's own, bit for bit.
+        # every step and state row is its partial's own, bit for bit, so
+        # names, their order and attention records are equal.  A head over
+        # several rows moves log-probabilities within RTOL; with one
+        # partial per batch every head has one row, and they are exact.
         limits = SearchLimits(max_steps=10**6, heap_size=10**9, successors=10**9,
                               max_name_len=2)
         for seed in range(20):
@@ -765,7 +768,10 @@ class TestFrontier:
                 runs.append([(s.name, s.log_prob.hex(), r) for s, (_, _, r) in
                              zip(got, decoded(got))])
             monkeypatch.undo()
-            assert runs[0] and all(run == runs[0] for run in runs)
+            assert runs[0]
+            for run in runs[1:]:
+                assert [(name, r) for name, _, r in run] == [(name, r) for name, _, r in runs[0]]
+                assert all(close(lp, want) for (_, lp, _), (_, want, _) in zip(run, runs[0]))
             want = exhaustive_top_k(snippet, params, vocab, k=5, max_len=2, model_kind=kind)
             assert [(name, lp) for name, lp, _ in runs[0]] == \
                 [(list(name), lp.hex()) for name, lp in want]
