@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import errno
 import json
-import math
 import os
 import sys
 from collections import Counter
@@ -162,7 +161,7 @@ def _cmd_suggest(args) -> int:
               file=sys.stderr)
         return 0
     for i, s in enumerate(suggestions, start=1):
-        pct = 100.0 * math.exp(s.log_prob)
+        pct = 100.0 * s.probability
         print(f"{i}. {','.join(s.name)} ({pct:.1f}%)")
     if args.viz:
         top = suggestions[0]

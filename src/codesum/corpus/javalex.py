@@ -141,7 +141,7 @@ def _parse_method_header(pending: list[str]) -> _Header | None:
     if open_idx is None or open_idx == 0:
         return None
     name = pending[open_idx - 1]
-    if not re.match(r"[A-Za-z_$][A-Za-z0-9_$]*$", name):
+    if not _IDENT.match(name):
         return None
     if name in _NOT_A_METHOD or name in _MODIFIERS or name in _TYPE_KEYWORDS:
         return None
@@ -259,7 +259,6 @@ def extract_methods(source_text: str, file_path: str, project: str,
 
     out: list[RawMethod] = []
     for header, owner, body in candidates:
-        stats["methods_seen"] += 1
         if header.name == owner:
             stats["excluded_constructor"] += 1
             continue
@@ -269,7 +268,6 @@ def extract_methods(source_text: str, file_path: str, project: str,
         if "Override" in header.annotations or overrides_same_file_supertype(header, owner):
             stats["excluded_override"] += 1
             continue
-        stats["methods_kept"] += 1
         out.append(RawMethod(
             name=header.name,
             body_tokens=body,

@@ -19,7 +19,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .corpus.vocabulary import BODY_END, BODY_START, Vocabulary
+from .corpus.vocabulary import BODY_END, BODY_START, UNK, Vocabulary
 from .errors import DimensionMismatch, VariantDisabled
 from .tensorcore import (
     GruParams,
@@ -32,14 +32,12 @@ from .tensorcore import (
     log,
     matmul,
     matvec,
-    pick,
     prelu,
     reshape,
     rows,
     sigmoid,
     softmax,
     tmax,
-    vecmat,
 )
 
 # Down-weights the vocabulary head's UNK when the copy head could have
@@ -227,7 +225,7 @@ def conv_attention_step(snippet: EncodedSnippet, h_prev: Operand, p: ModelParams
     rows it is B steps at once, row i bit for bit the step of state i."""
     features, embedding = encode(snippet, p) if encoded is None else encoded
     alpha = attention_weights(attention_features(features, h_prev, p), p.K_att)
-    return StepOutput(alpha=alpha, nhat=vecmat(alpha, embedding), params=p)
+    return StepOutput(alpha=alpha, nhat=matmul(alpha, embedding), params=p)
 
 
 def copy_attention_step(snippet: EncodedSnippet, h_prev: Operand, p: ModelParams,
@@ -243,7 +241,7 @@ def copy_attention_step(snippet: EncodedSnippet, h_prev: Operand, p: ModelParams
     kappa = attention_weights(l_feat, p.K_copy)
     gate = conv1d_narrow(l_feat, p.K_lambda)
     lam = tmax(sigmoid(reshape(gate, gate.shape[:-1])))
-    return StepOutput(alpha=alpha, nhat=vecmat(alpha, embedding), params=p, kappa=kappa,
+    return StepOutput(alpha=alpha, nhat=matmul(alpha, embedding), params=p, kappa=kappa,
                       lam=lam)
 
 
@@ -269,7 +267,7 @@ def step_loss_from_ids(step: StepOutput, target_id: int,
     ``vocab_row`` is the step's row of a ``vocab_head`` over many steps,
     by default ``step.vocab_row()``.
     """
-    r_target = pick(step.vocab_row() if vocab_row is None else vocab_row, target_id)
+    r_target = rows(step.vocab_row() if vocab_row is None else vocab_row, target_id)
     if step.lam is None:
         prob = r_target
     else:
@@ -288,7 +286,7 @@ def step_loss(step: StepOutput, target: str, snippet: EncodedSnippet,
     penalize = False
     if step.lam is not None:
         indicator = np.array([1.0 if s == target else 0.0 for s in snippet.surface])
-        penalize = target_id == vocab.unk_id and target != vocab.token(vocab.unk_id) \
+        penalize = target_id == vocab.unk_id and target != UNK \
             and bool(indicator.any())
     return step_loss_from_ids(step, target_id, indicator, penalize, vocab_row)
 

@@ -7,9 +7,9 @@ the same ``sigmoid`` and ``tanh`` ops run on the arrays and return
 arrays, so a child state costs its arithmetic and no Tensor.
 The input may be one ``(D,)`` vector or ``(n, D)`` array rows, one per
 child of a decode, with one ``(k2,)`` state for all rows or ``(n, k2)``
-state rows, each child's parent state.  Each product on rows is one
-vector-matrix product per row (``vecmat``), so row i of the ``(n, k2)``
-result equals the step of row i alone, bit for bit.
+state rows, each child's parent state.  ``matmul`` takes array rows as
+one vector-matrix product per row, so row i of the ``(n, k2)`` result
+equals the step of row i alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import DimensionMismatch
-from .tensor import Operand, sigmoid, tanh, vecmat
+from .tensor import Operand, matmul, sigmoid, tanh
 
 
 @dataclass
@@ -52,8 +52,8 @@ def gru_step(x: Operand, h_prev: Operand, p: GruParams) -> Operand:
             or h_prev.shape not in ((k2,), x.shape[:-1] + (k2,))):
         raise DimensionMismatch(f"gru_step got x {x.shape}, h {h_prev.shape} "
                                 f"for params {p.W_xr.shape}")
-    xr, xu, xc = vecmat(x, p.W_xr), vecmat(x, p.W_xu), vecmat(x, p.W_xc)
-    hr, hu, hc = vecmat(h_prev, p.W_hr), vecmat(h_prev, p.W_hu), vecmat(h_prev, p.W_hc)
+    xr, xu, xc = matmul(x, p.W_xr), matmul(x, p.W_xu), matmul(x, p.W_xc)
+    hr, hu, hc = matmul(h_prev, p.W_hr), matmul(h_prev, p.W_hu), matmul(h_prev, p.W_hc)
     r = sigmoid(xr + hr + p.b_r)
     u = sigmoid(xu + hu + p.b_u)
     c = tanh(xc + r * hc + p.b_c)

@@ -1,9 +1,11 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 Only the operations the summarization model actually needs are provided:
-elementwise arithmetic with numpy broadcasting, a few matrix products,
-narrow 1-D convolution, softmax/sigmoid/tanh/PReLU, whole-matrix L2
-normalization, row gathering for embedding lookups, stacking, and scalar
+elementwise arithmetic with numpy broadcasting, two matrix products
+(``matmul`` of a vector or of each row of an array, ``matvec`` of a
+matrix with many rows), narrow 1-D convolution, softmax/sigmoid/tanh/PReLU,
+whole-matrix L2 normalization, one gather (``rows``) for embedding
+lookups and a target's entry of a vector, stacking, and scalar
 reductions.
 
 Every op is a forward pass plus one vector-Jacobian product (VJP) per
@@ -172,13 +174,6 @@ def _make(data, *operand_vjps) -> Operand:
     return Tensor(data, _prev=tuple([x for x, _ in live]), _backward=backward if live else None)
 
 
-def _one_hot(like: np.ndarray, idx: int, g) -> np.ndarray:
-    """Zeros shaped as ``like`` with the scalar ``g`` at flat index ``idx``."""
-    out = np.zeros_like(like)
-    out.flat[idx] = float(g)
-    return out
-
-
 # -- elementwise arithmetic ------------------------------------------------
 
 def add(a: Operand, b: Operand) -> Operand:
@@ -200,11 +195,15 @@ def mul(a: Operand, b: Operand) -> Operand:
 
 def matmul(a: Operand, b: Operand) -> Operand:
     """``a @ b`` for a vector ``a``: a scalar with a vector ``b``, a vector
-    with a matrix ``b``."""
+    with a matrix ``b``.  For a plain (n, k) array ``a`` and a plain
+    matrix ``b``, each row's own vector-matrix product: row i is
+    ``a[i] @ b`` bit for bit, which one (n, k) @ (k, p) product is not."""
     ad, bd = as_array(a), as_array(b)
+    if np.ndim(ad) == np.ndim(bd) == 2 and Tensor not in (type(a), type(b)):
+        return np.matmul(ad[:, None, :], bd)[:, 0, :]
     if np.ndim(ad) != 1 or np.ndim(bd) not in (1, 2):
-        raise DimensionMismatch(
-            f"matmul needs a vector and a vector or a matrix, got {np.shape(ad)} @ {np.shape(bd)}")
+        raise DimensionMismatch(f"matmul needs a vector, or array rows with an array matrix, "
+                                f"got {np.shape(ad)} @ {np.shape(bd)}")
     if bd.ndim == 1:
         return _make(np.asarray(ad @ bd), a, lambda g: g * bd, b, lambda g: g * ad)
     return _make(ad @ bd, a, lambda g: bd @ g, b, lambda g: np.outer(ad, g))
@@ -218,15 +217,6 @@ def matvec(m: Operand, xs: Operand) -> Operand:
     pass is one matrix product per operand over all T rows."""
     md, xd = as_array(m), as_array(xs)
     return _make(xd @ md.T, m, lambda g: g.T @ xd, xs, lambda g: g @ md)
-
-
-def vecmat(x: Operand, m: Operand) -> Operand:
-    """``x @ m`` for one vector ``x``, or for each row of an (n, k) array
-    ``x`` as its own vector-matrix product: row i is ``x[i] @ m`` bit for
-    bit, which one (n, k) @ (k, p) product is not."""
-    if type(x) is np.ndarray and x.ndim == 2:
-        return np.matmul(x[:, None, :], m)[:, 0, :]
-    return matmul(x, m)
 
 
 # -- reductions ---------------------------------------------------------------
@@ -249,14 +239,6 @@ def tmax(a: Operand) -> Operand:
     return _make(np.asarray(ad.max(axis=-1)), a, vjp)
 
 
-def pick(a: Operand, index: int) -> Operand:
-    """One entry of a vector as a scalar."""
-    if a.ndim != 1:
-        raise DimensionMismatch("pick expects a vector")
-    ad, idx = as_array(a), int(index)
-    return _make(np.asarray(ad[idx]), a, lambda g: _one_hot(ad, idx, g))
-
-
 # -- shape plumbing -----------------------------------------------------------
 
 def reshape(a: Operand, shape: Sequence[int]) -> Operand:
@@ -264,12 +246,14 @@ def reshape(a: Operand, shape: Sequence[int]) -> Operand:
 
 
 def rows(table: Operand, ids: int | Sequence[int] | np.ndarray) -> Operand:
-    """Copies of rows of a matrix, or of one row by one id (embedding
-    lookup).  Backward scatter-adds into the table's gradient in place:
-    a dense gradient would be table-sized on every gather."""
+    """Copies of rows of a matrix or a vector, whose rows are its entries,
+    or of one row by one id: an embedding lookup, or a step's probability
+    of its target as a 0-d array.  Backward scatter-adds into the table's
+    gradient in place: a dense gradient would be table-sized on every
+    gather."""
     idx = np.asarray(ids, dtype=np.intp)
-    if table.ndim != 2:
-        raise DimensionMismatch("rows expects a matrix table")
+    if table.ndim not in (1, 2):
+        raise DimensionMismatch("rows expects a vector or a matrix table")
     td = as_array(table)
 
     def vjp(g):
@@ -277,7 +261,7 @@ def rows(table: Operand, ids: int | Sequence[int] | np.ndarray) -> Operand:
             table.grad = np.zeros_like(td)
         np.add.at(table.grad, idx, g)
 
-    return _make(np.take(td, idx, axis=0), table, vjp)
+    return _make(np.asarray(np.take(td, idx, axis=0)), table, vjp)
 
 
 def stack(vectors: Sequence[Operand]) -> Operand:

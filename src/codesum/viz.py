@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus.vocabulary import NAME_END
 from .decoder import StepRecord
 
 ALPHA_RGB = (240, 180, 0)    # attention head
@@ -63,7 +64,7 @@ def render_attention_html(surface: Sequence[str], steps: Sequence[StepRecord],
               'style="background-color:', f'">{html.escape(tok)}</span>') for tok in surface]
     rows: list[str] = []
     for i, step in enumerate(steps):
-        label = step.token if step.token != "</s>" else "End"
+        label = step.token if step.token != NAME_END else "End"
         alpha = step.alpha
         peak = float(np.max(alpha)) if len(alpha) else 0.0
         alpha_norm = alpha / peak if peak > 0 else alpha

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from codesum.checkpoint import MAGIC
 from codesum.corpus.vocabulary import NAME_END, SPECIAL_TOKENS, Vocabulary
-from codesum.decoder import Suggestion
+from codesum.decoder import Suggestion, decode_view
 from codesum.model import (
     EncodedSnippet,
     ModelParams,
@@ -112,17 +112,17 @@ def exhaustive_top_k(snippet, params, vocab, k, max_len, model_kind="copy_attent
     """The ``k`` best of every name up to ``max_len`` subtokens, as
     (subtokens, log-probability) pairs: a brute-force enumeration that
     gives every name its own states and runs none of the search machinery.
-    It steps the Tensor forward on gradient-free Tensors of the parameters'
-    arrays, with the snippet encoded once and one copy table."""
-    params = ModelParams.from_named({name: Tensor(t.data) for name, t in params.named_tensors()})
+    It steps the model on ``decode_view(params)``, one state at a time,
+    with the snippet encoded once into arrays and one copy table."""
+    params = decode_view(params)
     step = step_fn(model_kind)
-    encoded = encode(snippet, params)
+    encoded = tuple(as_array(t) for t in encode(snippet, params))
     table = copy_table(snippet, vocab) if model_kind == "copy_attention" else None
     scores = {}
 
     def walk(name, log_prob, state):
-        out = step(snippet, state, params, encoded)
-        for token, prob in merged_distribution(out, snippet, vocab, table).items():
+        merged = merged_distribution(step(snippet, state, params, encoded), snippet, vocab, table)
+        for token, prob in zip(merged.tokens, merged.probs.tolist()):
             if prob <= 0.0:
                 continue
             lp = log_prob + math.log(prob)

@@ -113,7 +113,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     fresh = decode()
     if differences(decode(UNBOUND), fresh):
-        print("a SearchLimits cap binds on some case; pick other cases", file=sys.stderr)
+        print("a SearchLimits cap binds on some case; choose other cases", file=sys.stderr)
         return 1
     if args.write:
         RECORD.write_text(json.dumps(fresh, indent=1) + "\n")

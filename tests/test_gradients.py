@@ -14,7 +14,6 @@ from codesum.tensorcore import (
     matmul,
     matvec,
     mul,
-    pick,
     prelu,
     reshape,
     rows,
@@ -118,11 +117,11 @@ class TestLinalgGrads:
         w = np.random.default_rng(3).normal(size=(4, 3))
         gradient_check(build, {"table": table})
 
-    def test_pick_tmax_reshape(self, rng):
+    def test_rows_tmax_reshape(self, rng):
         v = leaf(rng, 6)
 
         def build():
-            return pick(v, 2) + tmax(v * v) + tsum(reshape(v, (2, 3)))
+            return rows(v, 2) + tmax(v * v) + tsum(reshape(v, (2, 3)))
 
         gradient_check(build, {"v": v})
 

@@ -18,7 +18,6 @@ from codesum.tensorcore import (
     matvec,
     mul,
     neg,
-    pick,
     prelu,
     reshape,
     rows,
@@ -28,7 +27,6 @@ from codesum.tensorcore import (
     tanh,
     tmax,
     tsum,
-    vecmat,
 )
 
 
@@ -214,7 +212,7 @@ class TestL2Normalize:
 
 
 class TestBatchesOfArrays:
-    """conv1d_narrow, l2_normalize, tmax and vecmat on arrays with a leading
+    """conv1d_narrow, l2_normalize, tmax and matmul on arrays with a leading
     batch axis: each entry's result is its own alone, byte for byte."""
 
     def test_conv1d_narrow(self, rng):
@@ -263,26 +261,31 @@ class TestBatchesOfArrays:
         want[np.arange(6), np.argmax(x, axis=1)] = g
         assert t.grad.tobytes() == want.tobytes()
 
-    def test_vecmat(self, rng):
-        for _ in range(40):
-            n, k, m = (int(v) for v in rng.integers(0, 140, size=3))
+    def test_matmul_rows(self, rng):
+        for trial in range(40):
+            n = trial if trial < 2 else int(rng.integers(2, 140))  # n = 0 and one row first
+            k, m = (int(v) for v in rng.integers(0, 140, size=2))
             x, w = rng.normal(size=(n, k)), rng.normal(size=(k, m))
-            got = vecmat(x, w)
+            got = matmul(x, w)
             assert got.shape == (n, m)
             assert got.tobytes() == np.array([row @ w for row in x]).reshape(n, m).tobytes()
-            if n:
-                assert vecmat(x[0], w).tobytes() == (x[0] @ w).tobytes()
+            for row, one in zip(got, x):
+                assert row.tobytes() == matmul(one, w).tobytes()
 
 
 class TestProducts:
-    """``matmul`` takes a vector first; ``matvec`` makes each row its own
-    row's product."""
+    """``matmul`` takes a vector first, or array rows with an array matrix;
+    ``matvec`` makes each row its own row's product."""
 
     @pytest.mark.parametrize("shapes", [((3, 4), (4,)), ((3, 4), (4, 2)), ((), (3,)),
                                         ((2, 2, 2), (2,)), ((3,), (3, 3, 3))])
     def test_matmul_needs_a_vector_first(self, rng, shapes):
         a, b = (rng.normal(size=s) for s in shapes)
-        for operands in [(a, b), (Tensor(a), Tensor(b)), (a, Tensor(b))]:
+        cases = [(a, b), (Tensor(a), Tensor(b)), (a, Tensor(b)), (Tensor(a), b)]
+        if shapes == ((3, 4), (4, 2)):  # array rows with an array matrix: the rows form
+            assert matmul(a, b).tobytes() == np.array([row @ b for row in a]).tobytes()
+            cases = cases[1:]
+        for operands in cases:
             with pytest.raises(DimensionMismatch):
                 matmul(*operands)
 
@@ -298,6 +301,27 @@ class TestProducts:
             if t == 1:
                 assert row.tobytes() == (m @ x).tobytes()
             assert np.all(np.abs(row - m @ x) <= RTOL * (np.abs(m) @ np.abs(x)))
+
+
+class TestRows:
+    """``rows`` gathers rows of a matrix or entries of a vector."""
+
+    def test_vector_entries_by_ids_and_their_scatter_gradient(self, rng):
+        v = rng.normal(size=6)
+        assert rows(v, 4).shape == () and type(rows(v, 4)) is np.ndarray
+        assert rows(v, 4).tobytes() == v[4].tobytes()
+        t = Tensor(v, requires_grad=True)
+        got = rows(t, [5, 0, 5])
+        assert got.data.tobytes() == v[[5, 0, 5]].tobytes()
+        g = rng.normal(size=3)
+        got.backward(g)
+        assert t.grad.tolist() == [g[1], 0.0, 0.0, 0.0, 0.0, g[0] + g[2]]
+
+    def test_a_3d_table_is_rejected(self, rng):
+        table = rng.normal(size=(2, 3, 4))
+        for operand in [table, Tensor(table)]:
+            with pytest.raises(DimensionMismatch, match="rows expects a vector or a matrix"):
+                rows(operand, 0)
 
 
 def zero_gru(d, k):
@@ -404,7 +428,7 @@ class TestGruStep:
         for _ in range(20):
             x = rng.normal(size=(n, d))
             for w in (p.W_xr, p.W_xu, p.W_xc):
-                products = vecmat(x, w)
+                products = matmul(x, w)
                 assert products.shape == (n, k)
                 want = np.array([row @ w for row in x]).reshape(n, k)
                 assert products.tobytes() == want.tobytes()
@@ -440,7 +464,7 @@ def op_cases(rng):
         "matmul": (matmul, (v, rng.normal(size=4))),
         "matmul_vector": (matmul, (v, rng.normal(size=(4, 3)))),
         "tsum": (tsum, (x,)),
-        "pick": (lambda a: pick(a, 2), (v,)),
+        "rows_of_a_vector": (lambda a: rows(a, 2), (v,)),
         "prelu": (prelu, (x, np.array(0.3))),
         "log": (log, (np.abs(x) + 0.1,)),
         "rows": (lambda t: rows(t, [3, 0, 3]), (rng.normal(size=(6, 4)),)),
