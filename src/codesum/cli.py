@@ -57,7 +57,7 @@ def _cmd_build_corpus(args) -> int:
     print(f"methods kept: {n}")
     print(f"excluded: constructors {stats['excluded_constructor']}, "
           f"overrides {stats['excluded_override']}, "
-          f"abstract/bodyless {stats['excluded_abstract'] + stats['excluded_bodyless']}")
+          f"abstract/bodyless {stats['excluded_bodyless']}")
     return 0
 
 

@@ -8,9 +8,13 @@ position, that does not follow ``.`` and is followed by a name, so a
 class literal in an annotation (``X.class``) is not mistaken for the
 declaration and the result never depends on the hash seed.  A method's
 body is the token slice up to its matching ``}``.  The extractor keeps
-concrete, non-constructor methods and drops overrides, found either by
-an @Override annotation or by a name/arity match against a supertype
-declared in the same file.
+every method with a body, so an abstract, interface or native method
+(which has none) is never extracted.  It drops constructors and
+overrides, found either by an @Override annotation or by a name/arity
+match against a supertype declared in the same file.  A header with no
+return type is a constructor only when it names its own type; any
+other, such as an enum constant with a class body (``PLUS() { ... }``),
+opens a block whose methods belong to the enclosing type.
 """
 
 from __future__ import annotations
@@ -82,7 +86,6 @@ class _TypeDecl:
 class _Header:
     name: str
     arity: int
-    modifiers: set[str]
     annotations: set[str]
     has_return_type: bool
 
@@ -151,7 +154,7 @@ def _parse_method_header(pending: list[str]) -> _Header | None:
     has_return_type = False
     if open_idx >= 2:
         prev = pending[open_idx - 2]
-        if prev in ("new", ".") or prev in _NOT_A_METHOD:
+        if prev == "." or prev in _NOT_A_METHOD:
             return None
         if not (_IDENT.match(prev) or prev in (">", ">>", ">>>", "]")):
             return None
@@ -167,10 +170,9 @@ def _parse_method_header(pending: list[str]) -> _Header | None:
             depth = max(0, depth - len(t))
         elif t == "," and depth == 0:
             arity += 1
-    mods = {t for t in pending[:open_idx - 1] if t in _MODIFIERS}
     annotations = {pending[i + 1] for i, t in enumerate(pending[:-1]) if t == "@"}
-    return _Header(name=name, arity=arity, modifiers=mods,
-                   annotations=annotations, has_return_type=has_return_type)
+    return _Header(name=name, arity=arity, annotations=annotations,
+                   has_return_type=has_return_type)
 
 
 def _matching_brace(tokens: list[str], open_idx: int, file_path: str) -> int:
@@ -217,7 +219,9 @@ def extract_methods(source_text: str, file_path: str, project: str,
             if type_decl is not None:
                 types[type_decl.name] = type_decl
                 stack.append(type_decl)
-            elif owner is not None:
+            # With no return type, only a constructor is a method: an enum
+            # constant's body is a block whose methods belong to the enum.
+            elif owner is not None and (header.has_return_type or header.name == owner.name):
                 owner.declared.add((header.name, header.arity))
                 end = _matching_brace(tokens, i, file_path)
                 candidates.append((header, owner.name, tokens[i:end + 1]))
@@ -261,9 +265,6 @@ def extract_methods(source_text: str, file_path: str, project: str,
     for header, owner, body in candidates:
         if header.name == owner:
             stats["excluded_constructor"] += 1
-            continue
-        if "abstract" in header.modifiers:
-            stats["excluded_abstract"] += 1
             continue
         if "Override" in header.annotations or overrides_same_file_supertype(header, owner):
             stats["excluded_override"] += 1

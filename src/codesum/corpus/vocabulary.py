@@ -55,9 +55,6 @@ class Vocabulary:
     def id(self, token: str) -> int:
         return self.token_to_id.get(token, self.unk_id)
 
-    def token(self, idx: int) -> str:
-        return self.id_to_token[idx]
-
     def __len__(self) -> int:
         return len(self.id_to_token)
 

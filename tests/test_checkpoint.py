@@ -72,6 +72,19 @@ class TestRoundTrip:
         write_checkpoint(tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
+    def test_a_failed_save_removes_its_temporary_file(self, tmp_path, monkeypatch):
+        params, vocab, path = write_checkpoint(tmp_path)
+        before = path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("codesum.checkpoint.os.replace", failing_replace)
+        with pytest.raises(OSError, match="No space left"):
+            save(params, vocab, cfg(), path)
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+        assert path.read_bytes() == before
+
     def test_header_layout(self, tmp_path):
         _, _, path = write_checkpoint(tmp_path)
         blob = path.read_bytes()
@@ -209,6 +222,35 @@ class TestCorruption:
         manifest["vocabulary"]["tokens"][-1] = 7
         write_parts(path, version, manifest, payload)
         with pytest.raises(CorruptManifest, match="list of strings"):
+            load(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda v: {**v, "tokens": v["tokens"] + v["tokens"][-1:]}, "duplicate tokens"),
+        (lambda v: {**v, "tokens": [t for t in v["tokens"] if t != "%unk%"]},
+         "missing special token '%unk%'"),
+        (lambda v: {**v, "specials": {**v["specials"], "UNK": 0}}, "specials disagree"),
+    ], ids=["duplicate-token", "missing-special", "moved-special"])
+    def test_bad_vocabulary(self, tmp_path, edit, message):
+        _, _, path = write_checkpoint(tmp_path)
+        version, manifest, payload = read_parts(path)
+        manifest["vocabulary"] = edit(manifest["vocabulary"])
+        write_parts(path, version, manifest, payload)
+        with pytest.raises(CorruptManifest, match=message):
+            load(path)
+
+    @pytest.mark.parametrize("second_offset", [8, 0], ids=["overlap", "decrease"])
+    def test_tensor_offsets_overlap_or_decrease(self, tmp_path, second_offset):
+        # Every tensor holds more than one float, so a second tensor at
+        # byte 8 starts inside the first; one at byte 0, with the first
+        # moved past it, starts before it.
+        _, _, path = write_checkpoint(tmp_path)
+        version, manifest, payload = read_parts(path)
+        first, second = manifest["tensors"][:2]
+        if second_offset == 0:
+            first["byte_offset"] = second["byte_offset"]
+        second["byte_offset"] = second_offset
+        write_parts(path, version, manifest, payload)
+        with pytest.raises(CorruptManifest, match="overlap or decrease"):
             load(path)
 
     def test_manifest_missing_tensor(self, tmp_path):

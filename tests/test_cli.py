@@ -623,6 +623,17 @@ class TestFuzzedDatasets:
             assert code in (0, 2), capsys.readouterr().err
 
 
+class TestEmptySplit:
+    def test_evaluate_on_an_empty_split_exits_2(self, split_checkpoint, capsys):
+        # A single file lands in train, so test has no examples.
+        data = split_checkpoint / "one-file.jsonl"
+        data.write_bytes(split_records().splitlines(keepends=True)[0])
+        capsys.readouterr()
+        assert main(["evaluate", "--ckpt", str(split_checkpoint / "good.ckpt"),
+                     "--data", str(data), "--split", "test"]) == 2
+        assert capsys.readouterr().err == "error: split 'test' is empty\n"
+
+
 class TestFuzzedJava:
     """``build-corpus`` over fuzzed Java files and ``suggest`` over a fuzzed
     snippet either succeed or reject the input (exit 2); they never fail

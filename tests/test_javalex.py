@@ -1,5 +1,7 @@
 """Method extraction from tolerantly-lexed Java sources."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -76,13 +78,15 @@ class TestExtraction:
         assert names(src) == ["keep"]
 
     def test_abstract_excluded(self):
+        # For having no body: f, invalid Java with one, is extracted.
         src = """
         abstract class A {
             abstract void g();
             void h() { g(); }
+            abstract int f() { return 1; }
         }
         """
-        assert names(src) == ["h"]
+        assert names(src) == ["h", "f"]
 
     def test_same_file_supertype_override_excluded(self):
         src = """
@@ -175,7 +179,7 @@ class TestExtraction:
         assert sorted(names(src)) == ["arr", "maps", "wrap"]
 
     def test_other_modifiers_and_annotations_keep_the_method(self):
-        # Only ``abstract`` and ``@Override`` exclude a method.
+        # Only having no body and ``@Override`` exclude a method.
         src = """
         class A {
             @Deprecated
@@ -207,8 +211,6 @@ class TestExtraction:
         assert type(tokens) is list and all(type(t) is str and t for t in tokens)
 
     def test_stats_counted(self):
-        from collections import Counter
-
         src = """
         class A {
             A() { }
@@ -233,6 +235,23 @@ class TestExtraction:
         """
         assert names(src) == ["label"]
 
+    def test_enum_constant_bodies_hold_the_methods(self):
+        # A constant's arguments look like a constructor's parameters, but
+        # the constant does not name its type: its body is a block.
+        src = """
+        enum Op {
+            PLUS() { int apply(int a) { return a; } },
+            MINUS(1) { int apply(int a) { return -a; } };
+            Op() { }
+            Op(int sign) { }
+        }
+        """
+        stats = Counter()
+        methods = extract_methods(src, "Op.java", "p", stats)
+        assert [m.name for m in methods] == ["apply", "apply"]
+        assert methods[0].body_tokens == ["{", "return", "a", ";", "}"]
+        assert stats["excluded_constructor"] == 2
+
     def test_field_initializers_ignored(self):
         src = """
         class A {
@@ -242,6 +261,45 @@ class TestExtraction:
         }
         """
         assert names(src) == ["f"]
+
+
+class TestHeaderShapes:
+    """Headers that reach each of the extractor's less common paths."""
+
+    @pytest.mark.parametrize("src, want", [
+        # An override of a method declared by a generic supertype.
+        ("class A<T> { int f() { return 1; } } "
+         "class B extends A<String> { int f() { return 2; } }", ["f"]),
+        # A supertype declared elsewhere, and one reached twice.
+        ("class A extends Base { int f() { return 1; } }", ["f"]),
+        ("interface I { } interface J extends I { } "
+         "class A implements I, J { int f() { return 1; } }", ["f"]),
+        # An anonymous class in a field initializer: its method belongs to A.
+        ("class A { Runnable r = new Runnable() { public void run() { go(); } }; }", ["run"]),
+        # A block nested in an initializer.
+        ("class A { static { if (x) { y(); } } }", []),
+        # No return type and not the type's name: invalid Java, read as
+        # a block, as an enum constant's body is.
+        ("class A { public f() { return 1; } }", []),
+        # A ')' with no '(' before it.
+        ("class A { ) { } }", []),
+        # A parenthesized expression is not a name.
+        ("class A { static { x = (y) { } } }", []),
+        # A call on the right of an assignment is not a declaration.
+        ("class A { static { x = foo() { } } }", []),
+    ], ids=["generic-supertype", "external-supertype", "diamond", "anonymous-class-field",
+            "nested-block", "no-return-type", "unopened-paren", "parenthesized",
+            "call-in-expression"])
+    def test_extracts(self, src, want):
+        assert names(src) == want
+
+    def test_generic_parameters_count_once(self):
+        src = """
+        class A { int f(int[] a, Map<K, V> m) { return 1; } }
+        class B extends A { int f(int[] a, Map<K, V> m) { return 2; } int f(int a) { return 3; } }
+        """
+        # B's two-parameter f overrides A's; its one-parameter f does not.
+        assert [m.body_tokens[2] for m in extract_methods(src, "B.java", "p")] == ["1", "3"]
 
 
 class TestAnnotatedTypes:

@@ -289,7 +289,7 @@ class TestCopyStep:
         out.lam = Tensor(1e-12)
         merged = merged_distribution(out, sn, vocab)
         for idx, prob in enumerate(out.vocab_row().data):
-            assert merged[vocab.token(idx)] == pytest.approx(float(prob), abs=1e-9)
+            assert merged[vocab.id_to_token[idx]] == pytest.approx(float(prob), abs=1e-9)
 
         out.kappa = Tensor([0.0, 1.0, 0.0])
         out.lam = Tensor(1.0 - 1e-15)
@@ -316,7 +316,7 @@ def dict_merged(step, snippet, vocab):
     lam = float(step.lam.data) if step.lam is not None else 0.0
     out = {}
     for idx, prob in enumerate(step.vocab_row().data):
-        key = vocab.token(idx)
+        key = vocab.id_to_token[idx]
         out[key] = out.get(key, 0.0) + (1.0 - lam) * float(prob)
     if step.kappa is not None:
         for pos, key in enumerate(snippet.surface):

@@ -1,5 +1,7 @@
 """Identifier splitting rules and their round-trip property."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -33,6 +35,23 @@ class TestSplitIdentifier:
         assert split_identifier("sha1") == ["sha1"]
         assert split_identifier("UTF8String") == ["utf8", "string"]
 
+    @pytest.mark.parametrize("ident, parts", [
+        ("UTF8decode", ["utf8", "decode"]),
+        ("V2beta", ["v2", "beta"]),
+        ("AB1c", ["ab1", "c"]),
+        ("A1b", ["a1", "b"]),
+        ("HTTP2Client", ["http2", "client"]),
+        ("getV2", ["get", "v2"]),
+    ])
+    def test_digit_run_stays_on_a_capital_run(self, ident, parts):
+        # Digits after capitals stay on them, also when a lowercase
+        # word follows.
+        assert split_identifier(ident) == parts
+
+    def test_digit_run_after_a_separator_stands_alone(self):
+        assert split_identifier("x_1") == ["x", "1"]
+        assert split_identifier("a_1b") == ["a", "1", "b"]
+
     def test_screaming_snake(self):
         assert split_identifier("MIN_MERGE") == ["min", "merge"]
 
@@ -43,6 +62,10 @@ class TestSplitIdentifier:
     def test_operator_maps_to_itself(self):
         assert split_identifier("==") == ["=="]
         assert split_identifier(";") == [";"]
+
+    def test_letters_outside_ascii_map_to_themselves(self):
+        assert split_identifier("\u00e9") == ["\u00e9"]
+        assert split_identifier("\u00c9\u00fc") == ["\u00e9\u00fc"]
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
@@ -63,6 +86,12 @@ def test_round_trip(ident):
     """Joining the subtokens reproduces the identifier's letters and digits."""
     joined = "".join(split_identifier(ident))
     assert joined == ident.lower().replace("_", "")
+
+
+@given(identifiers)
+def test_every_subtoken_is_a_word_with_its_digits_or_a_digit_run(ident):
+    for p in split_identifier(ident):
+        assert re.fullmatch(r"[a-z]+[0-9]*|[0-9]+", p), (ident, p)
 
 
 @given(identifiers)

@@ -55,7 +55,7 @@ class TestVocabularyMap:
     def test_inverse_maps(self):
         vocab = build_vocabulary([ex(["a", "b"], ["a", "b", "c"])], min_count=1)
         for tok, idx in vocab.token_to_id.items():
-            assert vocab.token(idx) == tok
+            assert vocab.id_to_token[idx] == tok
         for idx, tok in enumerate(vocab.id_to_token):
             assert vocab.id(tok) == idx
 
