@@ -14,7 +14,9 @@ overrides, found either by an @Override annotation or by a name/arity
 match against a supertype declared in the same file.  A header with no
 return type is a constructor only when it names its own type; any
 other, such as an enum constant with a class body (``PLUS() { ... }``),
-opens a block whose methods belong to the enclosing type.
+opens a block whose methods belong to the enclosing type.  A name after
+``@`` is an annotation, never a return type.  Identifiers follow Java,
+letters outside ASCII included.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ _TOKEN = re.compile(
     | (?P<number>0[xXbB][0-9a-fA-F_]+[lL]?
         |(?:\d[\d_]*)?\.\d[\d_]*(?:[eE][+-]?\d+)?[fFdD]?
         |\d[\d_]*(?:\.[\d_]*)?(?:[eE][+-]?\d+)?[fFdDlL]?)
-    | (?P<ident>[A-Za-z_$][A-Za-z0-9_$]*)
+    | (?P<ident>(?!\d)[\w$]+)
     | (?P<op>>>>=|>>>|<<=|>>=|\.\.\.|->|::|\+\+|--|&&|\|\|
         |[<>=!+\-*/%&|^]=|<<|>>|[{}()\[\];,.@?:~<>=!+\-*/%&|^])
     """,
@@ -52,7 +54,7 @@ _NOT_A_METHOD = {
     "synchronized",
 }
 _TYPE_KEYWORDS = {"class", "interface", "enum", "record"}
-_IDENT = re.compile(r"[A-Za-z_$]")
+_IDENT = re.compile(r"(?!\d)[\w$]")  # a Java identifier start, Unicode letters included
 
 
 @dataclass
@@ -158,7 +160,11 @@ def _parse_method_header(pending: list[str]) -> _Header | None:
             return None
         if not (_IDENT.match(prev) or prev in (">", ">>", ">>>", "]")):
             return None
-        has_return_type = prev not in _MODIFIERS
+        # Walk back over a (qualified) name: after '@' it is an annotation.
+        j = open_idx - 2
+        while j >= 2 and pending[j - 1] == "." and _IDENT.match(pending[j - 2]):
+            j -= 2
+        has_return_type = prev not in _MODIFIERS and (j == 0 or pending[j - 1] != "@")
     arity = 1 if open_idx + 1 < close else 0
     depth = 0
     for t in pending[open_idx + 1:close]:
@@ -249,7 +255,7 @@ def extract_methods(source_text: str, file_path: str, project: str,
         raise UnbalancedBraces(f"{file_path}: braces never close")
 
     def overrides_same_file_supertype(header: _Header, owner: str) -> bool:
-        seen: set[str] = set()
+        seen = {owner}  # a cycle back to the owner is not a supertype
         queue = list(types[owner].supertypes)
         while queue:
             sup = queue.pop()

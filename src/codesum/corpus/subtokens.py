@@ -1,8 +1,10 @@
 """Identifier splitting and method-body tokenization.
 
 An identifier's subtokens are the matches of one pattern, lowercased,
-so ``_`` and every other character outside ``[A-Za-z0-9]`` separate
-them.  Three rules decide where camelCase splits:
+so ``_`` and every character that is not a letter or an ASCII digit
+separate them.  Only ``A-Z`` are capitals: a letter outside ASCII
+counts as lowercase, also a capital one ("getÉtat" -> getétat).  Three
+rules decide where camelCase splits:
 
 - an uppercase run followed by a lowercase letter splits before its
   last uppercase character ("HTMLParser" -> html, parser);
@@ -11,8 +13,7 @@ them.  Three rules decide where camelCase splits:
   "UTF8decode" -> utf8, decode), and stands alone after a separator
   ("x_1" -> x, 1).
 
-A token in which nothing matches (an operator, or a word made only of
-letters outside ASCII) maps to itself lowercased.
+A token in which nothing matches (an operator) maps to itself lowercased.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ from .vocabulary import SELF as SELF_TOKEN  # a body token equal to the method's
 # Every string (or char) literal collapses to this single subtoken.
 STRING_TOKEN = "%unkstring%"
 
-_SUBTOKEN = re.compile(r"[A-Z]+(?![a-z])[0-9]*|[A-Z]?[a-z]+[0-9]*|[0-9]+")
+# ``[^\W\d_A-Z]`` is a lowercase letter: a word character other than a
+# digit, ``_`` or an ASCII capital, so letters outside ASCII count as lowercase.
+_SUBTOKEN = re.compile(r"[A-Z]+(?![^\W\d_A-Z])[0-9]*|[A-Z]?[^\W\d_A-Z]+[0-9]*|[0-9]+")
 
 
 def split_identifier(token: str) -> list[str]:

@@ -210,7 +210,7 @@ def expand(batch: list[Suggestion], out: StepOutput, snippet: EncodedSnippet,
         prob = float(merged.probs[end])
         if partial.parent is None or prob <= 0.0 or end not in ids:
             continue  # an empty name is meaningless output
-        log_prob = partial.log_prob + math.log(max(prob, 1e-300))
+        log_prob = partial.log_prob + math.log(prob)
         if bar is None or log_prob >= bar:
             completed.append(Suggestion(log_prob, None, partial, NAME_END, snapshots[row]))
             best.add(log_prob)
@@ -221,7 +221,7 @@ def expand(batch: list[Suggestion], out: StepOutput, snippet: EncodedSnippet,
         for i, prob in zip(ids, merged.probs[ids].tolist()):
             if prob <= 0.0:
                 break
-            log_prob = batch[row].log_prob + math.log(max(prob, 1e-300))
+            log_prob = batch[row].log_prob + math.log(prob)
             if bar is not None and log_prob < bar:
                 break
             if merged.tokens[i] != NAME_END:

@@ -1,9 +1,10 @@
 """Maximum-likelihood training with RMSProp and Nesterov momentum.
 
-Update rule, applied after clipping the global gradient norm to
-``CLIP_NORM``, with rho = ``RMS_DECAY``, momentum = ``MOMENTUM`` and
-eps = ``EPSILON`` for both model kinds; only lr is configurable (these
-formulas are normative for this repository):
+Update rule, applied after clipping the global gradient norm to the
+constant ``CLIP_NORM``, with rho = ``RMS_DECAY``, momentum = ``MOMENTUM``
+and eps = ``EPSILON`` for both model kinds; only lr is configurable.
+These formulas are normative for this repository, and ``sgd_update``
+states them as written, one statement each:
 
     a <- rho * a + (1 - rho) * g^2
     s <- g / sqrt(a + eps)
@@ -189,8 +190,8 @@ class OptimizerState:
         return state
 
 
-def clip_global_norm(grads: dict[str, np.ndarray], clip_norm: float) -> float:
-    """Scale all gradients so the joint norm is at most ``clip_norm``.
+def clip_global_norm(grads: dict[str, np.ndarray]) -> float:
+    """Scale all gradients so the joint norm is at most ``CLIP_NORM``.
 
     A NaN or Inf entry makes the norm non-finite, and so does a sum of
     squares that overflows; either raises ``NonFiniteGradient`` before
@@ -200,8 +201,8 @@ def clip_global_norm(grads: dict[str, np.ndarray], clip_norm: float) -> float:
     total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
     if not math.isfinite(total):
         raise NonFiniteGradient("gradient norm is not finite (NaN or Inf entries)")
-    if total > clip_norm and total > 0.0:
-        scale = clip_norm / total
+    if total > CLIP_NORM:
+        scale = CLIP_NORM / total
         for g in grads.values():
             g *= scale
     return total
@@ -209,32 +210,21 @@ def clip_global_norm(grads: dict[str, np.ndarray], clip_norm: float) -> float:
 
 def sgd_update(params: ModelParams, grads: dict[str, np.ndarray],
                opt_state: OptimizerState, cfg: TrainConfig) -> float:
-    """One clipped RMSProp + Nesterov-momentum step, in place.
+    """One clipped RMSProp + Nesterov-momentum step, in place: the rule
+    of the module docstring, statement for statement.
 
     Returns the global gradient norm before clipping; a non-finite one
     raises ``NonFiniteGradient`` and leaves the parameters as they were.
     """
-    norm = clip_global_norm(grads, CLIP_NORM)
-    rho, mu, lr, eps = RMS_DECAY, MOMENTUM, cfg.learning_rate, EPSILON
+    norm = clip_global_norm(grads)
     for name, t in params.named_tensors():
-        g = grads[name]
-        a = opt_state.sq[name]
-        v = opt_state.mom[name]
-        # The rule's operations in its order, into two scratch arrays.
-        x, y = np.empty_like(g), np.empty_like(g)
-        np.multiply(g, 1.0 - rho, out=x)
-        x *= g                          # (1 - rho) * g^2
-        a *= rho
-        a += x
-        np.add(a, eps, out=x)
-        np.sqrt(x, out=x)
-        np.divide(g, x, out=x)          # s
-        v *= mu
-        v += x
-        np.multiply(v, mu, out=y)
-        y += x                          # s + momentum * v
-        y *= lr
-        t.data -= y
+        g, a, v = grads[name], opt_state.sq[name], opt_state.mom[name]
+        a *= RMS_DECAY
+        a += (1.0 - RMS_DECAY) * g * g
+        s = g / np.sqrt(a + EPSILON)
+        v *= MOMENTUM
+        v += s
+        t.data -= cfg.learning_rate * (s + MOMENTUM * v)
     return norm
 
 

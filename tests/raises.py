@@ -3,7 +3,8 @@
 Runs the Tier-1 suite (or the pytest arguments given) in this process
 under a ``sys.settrace`` hook that watches only frames whose code lives
 under ``src/codesum``, then prints every ``raise`` statement, found with
-``ast``, of which no line ran.
+``ast``, of which no line ran.  It is a gate: it exits 1 when it lists
+any statement, and otherwise with pytest's exit code.
 
     python tests/raises.py                          # Tier-1
     python tests/raises.py tests/test_javalex.py    # any pytest arguments
@@ -92,7 +93,7 @@ def main(argv: list[str]) -> int:
     print(f"{len(missed)} of {total} raise statements in src/codesum never ran "
           f"(pytest exit code {code}).")
     print("Subprocesses are not traced: a raise that only a subprocess reaches is listed.")
-    return code
+    return 1 if missed else code
 
 
 if __name__ == "__main__":

@@ -85,6 +85,13 @@ class TestRoundTrip:
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
         assert path.read_bytes() == before
 
+    def test_an_unsupported_dtype_writes_nothing(self, tmp_path):
+        params, vocab, _ = write_checkpoint(tmp_path)
+        params.b.data = params.b.data.astype(np.float16)
+        with pytest.raises(ValueError, match="tensor b has unsupported dtype float16"):
+            save(params, vocab, cfg(), tmp_path / "half.ckpt")
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
     def test_header_layout(self, tmp_path):
         _, _, path = write_checkpoint(tmp_path)
         blob = path.read_bytes()

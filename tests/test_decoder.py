@@ -1,6 +1,7 @@
 """Search behavior, including equivalence with exhaustive enumeration."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -293,6 +294,16 @@ class TestSuggest:
             assert type(s.name) is list
             assert s.name == [r.token for r in s.steps][:-1]
             assert s.probability == math.exp(s.log_prob)
+
+    def test_k_below_one_raises(self, rng):
+        vocab, params, snippet = tiny_setup(rng)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            suggest(snippet, params, vocab, k=0)
+
+    def test_unknown_state_kind_raises(self, rng):
+        vocab, params, snippet = tiny_setup(rng)
+        with pytest.raises(ValueError, match="unknown state kind 'simple'"):
+            suggest(snippet, params, vocab, state_kind="simple")
 
     def test_empty_when_nothing_completes(self, rng):
         vocab, params, snippet = tiny_setup(rng)
@@ -668,6 +679,36 @@ class TestBeamEqualsExhaustive:
         assert [tuple(s.name) for s in got] == [tuple(name) for name, _ in want]
         for s, (_, lp) in zip(got, want):
             assert s.log_prob == pytest.approx(lp, abs=1e-9)
+
+    UNBOUNDED = SearchLimits(max_steps=1_000_000, heap_size=10**9, successors=10**9,
+                             max_name_len=2)
+
+    def test_a_token_below_1e_300_scores_as_the_oracle(self, rng):
+        # Every name holding `a` has a probability below 1e-300, yet above
+        # zero: a child's log-probability is the log of its probability.
+        vocab, params, snippet = tiny_setup(rng, extra_tokens=("a", "b", "c"),
+                                            body=("a", "b", "c"))
+        params.b.data[vocab.id("a")] = -700.0
+        got = suggest(snippet, params, vocab, k=200, model_kind="conv_attention",
+                      limits=self.UNBOUNDED)
+        want = exhaustive_top_k(snippet, params, vocab, k=200, max_len=2,
+                                model_kind="conv_attention")
+        assert dict(want)[("a",)] < math.log(1e-300)
+        assert [tuple(s.name) for s in got] == [name for name, _ in want]
+        for s, (_, lp) in zip(got, want):
+            assert s.log_prob == pytest.approx(lp, abs=1e-9)
+
+    def test_a_token_of_probability_zero_opens_no_child(self, rng):
+        vocab, params, snippet = tiny_setup(rng, extra_tokens=("a", "b", "c"),
+                                            body=("a", "b", "c"))
+        params.b.data[vocab.id("c")] = -1e4
+        limits = replace(self.UNBOUNDED, successors=len(vocab))
+        got = suggest(snippet, params, vocab, k=200, model_kind="conv_attention",
+                      limits=limits)
+        want = exhaustive_top_k(snippet, params, vocab, k=200, max_len=2,
+                                model_kind="conv_attention")
+        assert [tuple(s.name) for s in got] == [name for name, _ in want]
+        assert got and not any("c" in s.name for s in got)
 
     def test_twenty_random_tiny_models(self):
         # Acceptance-style sweep at a smaller max length for speed here;

@@ -79,6 +79,10 @@ class TestSubtokenPrf:
     def test_empty_prediction(self):
         assert subtoken_prf([], ["a"]) == (0.0, 0.0, 0.0)
 
+    def test_empty_target_raises(self):
+        with pytest.raises(ValueError, match="target name must be nonempty"):
+            subtoken_prf(["a"], [])
+
     def test_symmetry_swaps_precision_recall(self, rng):
         for _ in range(200):
             a, b = random_name(rng), random_name(rng)

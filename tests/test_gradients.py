@@ -57,6 +57,12 @@ def test_gradcheck_catches_wrong_gradients(rng):
         gradient_check(unstable, {"x": x})
 
 
+def test_gradcheck_needs_a_scalar_loss(rng):
+    x = leaf(rng, 4)
+    with pytest.raises(ValueError, match="gradient_check needs a scalar loss"):
+        gradient_check(lambda: mul(x, x), {"x": x})
+
+
 class TestElementwiseGrads:
     def test_add_mul_broadcast(self, rng):
         a = leaf(rng, 3, 4)

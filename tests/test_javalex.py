@@ -48,6 +48,10 @@ class TestLexer:
     def test_string_with_escapes(self):
         assert lex(r'f("a \" b");') == ["f", "(", '"a \\" b"', ")", ";"]
 
+    def test_identifiers_outside_ascii_stay_whole(self):
+        assert lex("int naïve = café;") == ["int", "naïve", "=", "café", ";"]
+        assert lex("Ωmega $größe _ü1 1ä") == ["Ωmega", "$größe", "_ü1", "1", "ä"]
+
     def test_multi_char_operators(self):
         assert lex("a >>= b >>> c != d") == ["a", ">>=", "b", ">>>", "c", "!=", "d"]
 
@@ -193,6 +197,14 @@ class TestExtraction:
             extract_methods("class A { void f() { ", "A.java", "p")
         with pytest.raises(UnbalancedBraces):
             extract_methods("class A { } }", "A.java", "p")
+        with pytest.raises(UnbalancedBraces, match="never close"):
+            extract_methods("class A { int x;", "A.java", "p")
+
+    def test_method_named_outside_ascii(self):
+        src = "class A { int größe() { return naïve; } }"
+        (m,) = extract_methods(src, "A.java", "p")
+        assert m.name == "größe"
+        assert m.body_tokens == ["{", "return", "naïve", ";", "}"]
 
     @settings(max_examples=200, deadline=None)
     @given(java_text())
@@ -252,6 +264,29 @@ class TestExtraction:
         assert methods[0].body_tokens == ["{", "return", "a", ";", "}"]
         assert stats["excluded_constructor"] == 2
 
+    @pytest.mark.parametrize("annotation", ["@Deprecated", "@a.b.Deprecated"])
+    def test_annotated_enum_constant_bodies_hold_the_methods(self, annotation):
+        # An annotation's name before a constant is not a return type.
+        src = f"""
+        enum Op {{
+            {annotation} PLUS() {{ int apply(int a) {{ return a; }} }},
+            MINUS() {{ int apply(int a) {{ return -a; }} }};
+        }}
+        """
+        assert names(src) == ["apply", "apply"]
+
+    def test_annotated_constructor_and_method(self):
+        src = """
+        class A {
+            @Inject A() { }
+            @Deprecated int f() { return 1; }
+            @x.Y java.util.List g() { return null; }
+        }
+        """
+        stats = Counter()
+        assert [m.name for m in extract_methods(src, "A.java", "p", stats)] == ["f", "g"]
+        assert stats["excluded_constructor"] == 1
+
     def test_field_initializers_ignored(self):
         src = """
         class A {
@@ -287,9 +322,12 @@ class TestHeaderShapes:
         ("class A { static { x = (y) { } } }", []),
         # A call on the right of an assignment is not a declaration.
         ("class A { static { x = foo() { } } }", []),
+        # Supertype cycles, invalid Java: a method is not its own override.
+        ("class A extends B { } class B extends A { int f() { return 1; } }", ["f"]),
+        ("class A extends A { int f() { return 1; } }", ["f"]),
     ], ids=["generic-supertype", "external-supertype", "diamond", "anonymous-class-field",
             "nested-block", "no-return-type", "unopened-paren", "parenthesized",
-            "call-in-expression"])
+            "call-in-expression", "supertype-cycle", "own-supertype"])
     def test_extracts(self, src, want):
         assert names(src) == want
 

@@ -589,6 +589,16 @@ class TestNextStateOfManyParents:
                 assert state.tobytes() == want.tobytes()
 
 
+def test_a_snippet_needs_both_sentinels():
+    with pytest.raises(DimensionMismatch, match="include sentinels"):
+        make_snippet([1])
+
+
+def test_unknown_model_kind_raises():
+    with pytest.raises(ValueError, match="unknown model kind 'rnn'"):
+        step_fn("rnn")
+
+
 def test_encode_snippet_adds_sentinels():
     vocab = make_vocab(["a"])
     sn = encode_snippet(["a", "zz"], vocab)

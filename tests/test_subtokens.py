@@ -67,6 +67,15 @@ class TestSplitIdentifier:
         assert split_identifier("\u00e9") == ["\u00e9"]
         assert split_identifier("\u00c9\u00fc") == ["\u00e9\u00fc"]
 
+    @pytest.mark.parametrize("ident, parts", [
+        ("größe", ["größe"]),
+        ("naïveCafé", ["naïve", "café"]),
+        # Only A-Z are capitals: one outside ASCII counts as lowercase.
+        ("getÉtat", ["getétat"]),
+    ])
+    def test_letters_outside_ascii_are_lowercase_letters(self, ident, parts):
+        assert split_identifier(ident) == parts
+
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             split_identifier("")
@@ -117,6 +126,10 @@ class TestBodyTokens:
 
     def test_char_literal_marker(self):
         assert body_token_to_subtokens("'x'") == [STRING_TOKEN]
+
+    def test_identifier_outside_ascii_splits(self):
+        assert body_token_to_subtokens("naïveCafé") == ["naïve", "café"]
+        assert body_token_to_subtokens("größe", "größe") == [SELF_TOKEN]
 
     def test_numeric_literal_verbatim(self):
         assert body_token_to_subtokens("0xFF") == ["0xff"]

@@ -75,6 +75,10 @@ class TestConv1dNarrow:
         with pytest.raises(DimensionMismatch):
             conv1d_narrow(Tensor(np.ones((4, 2))), Tensor(np.ones((3, 1, 1))))
 
+    def test_width_zero_kernel(self):
+        with pytest.raises(DimensionMismatch, match="kernel width must be >= 1"):
+            conv1d_narrow(Tensor(np.ones((4, 2))), Tensor(np.ones((2, 0, 1))))
+
     def test_linear_in_both_arguments(self, rng):
         x = rng.normal(size=(5, 3))
         y = rng.normal(size=(5, 3))
@@ -182,6 +186,23 @@ class TestActivations:
             got = softmax(v)
             assert type(got) is np.ndarray
             assert got.tobytes() == softmax(Tensor(v)).data.tobytes()
+
+    def test_softmax_of_a_3d_array_raises(self):
+        with pytest.raises(DimensionMismatch, match="softmax expects a vector or a matrix"):
+            softmax(np.zeros((2, 2, 2)))
+
+    def test_prelu_leak_must_be_a_scalar(self):
+        with pytest.raises(DimensionMismatch, match="prelu leak must be a scalar"):
+            prelu(Tensor([-2.0, 3.0]), Tensor([0.3, 0.3]))
+
+    def test_log_of_zero_raises(self):
+        with pytest.raises(ValueError, match="log of a non-positive value"):
+            log(Tensor([1.0, 0.0]))
+
+    def test_backward_of_a_vector_needs_a_seed(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(ValueError, match="needs a scalar"):
+            x.backward()
 
     def test_sigmoid_extremes(self):
         assert float(sigmoid(Tensor(50.0)).data) == pytest.approx(1.0)

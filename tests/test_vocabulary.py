@@ -44,6 +44,10 @@ class TestBuildVocabulary:
         with pytest.raises(EmptyCorpus):
             build_vocabulary([], min_count=1)
 
+    def test_min_count_below_one_raises(self):
+        with pytest.raises(ValueError, match="min_count must be >= 1"):
+            build_vocabulary([ex(["x"], ["y"])], min_count=0)
+
     def test_determinism(self):
         examples = [ex(["get", "x"], ["{", "x", "}"]) for _ in range(3)]
         v1 = build_vocabulary(examples, min_count=2)
