@@ -50,6 +50,8 @@ RMS_DECAY = 0.9
 MOMENTUM = 0.9
 EPSILON = 1e-6
 CLIP_NORM = 5.0
+# Entries per block of ``sgd_update``: 128 KiB of float64 per operand.
+UPDATE_BLOCK = 16_384
 
 # Scale of the normal initialization noise.
 INIT_SIGMA = 0.1
@@ -195,8 +197,9 @@ def clip_global_norm(grads: dict[str, np.ndarray]) -> float:
 
     A NaN or Inf entry makes the norm non-finite, and so does a sum of
     squares that overflows; either raises ``NonFiniteGradient`` before
-    any gradient is scaled.  The norm is the check: no second pass over
-    the gradients looks for NaN or Inf.
+    any gradient is scaled.  The norm is the check: at minibatch 1,
+    ``train`` takes this raise as the example's NaN/Inf test and scans
+    the entries only then, to tell a NaN or Inf entry from an overflow.
     """
     total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
     if not math.isfinite(total):
@@ -211,20 +214,41 @@ def clip_global_norm(grads: dict[str, np.ndarray]) -> float:
 def sgd_update(params: ModelParams, grads: dict[str, np.ndarray],
                opt_state: OptimizerState, cfg: TrainConfig) -> float:
     """One clipped RMSProp + Nesterov-momentum step, in place: the rule
-    of the module docstring, statement for statement.
+    of the module docstring, statement for statement and operand for
+    operand, run over each parameter's flat entries one block of
+    ``UPDATE_BLOCK`` at a time, so a block's statements find their
+    operands in cache.  Each intermediate goes into one of two scratch
+    vectors: ``s`` holds (1 - rho) * g^2, then sqrt(a + eps), then s,
+    and ``step`` holds lr * (s + momentum * v).
 
     Returns the global gradient norm before clipping; a non-finite one
     raises ``NonFiniteGradient`` and leaves the parameters as they were.
     """
     norm = clip_global_norm(grads)
+    scratch_s, scratch_step = np.empty(UPDATE_BLOCK), np.empty(UPDATE_BLOCK)
     for name, t in params.named_tensors():
-        g, a, v = grads[name], opt_state.sq[name], opt_state.mom[name]
-        a *= RMS_DECAY
-        a += (1.0 - RMS_DECAY) * g * g
-        s = g / np.sqrt(a + EPSILON)
-        v *= MOMENTUM
-        v += s
-        t.data -= cfg.learning_rate * (s + MOMENTUM * v)
+        # The update writes through these; copy=False raises rather than copy.
+        theta, a, v = (np.reshape(x, -1, copy=False)
+                       for x in (t.data, opt_state.sq[name], opt_state.mom[name]))
+        # Read only, so a copy serves; broadcast as the whole-array rule would.
+        g = np.broadcast_to(grads[name], t.shape).reshape(-1)
+        for lo in range(0, g.size, UPDATE_BLOCK):
+            block = slice(lo, lo + UPDATE_BLOCK)
+            gb, ab, vb = g[block], a[block], v[block]
+            s, step = scratch_s[:gb.size], scratch_step[:gb.size]
+            ab *= RMS_DECAY
+            np.multiply(1.0 - RMS_DECAY, gb, out=s)
+            s *= gb
+            ab += s
+            np.add(ab, EPSILON, out=s)
+            np.sqrt(s, out=s)
+            np.divide(gb, s, out=s)
+            vb *= MOMENTUM
+            vb += s
+            np.multiply(MOMENTUM, vb, out=step)
+            np.add(s, step, out=step)
+            step *= cfg.learning_rate
+            theta[block] -= step
     return norm
 
 
@@ -236,13 +260,20 @@ def masked_view(params: ModelParams, rate: float, rng: np.random.Generator) -> M
 
     Masked entries contribute nothing to the forward pass; the mask
     applies identically to the gradient, so the underlying leaves keep
-    accumulating correctly.
+    accumulating correctly.  Each mask is built in the array its uniform
+    draws came in, and the view is the product ``t * mask``: ``np.where``
+    would turn a dropped -0.0 into +0.0.
     """
     scale = 1.0 / (1.0 - rate)
-    return ModelParams.from_named({
-        name: t * ((rng.random(t.shape) >= rate).astype(t.data.dtype) * scale)
-        for name, t in params.named_tensors()
-    })
+
+    def mask(shape: tuple[int, ...]) -> np.ndarray:
+        m = rng.random(shape)
+        np.greater_equal(m, rate, out=m)
+        m *= scale
+        return m
+
+    return ModelParams.from_named({name: t * mask(t.shape)
+                                   for name, t in params.named_tensors()})
 
 
 # -- training loop -----------------------------------------------------------------------
@@ -306,6 +337,10 @@ def _collect_grads(params: ModelParams) -> dict[str, np.ndarray]:
     }
 
 
+def _all_finite(grads: dict[str, np.ndarray]) -> bool:
+    return all(np.all(np.isfinite(g)) for g in grads.values())
+
+
 def _grad_norm_stats(norms: Sequence[float]) -> dict:
     """An epoch's mean and max pre-clip gradient norm and the fraction of
     its updates that were clipped; all ``None`` without an update."""
@@ -366,19 +401,29 @@ def train(train_examples: Sequence[MethodExample],
                 t.zero_grad()
             loss.backward()
             grads = _collect_grads(params)
-            # An example's one NaN/Inf scan; the update's norm is the window's.
-            if any(not np.all(np.isfinite(g)) for g in grads.values()):
+            if cfg.minibatch == 1:
+                # The update's sum of squares is the example's NaN/Inf
+                # test; only a non-finite one is scanned entry by entry.
+                try:
+                    norms.append(sgd_update(params, grads, opt_state, cfg))
+                except NonFiniteGradient:
+                    if _all_finite(grads):
+                        raise  # finite entries whose sum of squares overflows
+                    continue
+            elif _all_finite(grads):
+                # The example's one scan: the update's norm is the window's.
+                for gname, g in grads.items():
+                    if gname in window:
+                        window[gname] += g
+                    else:
+                        window[gname] = g
+                if (counted + 1) % cfg.minibatch == 0:
+                    norms.append(sgd_update(params, window, opt_state, cfg))
+                    window = {}
+            else:
                 continue
             epoch_nll += float(loss.data)
             counted += 1
-            for gname, g in grads.items():
-                if gname in window:
-                    window[gname] += g
-                else:
-                    window[gname] = g
-            if counted % cfg.minibatch == 0:
-                norms.append(sgd_update(params, window, opt_state, cfg))
-                window = {}
         if window:
             norms.append(sgd_update(params, window, opt_state, cfg))
         train_seconds = time.perf_counter() - tick

@@ -30,6 +30,7 @@ from codesum.trainer import (
     INIT_SIGMA,
     MOMENTUM,
     RMS_DECAY,
+    UPDATE_BLOCK,
     OptimizerState,
     TrainConfig,
     clip_global_norm,
@@ -256,6 +257,47 @@ class TestSgdUpdate:
         assert float(params.h_init.data[0]) == pytest.approx(theta2, rel=1e-12)
         assert set(names) == set(state.sq)
 
+    def test_blocked_update_is_the_rule_byte_for_byte(self):
+        # E has two full blocks and a ragged tail, prelu_a1 is 0-d, and
+        # every 2-D gradient is Fortran-ordered.  The reference is the
+        # rule as six whole-array statements after the same clip.
+        params = make_params(6561, d=5)
+        assert params.E.data.size == 2 * UPDATE_BLOCK + 37
+        assert params.prelu_a1.data.ndim == 0
+        cfg = tiny_cfg(learning_rate=0.01)
+        state = OptimizerState.for_params(params)
+        want = {n: t.data.copy() for n, t in params.named_tensors()}
+        want_state = OptimizerState.for_params(params)
+        rng = np.random.default_rng(7)
+        for _ in range(2):
+            grads = {n: np.array(rng.normal(size=t.shape), order="F")
+                     for n, t in params.named_tensors()}
+            assert not grads["E"].flags.c_contiguous
+            ref = {n: g.copy(order="K") for n, g in grads.items()}
+            assert sgd_update(params, grads, state, cfg) == clip_global_norm(ref)
+            for name, g in ref.items():
+                a, v = want_state.sq[name], want_state.mom[name]
+                a *= RMS_DECAY
+                a += (1.0 - RMS_DECAY) * g * g
+                s = g / np.sqrt(a + EPSILON)
+                v *= MOMENTUM
+                v += s
+                want[name] -= cfg.learning_rate * (s + MOMENTUM * v)
+            for name, t in params.named_tensors():
+                assert t.data.tobytes() == want[name].tobytes(), name
+                assert state.sq[name].tobytes() == want_state.sq[name].tobytes(), name
+                assert state.mom[name].tobytes() == want_state.mom[name].tobytes(), name
+
+    def test_gradient_that_does_not_fit_its_parameter_raises(self):
+        # The rule broadcasts g against theta; a same-sized transpose or an
+        # extra axis does not broadcast, and is not read in a wrong order.
+        params = make_params(8)
+        for bad in ("E", "prelu_a1"):
+            grads = {n: np.zeros_like(t.data) for n, t in params.named_tensors()}
+            grads[bad] = np.ones(params.E.shape[::-1]) if bad == "E" else np.ones(1)
+            with pytest.raises(ValueError):
+                sgd_update(params, grads, OptimizerState.for_params(params), tiny_cfg())
+
     def test_nonfinite_gradient_raises(self):
         params = make_params(8)
         state = OptimizerState.for_params(params)
@@ -303,6 +345,24 @@ class TestDropoutMask:
         ratio = view.E.data / np.where(params.E.data == 0, 1, params.E.data)
         kept = ratio[view.E.data != 0]
         np.testing.assert_allclose(kept, 2.0)
+
+    def test_masks_are_the_compared_and_scaled_draws(self):
+        # The construction the in-place masks replace, from an equal
+        # generator: same bytes for every tensor, the 0-d leak included.
+        params = make_params(8)
+        params.prelu_a1.data = np.array(-0.25)
+        rate, scale = 0.4, 1.0 / 0.6
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        view = masked_view(params, rate, rng)
+        dropped_negative = 0
+        for (name, t), (_, got) in zip(params.named_tensors(), view.named_tensors()):
+            want = t * ((ref.random(t.shape) >= rate).astype(float) * scale)
+            assert got.data.tobytes() == want.data.tobytes(), name
+            gone = (got.data == 0.0) & (t.data < 0.0)
+            assert np.all(np.signbit(got.data[gone])), name  # -0.0, not +0.0
+            dropped_negative += int(np.sum(gone))
+        assert dropped_negative > 0
+        assert rng.random() == ref.random()  # the same draws, no more
 
     def test_gradients_flow_to_leaves(self, rng):
         params = make_params(8)
@@ -542,25 +602,57 @@ class TestTraining:
         train_seconds = len(examples) / second["examples_per_s"]
         assert 0.3 <= second["valid_seconds"] <= second["seconds"] - train_seconds
 
-    def test_each_gradient_is_scanned_for_nan_once(self, monkeypatch):
+    @pytest.mark.parametrize("minibatch, nan_at, scanned_at", [
+        (1, None, []),  # the update's finite sum of squares is the test
+        (1, 3, [3]),    # a non-finite sum: one scan, then the skip
+        (2, None, [1, 2, 3, 4, 5, 6, 7, 8]),  # each example, before its window
+        (2, 3, [1, 2, 3, 4, 5, 6, 7, 8]),
+    ], ids=["minibatch1-finite", "minibatch1-nan", "minibatch2-finite", "minibatch2-nan"])
+    def test_examples_scanned_for_nan(self, monkeypatch, minibatch, nan_at, scanned_at):
         import codesum.trainer as trainer_mod
 
         examples = self.corpus(4)
-        cfg = tiny_cfg(epochs=2, eval_every=5)
+        cfg = tiny_cfg(epochs=2, eval_every=5, minibatch=minibatch)
         e_shape = (len(build_vocabulary(examples, min_count=cfg.min_count)), cfg.D)
-        scanned = []
+        real_collect = trainer_mod._collect_grads
         real_isfinite = np.isfinite
+        collected, scanned = [], []
+
+        def collect(params):
+            grads = real_collect(params)
+            collected.append(1)
+            if len(collected) == nan_at:
+                grads["E"][0, 0] = np.nan
+            return grads
 
         def recording_isfinite(x, *args, **kwargs):
             if np.shape(x) == e_shape:
-                scanned.append(1)
+                scanned.append(len(collected))
             return real_isfinite(x, *args, **kwargs)
 
+        monkeypatch.setattr(trainer_mod, "_collect_grads", collect)
         monkeypatch.setattr(trainer_mod.np, "isfinite", recording_isfinite)
         result = train(examples, [], cfg)
         monkeypatch.undo()
-        assert result.skipped_examples == 0
-        assert len(scanned) == 2 * len(examples)  # one scan of E per example
+        assert len(collected) == 2 * len(examples)
+        assert scanned == scanned_at  # which examples' E gradients were scanned
+        assert result.skipped_examples == (nan_at is not None)
+        for _, t in result.params.named_tensors():
+            assert np.all(np.isfinite(t.data))
+
+    @pytest.mark.parametrize("minibatch", [1, 2])
+    def test_finite_gradient_whose_squares_overflow_raises(self, monkeypatch, minibatch):
+        # Not a skipped example: no entry is NaN or Inf, the norm is.
+        import codesum.trainer as trainer_mod
+
+        real_collect = trainer_mod._collect_grads
+
+        def huge(params):
+            return {n: np.full_like(g, 1e200) for n, g in real_collect(params).items()}
+
+        monkeypatch.setattr(trainer_mod, "_collect_grads", huge)
+        with pytest.raises(NonFiniteGradient), np.errstate(over="ignore"):
+            train(self.corpus(4), [], tiny_cfg(epochs=1, eval_every=5, minibatch=minibatch))
 
     def test_epoch_that_improves_and_reaches_exact_target_snapshots_once(self, monkeypatch):
         import codesum.trainer as trainer_mod
